@@ -5,10 +5,12 @@ config contradictions, mismatched image sizes) exit 2; file problems
 (missing, malformed, truncated) exit 1; success exits 0. Reports go to
 standard output, diagnostics to standard error.
 
-Outputs are written to a temporary file and renamed into place, so a
-failing run never leaves a partial or clobbered output behind.
+Outputs are written by the library savers, which write a temporary file
+and rename it into place, so a failing run never leaves a partial or
+clobbered output behind.
 
-Pipeline settings resolve in three layers: built-in defaults, then an
+Pipeline settings resolve in three layers: the dataclass defaults of
+KernelParams, StructuringElement and PipelineConfig, then an
 optional config file of flat `key = value` lines (`#` starts a
 comment), then explicit command-line flags. Unknown config keys are an
 error; silently ignoring a typo would quietly run with defaults.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 from .errors import ContractViolation, FormatError
 from .image_model import (
@@ -32,31 +35,37 @@ from .image_model import (
 )
 from .edge_analysis import detect_edges, sobel_gradients, theta_to_units
 from .kernels import KernelParams
-from .pipeline import PipelineConfig, restore
+from .pipeline import DEFAULT_EDGE_THRESHOLD, PipelineConfig, restore
 from .preprocess import StructuringElement
-from .evaluate import DegradeSpec, compare, degrade, make_scene
+from .evaluate import SCENE_KINDS, DegradeSpec, compare, degrade, make_scene
 
 DEGRADE_SCENE_SIZE = (160, 120)
 
-_DEFAULTS = {
-    "sigma_s": 3.0,
-    "sigma_r_color": 25.0,
-    "sigma_r_depth": 30.0,
-    "sigma_x": 5.0,
-    "sigma_y": 1.5,
-    "window_radius": 5,
-    "edge_threshold": 100.0,
-    "r_edge": None,
-    "hole_expand_radius": 1,
-    "max_fill_passes": 64,
-    "closing_radius": 2,
-    "threads": 1,
-    "isotropic_only": False,
-}
+_KERNEL_DEFAULTS = asdict(KernelParams())
+_CONFIG_DEFAULTS = {k: v for k, v in asdict(PipelineConfig()).items()
+                    if k not in ("kernel", "se")}
+_DEFAULTS = {**_KERNEL_DEFAULTS, **_CONFIG_DEFAULTS,
+             "closing_radius": StructuringElement().radius}
 
-_INT_KEYS = {"window_radius", "r_edge", "hole_expand_radius", "max_fill_passes",
-             "closing_radius", "threads"}
-_BOOL_KEYS = {"isotropic_only"}
+_BOOL_KEYS = {k for k, v in _DEFAULTS.items() if type(v) is bool}
+_INT_KEYS = {k for k, v in _DEFAULTS.items() if type(v) is int} | {"r_edge"}
+
+# (config key, help text) for each valued pipeline flag; the flag is
+# the key with dashes, and its type and default come from _DEFAULTS.
+_FLAG_HELP = (
+    ("sigma_s", "isotropic spatial sigma, pixels"),
+    ("sigma_r_color", "color range sigma, intensity units"),
+    ("sigma_r_depth", "depth range sigma, mm; >= 1e9 disables"),
+    ("sigma_x", "directional sigma along the edge, pixels"),
+    ("sigma_y", "directional sigma across the edge, pixels"),
+    ("window_radius", "filter window radius, pixels"),
+    ("edge_threshold", "gradient magnitude threshold"),
+    ("r_edge", "edge region radius, pixels"),
+    ("hole_expand_radius", "hole growth across edge pixels, pixels"),
+    ("max_fill_passes", "fill pass cap across both phases"),
+    ("closing_radius", "structuring element radius for closing"),
+    ("threads", "worker threads, 0 = auto; never changes output"),
+)
 
 
 def parse_config_file(path: str) -> dict:
@@ -108,62 +117,21 @@ def assemble_pipeline_config(args) -> PipelineConfig:
         if flag is not None:
             values[key] = flag
     cfg = PipelineConfig(
-        kernel=KernelParams(
-            sigma_s=values["sigma_s"],
-            sigma_r_color=values["sigma_r_color"],
-            sigma_r_depth=values["sigma_r_depth"],
-            sigma_x=values["sigma_x"],
-            sigma_y=values["sigma_y"],
-            window_radius=values["window_radius"],
-        ),
+        kernel=KernelParams(**{k: values[k] for k in _KERNEL_DEFAULTS}),
         se=StructuringElement(radius=values["closing_radius"]),
-        edge_threshold=values["edge_threshold"],
-        r_edge=values["r_edge"],
-        hole_expand_radius=values["hole_expand_radius"],
-        max_fill_passes=values["max_fill_passes"],
-        threads=values["threads"],
-        isotropic_only=values["isotropic_only"],
+        **{k: values[k] for k in _CONFIG_DEFAULTS},
     )
     cfg.validate()
     return cfg
 
 
-def _write_atomic(path: str, writer) -> None:
-    tmp = f"{path}.tmp{os.getpid()}"
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sigma-s", type=float, dest="sigma_s",
-                   help="isotropic spatial sigma, pixels (default: 3.0)")
-    p.add_argument("--sigma-r-color", type=float, dest="sigma_r_color",
-                   help="color range sigma, intensity units (default: 25.0)")
-    p.add_argument("--sigma-r-depth", type=float, dest="sigma_r_depth",
-                   help="depth range sigma, mm; >= 1e9 disables (default: 30.0)")
-    p.add_argument("--sigma-x", type=float, dest="sigma_x",
-                   help="directional sigma along the edge, pixels (default: 5.0)")
-    p.add_argument("--sigma-y", type=float, dest="sigma_y",
-                   help="directional sigma across the edge, pixels (default: 1.5)")
-    p.add_argument("--window-radius", type=int, dest="window_radius",
-                   help="filter window radius, pixels (default: 5)")
-    p.add_argument("--edge-threshold", type=float, dest="edge_threshold",
-                   help="gradient magnitude threshold (default: 100.0)")
-    p.add_argument("--r-edge", type=int, dest="r_edge",
-                   help="edge region radius, pixels (default: window radius)")
-    p.add_argument("--hole-expand-radius", type=int, dest="hole_expand_radius",
-                   help="hole growth across edge pixels, pixels (default: 1)")
-    p.add_argument("--max-fill-passes", type=int, dest="max_fill_passes",
-                   help="fill pass cap across both phases (default: 64)")
-    p.add_argument("--closing-radius", type=int, dest="closing_radius",
-                   help="structuring element radius for closing (default: 2)")
-    p.add_argument("--threads", type=int, dest="threads",
-                   help="worker threads, 0 = auto; never changes output (default: 1)")
+    for key, text in _FLAG_HELP:
+        default = _DEFAULTS[key]
+        shown = "window radius" if default is None else default
+        p.add_argument("--" + key.replace("_", "-"), dest=key,
+                       type=int if key in _INT_KEYS else float,
+                       help=f"{text} (default: {shown})")
     p.add_argument("--config", help="key = value settings file (flags win over file)")
     p.add_argument("--isotropic-only", action="store_true", dest="isotropic_only",
                    default=None,
@@ -175,7 +143,7 @@ def cmd_restore(args) -> int:
     depth = load_depth_pgm(args.depth)
     guide = load_color_ppm(args.color)
     restored, _, report = restore(depth, guide, cfg)
-    _write_atomic(args.out, lambda p: save_depth_pgm(restored, p))
+    save_depth_pgm(restored, args.out)
     for line in report.lines():
         print(line)
     return 0
@@ -195,13 +163,12 @@ def cmd_degrade(args) -> int:
         w, h = DEGRADE_SCENE_SIZE
         clean, color = make_scene(args.scene, w, h)
         stem, ext = os.path.splitext(args.out)
-        _write_atomic(stem + "_clean" + (ext or ".pgm"),
-                      lambda p: save_depth_pgm(clean, p))
-        _write_atomic(stem + "_color.ppm", lambda p: save_color_ppm(color, p))
+        save_depth_pgm(clean, stem + "_clean" + (ext or ".pgm"))
+        save_color_ppm(color, stem + "_color.ppm")
     else:
         clean = load_depth_pgm(args.clean)
     degraded = degrade(clean, spec)
-    _write_atomic(args.out, lambda p: save_depth_pgm(degraded, p))
+    save_depth_pgm(degraded, args.out)
     return 0
 
 
@@ -217,17 +184,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_edges(args) -> int:
-    threshold = args.edge_threshold if args.edge_threshold is not None else 100.0
+    threshold = args.edge_threshold
     if not threshold > 0:
         raise ContractViolation(f"edge threshold must be > 0, got {threshold}")
     guide = load_color_ppm(args.color)
     grad = sobel_gradients(to_grayscale(guide))
     edges = detect_edges(grad, threshold)
-    _write_atomic(args.out_prefix + "_edges.pgm",
-                  lambda p: save_mask_pgm(edges.edge, p))
-    theta_map = DepthMap(theta_to_units(edges.theta))
-    _write_atomic(args.out_prefix + "_theta.pgm",
-                  lambda p: save_depth_pgm(theta_map, p))
+    save_mask_pgm(edges.edge, args.out_prefix + "_edges.pgm")
+    save_depth_pgm(DepthMap(theta_to_units(edges.theta)), args.out_prefix + "_theta.pgm")
     return 0
 
 
@@ -249,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("clean", nargs="?", default=None,
                    help="clean input depth map (omit when using --scene)")
     p.add_argument("out", help="output depth map path")
-    p.add_argument("--scene", choices=("step", "ramp", "occluder"),
+    p.add_argument("--scene", choices=SCENE_KINDS,
                    help="generate this 160x120 scene instead of reading a file; "
                         "also writes <out>_clean.pgm and <out>_color.ppm")
     p.add_argument("--seed", type=int, default=0,
@@ -273,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("color", help="color image, PPM")
     p.add_argument("out_prefix", help="output path prefix")
     p.add_argument("--edge-threshold", type=float, dest="edge_threshold",
-                   help="gradient magnitude threshold (default: 100.0)")
+                   default=DEFAULT_EDGE_THRESHOLD,
+                   help=f"gradient magnitude threshold (default: {DEFAULT_EDGE_THRESHOLD})")
     p.set_defaults(func=cmd_edges)
     return parser
 

@@ -1,4 +1,4 @@
-"""Per-pixel depth filters and the vectorized window engine.
+"""Depth filters: one vectorized window engine and per-pixel wrappers.
 
 Four filters share one structure: a weighted average of neighbor
 depths inside a square window, with weights that are products of a
@@ -6,14 +6,10 @@ spatial (or directional) Gaussian, a color range Gaussian on the guide
 image, and optionally a depth range Gaussian. Hole neighbors always
 get weight zero; a sentinel is not a measurement.
 
-Each filter exists in two forms. The *_pixel functions are the plain
-per-pixel reference: explicit loops over the window, composing the
-scalar kernels. `window_sums` is the production path: it accumulates
-the same sums for every pixel at once by iterating window offsets and
-shifting whole arrays. Both walk offsets in identical order and build
-weights with identical expression trees, so their outputs agree bit
-for bit, not just approximately. Keep the arithmetic shapes in sync
-when editing either side.
+`window_sums` is the one engine: it accumulates those sums for every
+pixel of a row band at once by iterating window offsets and shifting
+whole arrays. The *_pixel functions run the same engine on the window
+around a single pixel, so there is no second copy of the arithmetic.
 
 Two accumulation details are deliberate and load-bearing:
 
@@ -37,7 +33,6 @@ matching the border policy of the preprocessing stage.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +40,7 @@ import numpy as np
 from .errors import ContractViolation
 from .image_model import HOLE, ColorImage, DepthMap
 from .edge_analysis import EdgeMap, NONHOLE_EDGE, NONHOLE_NONEDGE
-from .kernels import (
-    SIGMA_DEPTH_INFINITE,
-    KernelParams,
-    color_range_weight,
-    depth_range_weight,
-    dgf_weight,
-    spatial_weight,
-)
+from .kernels import KernelParams, depth_range_weight, spatial_weight
 
 
 @dataclass(frozen=True)
@@ -71,86 +59,45 @@ class FilterOutcome:
     contributors: int
 
 
-def _guide_triple(guide: ColorImage, y: int, x: int) -> np.ndarray:
-    return guide.samples[y, x].astype(np.float64)
-
-
 def _check_non_hole(depth: DepthMap, y: int, x: int, op: str) -> None:
     if depth.samples[y, x] == HOLE:
         raise ContractViolation(f"{op} requires a non-hole center, pixel ({y}, {x}) is a hole")
 
 
-def _scalar_filter(y, x, shape, radius, contribution) -> FilterOutcome:
-    """Shared accumulation loop for the per-pixel reference filters.
+def _filter_at(p, depth: DepthMap, guide: ColorImage, params: KernelParams,
+               valid=None, theta=None, **flavor) -> FilterOutcome:
+    """Run window_sums for pixel p alone, on the clamped window around it.
 
-    contribution(dy, dx, qy, qx) returns (weight, depth) with the
-    weight already zeroed for unusable neighbors. The pairing of the
-    -dx / +dx terms mirrors the vectorized engine; see module doc.
+    Depth, validity, guide (and a constant cos/sin of theta for the
+    directional flavor) are cropped to the window, and only the crop's
+    center row is evaluated. The crop gives the same bits as a
+    whole-image run: p reads only sources inside its window, and an
+    offset leaves the crop exactly when it leaves the image. valid of
+    None means every non-hole pixel is a source.
     """
-    h, w = shape
-    num = 0.0
-    den = 0.0
-    cnt = 0
-    mn = math.inf
-    mx = -math.inf
-    for dy in range(-radius, radius + 1):
-        qy = y + dy
-        if qy < 0 or qy >= h:
-            continue
-        for adx in range(0, radius + 1):
-            pnum = 0.0
-            pden = 0.0
-            if adx == 0:
-                wgt, dq = contribution(dy, 0, qy, x)
-                pnum = wgt * dq
-                pden = wgt
-                if wgt > 0:
-                    cnt += 1
-                    mn = min(mn, dq)
-                    mx = max(mx, dq)
-            else:
-                qx = x - adx
-                if qx >= 0:
-                    wgt, dq = contribution(dy, -adx, qy, qx)
-                    pnum = pnum + wgt * dq
-                    pden = pden + wgt
-                    if wgt > 0:
-                        cnt += 1
-                        mn = min(mn, dq)
-                        mx = max(mx, dq)
-                qx = x + adx
-                if qx < w:
-                    wgt, dq = contribution(dy, adx, qy, qx)
-                    pnum = pnum + wgt * dq
-                    pden = pden + wgt
-                    if wgt > 0:
-                        cnt += 1
-                        mn = min(mn, dq)
-                        mx = max(mx, dq)
-            num = num + pnum
-            den = den + pden
-    if den > 0:
-        value = min(mx, max(mn, num / den))
-    else:
-        value = 0.0
-    return FilterOutcome(float(value), float(den), cnt)
+    y, x = p
+    h, w = depth.samples.shape
+    r = params.window_radius
+    y0 = max(0, y - r)
+    x0 = max(0, x - r)
+    win = (slice(y0, min(h, y + r + 1)), slice(x0, min(w, x + r + 1)))
+    d = depth.samples[win]
+    usable = d != HOLE if valid is None else valid[win]
+    if theta is not None:
+        flavor["cos_t"] = np.full(d.shape, np.cos(theta))
+        flavor["sin_t"] = np.full(d.shape, np.sin(theta))
+    acc = WindowSums(d.shape)
+    cy = y - y0
+    window_sums(d, usable.astype(np.float64), guide_planes(ColorImage(guide.samples[win])),
+                params, acc, cy, cy + 1, **flavor)
+    at = (cy, x - x0)
+    return FilterOutcome(float(acc.normalized()[at]), float(acc.den[at]), int(acc.cnt[at]))
 
 
 def jbf_pixel(p, depth: DepthMap, guide: ColorImage, params: KernelParams) -> FilterOutcome:
     """Joint bilateral filter at p = (row, col): spatial x color range."""
-    y, x = p
-    _check_non_hole(depth, y, x, "jbf_pixel")
-    d = depth.samples
-    ip = _guide_triple(guide, y, x)
-
-    def contribution(dy, dx, qy, qx):
-        ws = spatial_weight(dx, dy, params.sigma_s)
-        wc = color_range_weight(ip, _guide_triple(guide, qy, qx), params.sigma_r_color)
-        wgt = ws * wc
-        wgt = wgt * (1.0 if d[qy, qx] != HOLE else 0.0)
-        return wgt, d[qy, qx]
-
-    return _scalar_filter(y, x, d.shape, params.window_radius, contribution)
+    _check_non_hole(depth, *p, "jbf_pixel")
+    return _filter_at(p, depth, guide, params, iso_sigma=params.sigma_s)
 
 
 def tjbf_pixel(p, depth: DepthMap, guide: ColorImage, params: KernelParams) -> FilterOutcome:
@@ -160,21 +107,9 @@ def tjbf_pixel(p, depth: DepthMap, guide: ColorImage, params: KernelParams) -> F
     neighbors across a depth discontinuity lose influence even when the
     guide colors agree.
     """
-    y, x = p
-    _check_non_hole(depth, y, x, "tjbf_pixel")
-    d = depth.samples
-    ip = _guide_triple(guide, y, x)
-    dp = d[y, x]
-
-    def contribution(dy, dx, qy, qx):
-        ws = spatial_weight(dx, dy, params.sigma_s)
-        wc = color_range_weight(ip, _guide_triple(guide, qy, qx), params.sigma_r_color)
-        wgt = ws * wc
-        wgt = wgt * depth_range_weight(dp, d[qy, qx], params.sigma_r_depth)
-        wgt = wgt * (1.0 if d[qy, qx] != HOLE else 0.0)
-        return wgt, d[qy, qx]
-
-    return _scalar_filter(y, x, d.shape, params.window_radius, contribution)
+    _check_non_hole(depth, *p, "tjbf_pixel")
+    return _filter_at(p, depth, guide, params, iso_sigma=params.sigma_s,
+                      depth_sigma=params.sigma_r_depth)
 
 
 def djbf_pixel(p, depth: DepthMap, guide: ColorImage, theta: float,
@@ -185,19 +120,8 @@ def djbf_pixel(p, depth: DepthMap, guide: ColorImage, theta: float,
     the edge contour, so smoothing follows the edge instead of crossing
     it.
     """
-    y, x = p
-    _check_non_hole(depth, y, x, "djbf_pixel")
-    d = depth.samples
-    ip = _guide_triple(guide, y, x)
-
-    def contribution(dy, dx, qy, qx):
-        ws = dgf_weight(dx, dy, theta, params.sigma_x, params.sigma_y)
-        wc = color_range_weight(ip, _guide_triple(guide, qy, qx), params.sigma_r_color)
-        wgt = ws * wc
-        wgt = wgt * (1.0 if d[qy, qx] != HOLE else 0.0)
-        return wgt, d[qy, qx]
-
-    return _scalar_filter(y, x, d.shape, params.window_radius, contribution)
+    _check_non_hole(depth, *p, "djbf_pixel")
+    return _filter_at(p, depth, guide, params, theta=theta)
 
 
 def pdjbf_pixel(p, depth: DepthMap, valid: np.ndarray, guide: ColorImage,
@@ -214,17 +138,7 @@ def pdjbf_pixel(p, depth: DepthMap, valid: np.ndarray, guide: ColorImage,
     y, x = p
     if depth.samples[y, x] != HOLE and valid[y, x]:
         raise ContractViolation(f"pdjbf_pixel fills holes, pixel ({y}, {x}) is valid")
-    d = depth.samples
-    ip = _guide_triple(guide, y, x)
-
-    def contribution(dy, dx, qy, qx):
-        ws = dgf_weight(dx, dy, theta, params.sigma_x, params.sigma_y)
-        wc = color_range_weight(ip, _guide_triple(guide, qy, qx), params.sigma_r_color)
-        wgt = ws * wc
-        wgt = wgt * (1.0 if valid[qy, qx] else 0.0)
-        return wgt, d[qy, qx]
-
-    return _scalar_filter(y, x, d.shape, params.window_radius, contribution)
+    return _filter_at(p, depth, guide, params, valid, theta)
 
 
 class WindowSums:
@@ -267,7 +181,6 @@ def window_sums(depth: np.ndarray, validf: np.ndarray, planes, params: KernelPar
     sc = params.sigma_r_color
     sx = params.sigma_x
     sy = params.sigma_y
-    use_depth = depth_sigma is not None and depth_sigma < SIGMA_DEPTH_INFINITE
 
     def side_terms(dy, dx, a0, a1):
         """Weight and source-depth arrays for one offset, on its dst."""
@@ -276,7 +189,7 @@ def window_sums(depth: np.ndarray, validf: np.ndarray, planes, params: KernelPar
         dst = (slice(a0, a1), slice(xs0, xs1))
         src = (slice(a0 + dy, a1 + dy), slice(xs0 + dx, xs1 + dx))
         if iso_sigma is not None:
-            ws = np.exp(-0.5 * (dx * dx + dy * dy) / (iso_sigma * iso_sigma))
+            ws = spatial_weight(dx, dy, iso_sigma)
         else:
             ct = cos_t[dst]
             st = sin_t[dst]
@@ -289,9 +202,8 @@ def window_sums(depth: np.ndarray, validf: np.ndarray, planes, params: KernelPar
         dist2 = dr * dr + dg * dg + db * db
         wc = np.exp(-0.5 * dist2 / (sc * sc))
         wgt = ws * wc
-        if use_depth:
-            t = (depth[dst] - depth[src]) / depth_sigma
-            wgt = wgt * np.exp(-0.5 * (t * t))
+        if depth_sigma is not None:
+            wgt = wgt * depth_range_weight(depth[dst], depth[src], depth_sigma)
         wgt = wgt * validf[src]
         return dst, wgt, depth[src]
 

@@ -6,6 +6,9 @@ one fixed byte layout (single-space separators, newline before the
 payload, no comments) so written files are reproducible byte for byte.
 Readers tolerate `#` comment lines in headers.
 
+Every save writes a temporary file next to the target and renames it
+into place, so a save that fails leaves the target as it was.
+
 Depth values are held as float64 internally. A sample of 0 marks a
 hole (no sensor return); arithmetic keeps full precision and rounding
 to integers happens only when a map is written back to disk.
@@ -13,7 +16,7 @@ to integers happens only when a map is written back to disk.
 
 from __future__ import annotations
 
-import io
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +32,8 @@ HOLE = 0
 class DepthMap:
     """A height x width grid of depth samples in millimeters.
 
-    samples is float64 with values in [0, 65535]; exactly 0 means hole.
+    samples is float64 with finite values in [0, 65535]; exactly 0
+    means hole.
     """
 
     samples: np.ndarray
@@ -41,9 +45,11 @@ class DepthMap:
         if a.dtype != np.float64:
             object.__setattr__(self, "samples", a.astype(np.float64))
         a = self.samples
-        if a.size and (a.min() < 0 or a.max() > DEPTH_MAXVAL):
+        # Written so that NaN, which fails every comparison, is rejected;
+        # min/max propagate it, and infinities fall outside the range.
+        if a.size and not (a.min() >= 0 and a.max() <= DEPTH_MAXVAL):
             raise ContractViolation(
-                f"depth samples outside [0, {DEPTH_MAXVAL}]: "
+                f"depth samples must be finite and inside [0, {DEPTH_MAXVAL}]: "
                 f"min {a.min()}, max {a.max()}"
             )
 
@@ -54,10 +60,6 @@ class DepthMap:
     @property
     def height(self) -> int:
         return self.samples.shape[0]
-
-    def holes(self) -> np.ndarray:
-        """Boolean grid, True where the sample is the hole sentinel."""
-        return self.samples == HOLE
 
 
 @dataclass(frozen=True)
@@ -117,8 +119,9 @@ def _read_header(buf: bytes, magic: bytes, path: str):
     """Parse a Netpbm header, returning (width, height, maxval, offset).
 
     Tokens are whitespace-separated; `#` starts a comment running to end
-    of line. The payload begins one byte after the maxval token's
-    terminating whitespace character.
+    of line. Width, height and maxval must be ASCII decimal digits. The
+    payload begins one byte after the maxval token's terminating
+    whitespace character.
     """
     if not buf.startswith(magic):
         got = buf[:2]
@@ -144,13 +147,10 @@ def _read_header(buf: bytes, magic: bytes, path: str):
     if i >= n:
         raise FormatError(f"{path}: no payload after header")
     i += 1  # single whitespace byte separates maxval from payload
-    dims = []
     for tok in tokens:
-        try:
-            dims.append(int(tok))
-        except ValueError:
-            raise FormatError(f"{path}: bad header token {tok!r}") from None
-    w, h, maxval = dims
+        if not tok.isdigit():
+            raise FormatError(f"{path}: bad header token {tok!r}")
+    w, h, maxval = map(int, tokens)
     if w <= 0 or h <= 0:
         raise FormatError(f"{path}: non-positive dimensions {w}x{h}")
     return w, h, maxval, i
@@ -177,13 +177,22 @@ def load_depth_pgm(path: str) -> DepthMap:
     return DepthMap(raw.astype(np.float64))
 
 
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write data to a temporary sibling of path, then rename it over path."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_depth_pgm(depth: DepthMap, path: str) -> None:
     """Write a DepthMap as binary PGM P5, maxval 65535, big-endian."""
-    header = f"P5\n{depth.width} {depth.height}\n{DEPTH_MAXVAL}\n".encode("ascii")
-    payload = quantize(depth.samples).astype(">u2").tobytes()
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(payload)
+    _write_atomic(path, encode_depth_pgm(depth))
 
 
 def load_color_ppm(path: str) -> ColorImage:
@@ -206,9 +215,7 @@ def load_color_ppm(path: str) -> ColorImage:
 def save_color_ppm(img: ColorImage, path: str) -> None:
     """Write a ColorImage as binary PPM P6, maxval 255."""
     header = f"P6\n{img.width} {img.height}\n{COLOR_MAXVAL}\n".encode("ascii")
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(img.samples.tobytes())
+    _write_atomic(path, header + img.samples.tobytes())
 
 
 def save_mask_pgm(mask: np.ndarray, path: str) -> None:
@@ -217,15 +224,10 @@ def save_mask_pgm(mask: np.ndarray, path: str) -> None:
         raise ContractViolation(f"mask must be 2-D boolean, got {mask.dtype} {mask.shape}")
     h, w = mask.shape
     header = f"P5\n{w} {h}\n{COLOR_MAXVAL}\n".encode("ascii")
-    payload = np.where(mask, 255, 0).astype(np.uint8).tobytes()
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(payload)
+    _write_atomic(path, header + np.where(mask, 255, 0).astype(np.uint8).tobytes())
 
 
 def encode_depth_pgm(depth: DepthMap) -> bytes:
-    """Return the exact bytes save_depth_pgm would write."""
-    out = io.BytesIO()
-    out.write(f"P5\n{depth.width} {depth.height}\n{DEPTH_MAXVAL}\n".encode("ascii"))
-    out.write(quantize(depth.samples).astype(">u2").tobytes())
-    return out.getvalue()
+    """Return the exact bytes save_depth_pgm writes."""
+    header = f"P5\n{depth.width} {depth.height}\n{DEPTH_MAXVAL}\n".encode("ascii")
+    return header + quantize(depth.samples).astype(">u2").tobytes()

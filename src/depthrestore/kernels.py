@@ -5,11 +5,10 @@ RGB distance, a depth range Gaussian, and a rotated anisotropic
 (directional) Gaussian. All return values in (0, 1] and are exactly 1
 at zero argument.
 
-The expressions here are written with numpy ufuncs and kept in the
-exact shape the vectorized filter engine uses, so a per-pixel
-composition of these functions reproduces the engine output bit for
-bit. Do not "simplify" the arithmetic; reassociating it changes
-low-order bits and breaks the equivalence tests.
+The filter engine calls spatial_weight and depth_range_weight
+directly, on scalars and whole arrays alike, so their arithmetic is
+part of every output byte. Do not "simplify" it; reassociating an
+expression changes low-order bits of the restored maps.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ from depthrestore import (
     save_color_ppm,
     save_depth_pgm,
 )
-from depthrestore.cli import main, parse_config_file
+from depthrestore.cli import assemble_pipeline_config, build_parser, main, parse_config_file
+from depthrestore.pipeline import PipelineConfig
 from depthrestore.errors import ContractViolation
 
 
@@ -191,6 +192,11 @@ def test_config_file_applies_and_flags_override(tmp_path):
     default_run = str(tmp_path / "d.pgm")
     assert main(["restore", deg, color, default_run]) == 0
     assert open(override, "rb").read() == open(default_run, "rb").read()
+
+
+def test_no_flags_and_no_config_give_library_defaults():
+    args = build_parser().parse_args(["restore", "d.pgm", "c.ppm", "o.pgm"])
+    assert assemble_pipeline_config(args) == PipelineConfig()
 
 
 def test_config_file_unknown_key_fails_closed(tmp_path):

@@ -73,6 +73,7 @@ def test_tjbf_matches_brute_force():
                 "tjbf", y, x, depth.samples, valid, guide.samples, 0.0,
                 radius=2, sigma_s=2.0, sigma_rc=20.0, sigma_rd=30.0)
             assert rel_err(got.value, want) < 1e-12
+            assert rel_err(got.weight_sum, wsum) < 1e-12
             assert got.contributors == n
 
 
@@ -85,11 +86,13 @@ def test_djbf_matches_brute_force():
             if not valid[y, x]:
                 continue
             got = djbf_pixel((y, x), depth, guide, float(theta[y, x]), PARAMS)
-            want, _, _ = brute_filter(
+            want, wsum, n = brute_filter(
                 "djbf", y, x, depth.samples, valid, guide.samples,
                 float(theta[y, x]), radius=2, sigma_rc=20.0,
                 sigma_x=4.0, sigma_y=1.5)
             assert rel_err(got.value, want) < 1e-12
+            assert rel_err(got.weight_sum, wsum) < 1e-12
+            assert got.contributors == n
 
 
 def test_pdjbf_matches_brute_force_on_holes():
@@ -111,6 +114,7 @@ def test_pdjbf_matches_brute_force_on_holes():
                 assert got.contributors == 0
             else:
                 assert rel_err(got.value, want) < 1e-12
+                assert rel_err(got.weight_sum, wsum) < 1e-12
                 assert got.contributors == n
 
 
@@ -232,6 +236,8 @@ def engine_values(depth, guide, params, *, theta=None, iso=False, depth_term=Fal
 
 
 def test_engine_reproduces_scalar_filters_bit_for_bit():
+    """A per-pixel filter (the engine on one window crop) gives the same
+    bits as a whole-image engine run: value, weight sum and count."""
     rng = np.random.default_rng(49)
     depth, guide, theta = random_instance(rng, shape=(16, 16), hole_fraction=0.2)
     valid = depth.samples != HOLE
@@ -249,9 +255,13 @@ def test_engine_reproduces_scalar_filters_bit_for_bit():
     for y, x in zip(*np.nonzero(valid)):
         got = djbf_pixel((y, x), depth, guide, float(theta[y, x]), PARAMS)
         assert got.value == vals[y, x]
+        assert got.weight_sum == acc.den[y, x]
+        assert got.contributors == acc.cnt[y, x]
     for y, x in zip(*np.nonzero(~valid)):
         got = pdjbf_pixel((y, x), depth, valid, guide, float(theta[y, x]), PARAMS)
         assert got.value == vals[y, x]
+        assert got.weight_sum == acc.den[y, x]
+        assert got.contributors == acc.cnt[y, x]
 
 
 def test_banded_run_is_bit_identical_to_whole_image():
@@ -273,6 +283,7 @@ def test_banded_run_is_bit_identical_to_whole_image():
 
 
 def test_filter_non_hole_composes_per_pixel_filters():
+    """The banded whole-image pass equals per-pixel window-crop runs."""
     rng = np.random.default_rng(51)
     depth, guide, _ = random_instance(rng, shape=(12, 12), hole_fraction=0.1)
     labels = np.zeros((12, 12), dtype=np.uint8)

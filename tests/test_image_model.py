@@ -1,5 +1,7 @@
 """Raster types, grayscale conversion, and Netpbm byte-level I/O."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from depthrestore import (
     TruncationError,
     UnsupportedFormatError,
     encode_depth_pgm,
+    hole_mask,
     load_color_ppm,
     load_depth_pgm,
     quantize,
@@ -41,7 +44,7 @@ def test_load_pgm_hand_encoded_bytes(tmp_path):
 def test_load_pgm_one_pixel_hole(tmp_path):
     d = load_depth_pgm(write(tmp_path, "z.pgm", PGM_1X1_ZERO))
     assert d.samples.tolist() == [[0.0]]
-    assert d.holes().all()
+    assert hole_mask(d).all()
 
 
 def test_load_pgm_big_endian_order(tmp_path):
@@ -109,6 +112,12 @@ def test_malformed_header_token(tmp_path):
         load_depth_pgm(write(tmp_path, "x.pgm", b"P5\ntwo 2\n65535\n\x00\x00"))
 
 
+def test_header_tokens_must_be_ascii_digits(tmp_path):
+    # Python's int() would read these as 2 and 10.
+    with pytest.raises(FormatError):
+        load_depth_pgm(write(tmp_path, "s.pgm", b"P5 +2 1_0 65535\n" + bytes(40)))
+
+
 def test_nonpositive_dimensions_rejected(tmp_path):
     with pytest.raises(FormatError):
         load_depth_pgm(write(tmp_path, "d0.pgm", b"P5\n0 2\n65535\n"))
@@ -149,6 +158,21 @@ def test_pgm_round_trip_random(tmp_path):
     assert open(p, "rb").read() == open(p2, "rb").read()
 
 
+def test_failed_save_keeps_existing_file(tmp_path):
+    class Unwritable(np.ndarray):
+        def tobytes(self, *args, **kwargs):
+            raise RuntimeError("payload unavailable")
+
+    p = tmp_path / "keep.ppm"
+    before = b"P6\n2 2\n255\n" + bytes(range(12))
+    p.write_bytes(before)
+    broken = ColorImage(np.zeros((2, 2, 3), dtype=np.uint8).view(Unwritable))
+    with pytest.raises(RuntimeError):
+        save_color_ppm(broken, str(p))
+    assert p.read_bytes() == before
+    assert os.listdir(tmp_path) == ["keep.ppm"]
+
+
 def test_mask_pgm_bytes(tmp_path):
     p = str(tmp_path / "m.pgm")
     save_mask_pgm(np.array([[True, False]]), p)
@@ -164,6 +188,12 @@ def test_depth_map_validation():
         DepthMap(np.array([[65536.0]]))
     with pytest.raises(ContractViolation):
         DepthMap(np.zeros((2, 2, 2)))
+
+
+def test_depth_map_rejects_non_finite_samples():
+    for bad in ([[np.nan, 1.0]], [[np.inf, 1.0]], [[np.nan, np.inf]]):
+        with pytest.raises(ContractViolation):
+            DepthMap(np.array(bad))
 
 
 def test_color_image_validation():
