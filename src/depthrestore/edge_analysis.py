@@ -71,26 +71,20 @@ def sobel_gradients(g: GrayImage) -> GradientField:
     return GradientField(gx, gy, np.sqrt(gx * gx + gy * gy))
 
 
-def edge_theta(gx: float, gy: float) -> float:
-    """Orientation of the edge contour from one gradient sample.
+def edge_theta(gx, gy):
+    """Orientation of the edge contour from gradient samples.
 
-    Returns atan(gx / gy) in (-pi/2, pi/2]. A purely horizontal
-    gradient (gy == 0, gx != 0) means a vertical contour, so pi/2; a
-    zero gradient has no direction and maps to 0.
+    Returns atan(gx / gy) in (-pi/2, pi/2], elementwise over arrays and
+    as a float for scalars. A purely horizontal gradient (gy == 0,
+    gx != 0) means a vertical contour, so pi/2; a zero gradient has no
+    direction and maps to 0.
     """
-    if gy == 0.0:
-        if gx == 0.0:
-            return 0.0
-        return np.pi / 2
-    return float(np.arctan(gx / gy))
-
-
-def _theta_grid(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    """Vectorized edge_theta over gradient grids."""
-    safe = np.where(gy == 0.0, 1.0, gy)
-    t = np.arctan(gx / safe)
-    t = np.where(gy == 0.0, np.where(gx == 0.0, 0.0, np.pi / 2), t)
-    return t
+    gx = np.asarray(gx, dtype=np.float64)
+    gy = np.asarray(gy, dtype=np.float64)
+    flat = gy == 0.0
+    t = np.arctan(gx / np.where(flat, 1.0, gy))
+    t = np.where(flat, np.where(gx == 0.0, 0.0, np.pi / 2), t)
+    return float(t) if t.ndim == 0 else t
 
 
 def detect_edges(grad: GradientField, threshold: float) -> EdgeMap:
@@ -102,7 +96,7 @@ def detect_edges(grad: GradientField, threshold: float) -> EdgeMap:
     """
     if not threshold > 0:
         raise ContractViolation(f"edge threshold must be > 0, got {threshold}")
-    return EdgeMap(grad.magnitude >= threshold, _theta_grid(grad.gx, grad.gy))
+    return EdgeMap(grad.magnitude >= threshold, edge_theta(grad.gx, grad.gy))
 
 
 def classify_regions(holes: np.ndarray, edges: EdgeMap, r_edge: int) -> np.ndarray:

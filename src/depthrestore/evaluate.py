@@ -28,8 +28,6 @@ DISCONTINUITY_MM = 100.0
 DEFAULT_TAU = 10.0
 PEAK = 65535.0
 
-CSV_HEADER = "scene,seed,psnr_db,mae_mm,bad_pixel_rate,holes_unfilled"
-
 
 class Rng:
     """Pinned 64-bit generator: SplitMix64 seeding, xoshiro256++ stream.
@@ -266,11 +264,6 @@ class QualityReport:
             f"bad_pixel_rate: {_fmt(self.bad_pixel_rate)}",
             f"evaluated_pixels: {self.evaluated_pixels}",
         ]
-
-    def csv_row(self, scene: str, seed: int, holes_unfilled: int) -> str:
-        """One data row matching CSV_HEADER."""
-        return (f"{scene},{seed},{_fmt(self.psnr_db)},{_fmt(self.mae_mm)},"
-                f"{_fmt(self.bad_pixel_rate)},{holes_unfilled}")
 
 
 def _fmt(v: float) -> str:

@@ -8,14 +8,18 @@ get weight zero; a sentinel is not a measurement.
 
 `window_sums` is the one engine: it accumulates those sums for every
 pixel of a row band at once by iterating window offsets and shifting
-whole arrays. The *_pixel functions run the same engine on the window
-around a single pixel, so there is no second copy of the arithmetic.
+whole arrays. Each of its four weight terms is a call into kernels.py
+(spatial_weight or rotated_weight, color_range_weight,
+depth_range_weight), so every formula is written once. The *_pixel
+functions run the same engine on the window around a single pixel,
+so there is no second copy of the arithmetic.
 
 Two accumulation details are deliberate and load-bearing:
 
 * Within each window row, the two contributions at columns -dx and +dx
-  are multiplied out separately and added to each other before joining
-  the running sums. A horizontal mirror of all inputs swaps the two
+  are multiplied out separately and added to each other in a pair
+  buffer before joining the running sums (dx = 0 goes through the
+  same buffer alone). A horizontal mirror of all inputs swaps the two
   addends of that pair, and float addition of two terms is exactly
   commutative, so mirrored inputs produce exactly mirrored outputs
   instead of drifting by rounding.
@@ -40,7 +44,13 @@ import numpy as np
 from .errors import ContractViolation
 from .image_model import HOLE, ColorImage, DepthMap
 from .edge_analysis import EdgeMap, NONHOLE_EDGE, NONHOLE_NONEDGE
-from .kernels import KernelParams, depth_range_weight, spatial_weight
+from .kernels import (
+    KernelParams,
+    color_range_weight,
+    depth_range_weight,
+    rotated_weight,
+    spatial_weight,
+)
 
 
 @dataclass(frozen=True)
@@ -169,93 +179,59 @@ def window_sums(depth: np.ndarray, validf: np.ndarray, planes, params: KernelPar
       cos_t/sin_t set         directional term with per-pixel angle,
                               widths params.sigma_x / params.sigma_y
       depth_sigma set         additional depth range term
-    Weights are gated by validf (1.0 where the source is usable, else
-    0.0). The accumulator is written in place, only inside the row
-    band, so concurrent calls on disjoint bands are safe. Sources are
-    read from the whole image; banding never changes a single output
-    bit.
+    planes is the (3, h, w) guide stack from guide_planes. Weights are
+    gated by validf (1.0 where the source is usable, else 0.0). The
+    accumulator is written in place, only inside the row band, so
+    concurrent calls on disjoint bands are safe. Sources are read from
+    the whole image; banding never changes a single output bit.
     """
     h, w = depth.shape
-    gr, gg, gb = planes
     r = params.window_radius
-    sc = params.sigma_r_color
-    sx = params.sigma_x
-    sy = params.sigma_y
-
-    def side_terms(dy, dx, a0, a1):
-        """Weight and source-depth arrays for one offset, on its dst."""
-        xs0 = max(0, -dx)
-        xs1 = w - max(0, dx)
-        dst = (slice(a0, a1), slice(xs0, xs1))
-        src = (slice(a0 + dy, a1 + dy), slice(xs0 + dx, xs1 + dx))
-        if iso_sigma is not None:
-            ws = spatial_weight(dx, dy, iso_sigma)
-        else:
-            ct = cos_t[dst]
-            st = sin_t[dst]
-            xt = dx * ct + dy * st
-            yt = -dx * st + dy * ct
-            ws = np.exp(-0.5 * (xt * xt / (sx * sx) + yt * yt / (sy * sy)))
-        dr = gr[dst] - gr[src]
-        dg = gg[dst] - gg[src]
-        db = gb[dst] - gb[src]
-        dist2 = dr * dr + dg * dg + db * db
-        wc = np.exp(-0.5 * dist2 / (sc * sc))
-        wgt = ws * wc
-        if depth_sigma is not None:
-            wgt = wgt * depth_range_weight(depth[dst], depth[src], depth_sigma)
-        wgt = wgt * validf[src]
-        return dst, wgt, depth[src]
-
-    bw = row1 - row0
+    pair_num = np.empty((row1 - row0, w))
+    pair_den = np.empty((row1 - row0, w))
     for dy in range(-r, r + 1):
         a0 = max(max(0, -dy), row0)
         a1 = min(h - max(0, dy), row1)
         if a0 >= a1:
             continue
-        for adx in range(0, r + 1):
-            if adx == 0:
-                dst, wgt, dq = side_terms(dy, 0, a0, a1)
-                acc.num[dst] += wgt * dq
-                acc.den[dst] += wgt
-                acc.cnt[dst] += wgt > 0
+        rows = slice(a0 - row0, a1 - row0)
+        for adx in range(min(r, w - 1) + 1):
+            pair_num[rows] = 0.0
+            pair_den[rows] = 0.0
+            for dx in (-adx, adx) if adx else (0,):
+                xs0 = max(0, -dx)
+                xs1 = w - max(0, dx)
+                dst = (slice(a0, a1), slice(xs0, xs1))
+                src = (slice(a0 + dy, a1 + dy), slice(xs0 + dx, xs1 + dx))
+                if iso_sigma is not None:
+                    ws = spatial_weight(dx, dy, iso_sigma)
+                else:
+                    ws = rotated_weight(dx, dy, cos_t[dst], sin_t[dst],
+                                        params.sigma_x, params.sigma_y)
+                wgt = ws * color_range_weight(planes[(slice(None),) + dst],
+                                              planes[(slice(None),) + src],
+                                              params.sigma_r_color)
+                dq = depth[src]
+                if depth_sigma is not None:
+                    wgt = wgt * depth_range_weight(depth[dst], dq, depth_sigma)
+                wgt = wgt * validf[src]
+                local = (rows, dst[1])
+                pair_num[local] += wgt * dq
+                pair_den[local] += wgt
                 contrib = wgt > 0
+                acc.cnt[dst] += contrib
                 np.minimum(acc.cmin[dst], np.where(contrib, dq, np.inf),
                            out=acc.cmin[dst])
                 np.maximum(acc.cmax[dst], np.where(contrib, dq, -np.inf),
                            out=acc.cmax[dst])
-                continue
-            if adx >= w:
-                continue
-            pnum = np.zeros((bw, w))
-            pden = np.zeros((bw, w))
-            for dx in (-adx, adx):
-                dst, wgt, dq = side_terms(dy, dx, a0, a1)
-                local = (slice(a0 - row0, a1 - row0), dst[1])
-                pnum[local] = wgt * dq
-                pden[local] = wgt
-                acc.cnt[dst] += wgt > 0
-                contrib = wgt > 0
-                np.minimum(acc.cmin[dst], np.where(contrib, dq, np.inf),
-                           out=acc.cmin[dst])
-                np.maximum(acc.cmax[dst], np.where(contrib, dq, -np.inf),
-                           out=acc.cmax[dst])
-                if dx < 0:
-                    lnum = pnum
-                    lden = pden
-                    pnum = np.zeros((bw, w))
-                    pden = np.zeros((bw, w))
-            rows = slice(a0 - row0, a1 - row0)
-            acc.num[(slice(a0, a1), slice(0, w))] += (lnum + pnum)[rows]
-            acc.den[(slice(a0, a1), slice(0, w))] += (lden + pden)[rows]
+            acc.num[a0:a1] += pair_num[rows]
+            acc.den[a0:a1] += pair_den[rows]
 
 
-def guide_planes(guide: ColorImage):
-    """Split the guide into float64 channel planes for window_sums."""
-    rgb = guide.samples
-    return (rgb[..., 0].astype(np.float64),
-            rgb[..., 1].astype(np.float64),
-            rgb[..., 2].astype(np.float64))
+def guide_planes(guide: ColorImage) -> np.ndarray:
+    """The guide as one C-contiguous (3, h, w) float64 stack of channel
+    planes for window_sums, so each plane's rows are contiguous."""
+    return np.ascontiguousarray(np.moveaxis(guide.samples, -1, 0), dtype=np.float64)
 
 
 def row_bands(height: int, workers: int):

@@ -4,7 +4,8 @@ Depth maps travel as 16-bit binary PGM (P5, maxval 65535, big-endian
 samples), color guides as binary PPM (P6, maxval 255). The writers emit
 one fixed byte layout (single-space separators, newline before the
 payload, no comments) so written files are reproducible byte for byte.
-Readers tolerate `#` comment lines in headers.
+Readers tolerate `#` comment lines in headers and reject a payload
+shorter or longer than the header's dimensions call for.
 
 Every save writes a temporary file next to the target and renames it
 into place, so a save that fails leaves the target as it was.
@@ -156,6 +157,17 @@ def _read_header(buf: bytes, magic: bytes, path: str):
     return w, h, maxval, i
 
 
+def _payload(buf: bytes, off: int, expected: int, path: str) -> bytes:
+    """The expected-length payload starting at off; anything shorter or
+    longer than the header promises is an error."""
+    got = len(buf) - off
+    if got < expected:
+        raise TruncationError(expected, got)
+    if got > expected:
+        raise FormatError(f"{path}: {got - expected} bytes after the {expected}-byte payload")
+    return buf[off:]
+
+
 def load_depth_pgm(path: str) -> DepthMap:
     """Read a 16-bit binary PGM depth map.
 
@@ -169,11 +181,7 @@ def load_depth_pgm(path: str) -> DepthMap:
         raise UnsupportedFormatError(
             f"{path}: depth PGM must have maxval {DEPTH_MAXVAL}, found {maxval}"
         )
-    expected = w * h * 2
-    payload = buf[off : off + expected]
-    if len(payload) < expected:
-        raise TruncationError(expected, len(payload))
-    raw = np.frombuffer(payload, dtype=">u2").reshape(h, w)
+    raw = np.frombuffer(_payload(buf, off, w * h * 2, path), dtype=">u2").reshape(h, w)
     return DepthMap(raw.astype(np.float64))
 
 
@@ -204,11 +212,7 @@ def load_color_ppm(path: str) -> ColorImage:
         raise UnsupportedFormatError(
             f"{path}: color PPM must have maxval {COLOR_MAXVAL}, found {maxval}"
         )
-    expected = w * h * 3
-    payload = buf[off : off + expected]
-    if len(payload) < expected:
-        raise TruncationError(expected, len(payload))
-    raw = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
+    raw = np.frombuffer(_payload(buf, off, w * h * 3, path), dtype=np.uint8).reshape(h, w, 3)
     return ColorImage(raw.copy())
 
 

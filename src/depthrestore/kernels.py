@@ -5,10 +5,13 @@ RGB distance, a depth range Gaussian, and a rotated anisotropic
 (directional) Gaussian. All return values in (0, 1] and are exactly 1
 at zero argument.
 
-The filter engine calls spatial_weight and depth_range_weight
-directly, on scalars and whole arrays alike, so their arithmetic is
-part of every output byte. Do not "simplify" it; reassociating an
-expression changes low-order bits of the restored maps.
+The filter engine calls all four terms directly, on whole arrays:
+spatial_weight, color_range_weight, depth_range_weight, and the
+directional term as rotated_weight on its precomputed per-pixel cos
+and sin of theta (dgf_weight is that same arithmetic for one angle).
+Their arithmetic is therefore part of every output byte. Do not
+"simplify" it; reassociating an expression changes low-order bits of
+the restored maps.
 """
 
 from __future__ import annotations
@@ -76,6 +79,8 @@ def color_range_weight(ip, iq, sigma_r):
 
     ip and iq are either scalar intensities or RGB triples; for triples
     the difference is the Euclidean distance between the two colors.
+    A triple may also be a (3, ...) stack of channel planes, which the
+    engine passes to weigh a whole window offset at once.
     """
     ip = np.asarray(ip, dtype=np.float64)
     iq = np.asarray(iq, dtype=np.float64)
@@ -107,12 +112,17 @@ def dgf_weight(dx, dy, theta, sigma_x, sigma_y):
     """Anisotropic Gaussian of (dx, dy) in a frame rotated by theta.
 
     The frame's x axis (width sigma_x, the long axis) points along the
-    edge contour; its y axis (sigma_y) crosses it. Rotation is the
-    proper orthonormal one: x' = dx cos t + dy sin t,
+    edge contour; its y axis (sigma_y) crosses it.
+    """
+    return rotated_weight(dx, dy, np.cos(theta), np.sin(theta), sigma_x, sigma_y)
+
+
+def rotated_weight(dx, dy, cos_t, sin_t, sigma_x, sigma_y):
+    """dgf_weight with the angle given as its cosine and sine.
+
+    Rotation is the proper orthonormal one: x' = dx cos t + dy sin t,
     y' = -dx sin t + dy cos t.
     """
-    ct = np.cos(theta)
-    st = np.sin(theta)
-    xt = dx * ct + dy * st
-    yt = -dx * st + dy * ct
+    xt = dx * cos_t + dy * sin_t
+    yt = -dx * sin_t + dy * cos_t
     return np.exp(-0.5 * (xt * xt / (sigma_x * sigma_x) + yt * yt / (sigma_y * sigma_y)))

@@ -23,7 +23,7 @@ the pass cap) keep the sentinel and are counted in the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .preprocess import StructuringElement, close_depth, expand_holes, hole_mask
 from .edge_analysis import (
     HOLE_EDGE,
     HOLE_NONEDGE,
+    NONHOLE_EDGE,
     EdgeMap,
     classify_regions,
     detect_edges,
@@ -88,6 +89,8 @@ class PipelineConfig:
             raise ContractViolation(
                 f"max_fill_passes must be >= 1, got {self.max_fill_passes}"
             )
+        if isinstance(self.threads, bool) or not isinstance(self.threads, int):
+            raise ContractViolation(f"threads must be an int, got {self.threads!r}")
         if self.threads < 0:
             raise ContractViolation(f"threads must be >= 0, got {self.threads}")
 
@@ -138,37 +141,21 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
         )
     work = filtered.samples.copy()
     h, w = work.shape
-    valid = labels <= 1  # non-hole labels
+    valid = labels <= NONHOLE_EDGE
     planes = guide_planes(guide)
     params = cfg.kernel
     threads = _resolve_threads(cfg.threads)
 
-    iso_params = KernelParams(
-        sigma_s=params.sigma_s,
-        sigma_r_color=params.sigma_r_color,
-        sigma_r_depth=params.sigma_r_depth,
-        sigma_x=params.sigma_s,
-        sigma_y=params.sigma_s,
-        window_radius=params.window_radius,
-    )
-    zeros = np.zeros((h, w))
-    iso_cos = np.cos(zeros)
-    iso_sin = np.sin(zeros)
-    fill_theta = nearest_edge_theta(edges, cfg.effective_r_edge())
-    edge_cos = np.cos(fill_theta)
-    edge_sin = np.sin(fill_theta)
+    iso = (replace(params, sigma_x=params.sigma_s, sigma_y=params.sigma_s),
+           np.ones((h, w)), np.zeros((h, w)))
     if cfg.isotropic_only:
-        phases = [
-            (HOLE_NONEDGE, iso_params, iso_cos, iso_sin),
-            (HOLE_EDGE, iso_params, iso_cos, iso_sin),
-        ]
+        steered = iso
     else:
-        phases = [
-            (HOLE_NONEDGE, iso_params, iso_cos, iso_sin),
-            (HOLE_EDGE, params, edge_cos, edge_sin),
-        ]
+        fill_theta = nearest_edge_theta(edges, cfg.effective_r_edge())
+        steered = (params, np.cos(fill_theta), np.sin(fill_theta))
+    phases = [(HOLE_NONEDGE, *iso), (HOLE_EDGE, *steered)]
 
-    holes_initial = int(np.count_nonzero(labels >= 2))
+    holes_initial = int(np.count_nonzero(labels >= HOLE_NONEDGE))
     passes = 0
     filled = 0
     for label, p_params, cos_t, sin_t in phases:

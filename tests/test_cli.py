@@ -113,6 +113,19 @@ def test_restore_malformed_input_is_io_error(tmp_path):
     assert main(["restore", str(bad), color, str(tmp_path / "o.pgm")]) == 1
 
 
+def test_restore_trailing_payload_bytes_is_io_error(tmp_path):
+    _, color, deg = scene_files(tmp_path)
+    out = tmp_path / "o.pgm"
+    for which in (0, 1):  # one extra byte on the depth map, then on the guide
+        args = [deg, color]
+        long = tmp_path / f"long{which}"
+        with open(args[which], "rb") as f:
+            long.write_bytes(f.read() + b"\x00")
+        args[which] = str(long)
+        assert main(["restore", *args, str(out)]) == 1
+        assert not out.exists()
+
+
 def test_unknown_flag_exits_two(tmp_path):
     with pytest.raises(SystemExit) as e:
         main(["restore", "a", "b", "c", "--wat"])

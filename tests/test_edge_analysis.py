@@ -17,7 +17,7 @@ from depthrestore import (
     nearest_edge_theta,
     sobel_gradients,
 )
-from depthrestore.edge_analysis import EdgeMap, _theta_grid, theta_to_units
+from depthrestore.edge_analysis import EdgeMap, theta_to_units
 from depthrestore.image_model import GrayImage
 
 from oracles import sobel_at
@@ -69,6 +69,7 @@ def test_edge_theta_special_and_generic_values():
     assert abs(edge_theta(1.0, 1.0) - math.pi / 4) < 1e-12
     assert abs(edge_theta(3.0, 4.0) - math.atan(0.75)) < 1e-15
     assert edge_theta(0.0, 8.0) == 0.0
+    assert type(edge_theta(3.0, 4.0)) is float
 
 
 def test_edge_theta_scale_invariant_and_bounded():
@@ -86,7 +87,7 @@ def test_theta_grid_matches_scalar():
     gy = rng.uniform(-50, 50, (6, 6))
     gx[0, 0] = gy[0, 0] = 0.0
     gy[1, 1] = 0.0
-    grid = _theta_grid(gx, gy)
+    grid = edge_theta(gx, gy)
     for y in range(6):
         for x in range(6):
             assert grid[y, x] == edge_theta(gx[y, x], gy[y, x])

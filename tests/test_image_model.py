@@ -107,6 +107,15 @@ def test_truncated_payload_reports_counts(tmp_path):
     assert "expected 8 bytes, got 7" in str(e.value)
 
 
+def test_trailing_payload_bytes_rejected(tmp_path):
+    with pytest.raises(FormatError) as e:
+        load_depth_pgm(write(tmp_path, "x.pgm", PGM_2X2 + b"\x00"))
+    assert not isinstance(e.value, TruncationError)
+    assert "1 bytes after the 8-byte payload" in str(e.value)
+    with pytest.raises(FormatError):
+        load_color_ppm(write(tmp_path, "x.ppm", PPM_3X2 + b"\x00"))
+
+
 def test_malformed_header_token(tmp_path):
     with pytest.raises(FormatError):
         load_depth_pgm(write(tmp_path, "x.pgm", b"P5\ntwo 2\n65535\n\x00\x00"))

@@ -200,6 +200,13 @@ def test_config_validation_errors():
     PipelineConfig().validate()
 
 
+def test_threads_must_be_a_plain_int():
+    for bad in (True, False, 2.0, "2", None):
+        with pytest.raises(ContractViolation):
+            PipelineConfig(threads=bad).validate()
+    PipelineConfig(threads=3).validate()
+
+
 def test_effective_edge_radius_defaults_to_window_radius():
     assert PipelineConfig().effective_r_edge() == 5
     assert PipelineConfig(kernel=KernelParams(window_radius=3)).effective_r_edge() == 3
