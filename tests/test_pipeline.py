@@ -220,6 +220,7 @@ def test_effective_edge_radius_defaults_to_window_radius():
 ANCHOR_SPEC = DegradeSpec(20.0, 0.05, 2, seed=42)
 RAMP_HOLE_SHA256 = "a0a8bb9bc56536196804c79ff075b9948bba43d9b59f545a431d257ed17929d3"
 TILES_SHA256 = "8a5197a463591b8dd3a2dd1b4a4f0f592e24c737f49a605999eb8e713cccac06"
+WEAK_STEP_SHA256 = "76b55dbb18213ef86dcbcd2171c947aa8d07069ce8bdee9d6e6e51d95ec21236"
 
 
 def restored_sha256(depth, guide):
@@ -252,3 +253,17 @@ def test_anchor_checkerboard_directional_everywhere():
     assert report.region_counts["hole_edge"] == 15445
     assert report.holes_unfilled == 0
     assert digest == TILES_SHA256
+
+
+def test_anchor_weak_color_step_reaches_color_range_kernel():
+    """Step scene with the guide's right half at 104 (criterion 5's
+    64|104 guide). Across the edge the color weight is about 0.021, not
+    1 or e^-39 as on the other anchors' guides, so a change in the color
+    range kernel reaches the restored bytes."""
+    clean, guide = make_scene("step", 160, 120)
+    c = guide.samples.copy()
+    c[:, c.shape[1] // 2:] = 104
+    digest, report = restored_sha256(degrade(clean, ANCHOR_SPEC), ColorImage(c))
+    assert report.region_counts["hole_edge"] == 720
+    assert report.holes_unfilled == 0
+    assert digest == WEAK_STEP_SHA256
