@@ -6,13 +6,25 @@ spatial (or directional) Gaussian, a color range Gaussian on the guide
 image, and optionally a depth range Gaussian. Hole neighbors always
 get weight zero; a sentinel is not a measurement.
 
-`window_sums` is the one engine: it accumulates those sums for every
-pixel of a row band at once by iterating window offsets and shifting
-whole arrays. Each of its four weight terms is a call into kernels.py
+`window_sums` is the one engine: it iterates window offsets and, per
+offset, weighs and accumulates a whole set of output pixels at once.
+Each of its four weight terms is a call into kernels.py
 (spatial_weight or rotated_weight, color_range_weight,
-depth_range_weight), so every formula is written once. The *_pixel
-functions run the same engine on the window around a single pixel,
-so there is no second copy of the arithmetic.
+depth_range_weight), so every formula is written once, and the
+*_pixel functions run the engine with their pixel as the one target.
+One body weighs and accumulates, on arrays from one of two addressings:
+
+* Slice addressing, for every pixel of a row band: an offset is two
+  views of the same arrays, clipped to the image (a clamped window,
+  as in preprocessing). The dense trilateral pass and the isotropic
+  ablation use it; views are free, and gathers there measured 2x slower.
+
+* Gather addressing, for a sorted set of flat target indices: the
+  directional pass on nonhole_edge pixels, and each fill pass on the
+  holes with a valid pixel in reach (the narrow band of Telea's 2004
+  fast-marching inpainting). Sources are gathered by flat index; an
+  out-of-image source reads the target itself with validity 0.0, so it
+  adds exactly +0.0 where slice addressing skips it: same bits.
 
 Two accumulation details are deliberate and load-bearing:
 
@@ -30,13 +42,11 @@ Two accumulation details are deliberate and load-bearing:
   exact rather than approximate, and it compounds through the fill
   stage: every filled value stays inside the range of the depths it
   was grown from.
-
-Window offsets falling outside the image are skipped (clamped window),
-matching the border policy of the preprocessing stage.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,14 +86,14 @@ def _check_non_hole(depth: DepthMap, y: int, x: int, op: str) -> None:
 
 def _filter_at(p, depth: DepthMap, guide: ColorImage, params: KernelParams,
                valid=None, theta=None, **flavor) -> FilterOutcome:
-    """Run window_sums for pixel p alone, on the clamped window around it.
+    """Run window_sums with p as the one target, on the clamped window
+    around it.
 
     Depth, validity, guide (and a constant cos/sin of theta for the
-    directional flavor) are cropped to the window, and only the crop's
-    center row is evaluated. The crop gives the same bits as a
-    whole-image run: p reads only sources inside its window, and an
-    offset leaves the crop exactly when it leaves the image. valid of
-    None means every non-hole pixel is a source.
+    directional flavor) are cropped to the window. The crop gives the
+    same bits as a whole-image run: p reads only sources inside its
+    window, and an offset leaves the crop exactly when it leaves the
+    image. valid of None means every non-hole pixel is a source.
     """
     y, x = p
     h, w = depth.samples.shape
@@ -96,12 +106,11 @@ def _filter_at(p, depth: DepthMap, guide: ColorImage, params: KernelParams,
     if theta is not None:
         flavor["cos_t"] = np.full(d.shape, np.cos(theta))
         flavor["sin_t"] = np.full(d.shape, np.sin(theta))
-    acc = WindowSums(d.shape)
-    cy = y - y0
+    acc = WindowSums(1)
     window_sums(d, usable.astype(np.float64), guide_planes(ColorImage(guide.samples[win])),
-                params, acc, cy, cy + 1, **flavor)
-    at = (cy, x - x0)
-    return FilterOutcome(float(acc.normalized()[at]), float(acc.den[at]), int(acc.cnt[at]))
+                params, acc, 0, d.shape[0],
+                targets=np.array([(y - y0) * d.shape[1] + x - x0]), **flavor)
+    return FilterOutcome(float(acc.normalized()[0]), float(acc.den[0]), int(acc.cnt[0]))
 
 
 def jbf_pixel(p, depth: DepthMap, guide: ColorImage, params: KernelParams) -> FilterOutcome:
@@ -171,7 +180,7 @@ class WindowSums:
 
 def window_sums(depth: np.ndarray, validf: np.ndarray, planes, params: KernelParams,
                 acc: WindowSums, row0: int, row1: int, *, iso_sigma=None,
-                cos_t=None, sin_t=None, depth_sigma=None) -> None:
+                cos_t=None, sin_t=None, depth_sigma=None, targets=None) -> None:
     """Accumulate filter sums for output rows [row0, row1).
 
     One call covers one kernel flavor:
@@ -180,52 +189,90 @@ def window_sums(depth: np.ndarray, validf: np.ndarray, planes, params: KernelPar
                               widths params.sigma_x / params.sigma_y
       depth_sigma set         additional depth range term
     planes is the (3, h, w) guide stack from guide_planes. Weights are
-    gated by validf (1.0 where the source is usable, else 0.0). The
-    accumulator is written in place, only inside the row band, so
-    concurrent calls on disjoint bands are safe. Sources are read from
-    the whole image; banding never changes a single output bit.
+    gated by validf (1.0 where the source is usable, else 0.0).
+
+    targets of None evaluates every pixel of the band into (h, w)
+    grids; else only the band's pixels among the sorted flat indices
+    targets (y * w + x), into one acc entry per target. acc is written
+    in place, only for the band, so concurrent calls on disjoint bands
+    are safe. Sources are read from the whole image; neither banding
+    nor the target set changes a single output bit.
     """
     h, w = depth.shape
-    r = params.window_radius
-    pair_num = np.empty((row1 - row0, w))
-    pair_den = np.empty((row1 - row0, w))
+    frames = (planes, depth, cos_t, sin_t)
+    if targets is None:
+        shape = (row1 - row0, w)
+        groups = _slice_groups(h, w, params.window_radius, row0, row1, validf, frames)
+    else:
+        i0, i1 = np.searchsorted(targets, (row0 * w, row1 * w))
+        shape = (i1 - i0,)
+        groups = _gather_groups(h, w, params.window_radius, targets[i0:i1],
+                                slice(i0, i1), validf, frames)
+    pair_num = np.empty(shape)
+    pair_den = np.empty(shape)
+    for dy, flush, rows, sides in groups:
+        pair_num[rows] = 0.0
+        pair_den[rows] = 0.0
+        for dx, (cpl, cd, cc, cs), (spl, dq), gate, out, local in sides:
+            if iso_sigma is not None:
+                ws = spatial_weight(dx, dy, iso_sigma)
+            else:
+                ws = rotated_weight(dx, dy, cc, cs, params.sigma_x, params.sigma_y)
+            wgt = ws * color_range_weight(cpl, spl, params.sigma_r_color)
+            if depth_sigma is not None:
+                wgt = wgt * depth_range_weight(cd, dq, depth_sigma)
+            wgt = wgt * gate
+            pair_num[local] += wgt * dq
+            pair_den[local] += wgt
+            contrib = wgt > 0
+            acc.cnt[out] += contrib
+            np.minimum(acc.cmin[out], np.where(contrib, dq, np.inf), out=acc.cmin[out])
+            np.maximum(acc.cmax[out], np.where(contrib, dq, -np.inf), out=acc.cmax[out])
+        acc.num[flush] += pair_num[rows]
+        acc.den[flush] += pair_den[rows]
+
+
+def _cut(a, index):
+    return None if a is None else a[(Ellipsis,) + index]
+
+
+def _slice_groups(h, w, r, row0, row1, validf, frames):
+    """Slice addressing for rows [row0, row1): per window row dy and
+    column distance adx, the acc rows, pair-buffer rows and -dx/+dx sides."""
     for dy in range(-r, r + 1):
-        a0 = max(max(0, -dy), row0)
+        a0 = max(0, -dy, row0)
         a1 = min(h - max(0, dy), row1)
         if a0 >= a1:
             continue
         rows = slice(a0 - row0, a1 - row0)
         for adx in range(min(r, w - 1) + 1):
-            pair_num[rows] = 0.0
-            pair_den[rows] = 0.0
+            sides = []
             for dx in (-adx, adx) if adx else (0,):
-                xs0 = max(0, -dx)
-                xs1 = w - max(0, dx)
-                dst = (slice(a0, a1), slice(xs0, xs1))
-                src = (slice(a0 + dy, a1 + dy), slice(xs0 + dx, xs1 + dx))
-                if iso_sigma is not None:
-                    ws = spatial_weight(dx, dy, iso_sigma)
-                else:
-                    ws = rotated_weight(dx, dy, cos_t[dst], sin_t[dst],
-                                        params.sigma_x, params.sigma_y)
-                wgt = ws * color_range_weight(planes[(slice(None),) + dst],
-                                              planes[(slice(None),) + src],
-                                              params.sigma_r_color)
-                dq = depth[src]
-                if depth_sigma is not None:
-                    wgt = wgt * depth_range_weight(depth[dst], dq, depth_sigma)
-                wgt = wgt * validf[src]
-                local = (rows, dst[1])
-                pair_num[local] += wgt * dq
-                pair_den[local] += wgt
-                contrib = wgt > 0
-                acc.cnt[dst] += contrib
-                np.minimum(acc.cmin[dst], np.where(contrib, dq, np.inf),
-                           out=acc.cmin[dst])
-                np.maximum(acc.cmax[dst], np.where(contrib, dq, -np.inf),
-                           out=acc.cmax[dst])
-            acc.num[a0:a1] += pair_num[rows]
-            acc.den[a0:a1] += pair_den[rows]
+                cols = slice(max(0, -dx), w - max(0, dx))
+                dst = (slice(a0, a1), cols)
+                src = (slice(a0 + dy, a1 + dy), slice(cols.start + dx, cols.stop + dx))
+                sides.append((dx, [_cut(a, dst) for a in frames],
+                              [_cut(a, src) for a in frames[:2]], validf[src], dst, (rows, cols)))
+            yield dy, slice(a0, a1), rows, sides
+
+
+def _gather_groups(h, w, r, t, out, validf, frames):
+    """Gather addressing for flat indices t, into acc[out]; as
+    _slice_groups, with centers gathered once and sources per offset."""
+    flat = [None if a is None else a.reshape(a.shape[:-2] + (-1,)) for a in frames]
+    ctr = [None if a is None else a.take(t, axis=-1) for a in flat]
+    validf = validf.reshape(-1)
+    ty, tx = np.divmod(t, w)
+    for dy in range(-r, r + 1):
+        row_in = (ty >= -dy) & (ty < h - dy)
+        for adx in range(min(r, w - 1) + 1):
+            sides = []
+            for dx in (-adx, adx) if adx else (0,):
+                inside = row_in & (tx >= -dx) & (tx < w - dx)
+                src = np.where(inside, t + (dy * w + dx), t)
+                sides.append((dx, ctr, [a.take(src, axis=-1) for a in flat[:2]],
+                              np.where(inside, validf[src], 0.0), out, slice(None)))
+            yield dy, out, slice(None), sides
 
 
 def guide_planes(guide: ColorImage) -> np.ndarray:
@@ -248,15 +295,24 @@ def row_bands(height: int, workers: int):
     return bands
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS
+    reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_banded(height: int, threads: int, job) -> None:
-    """Run job(row0, row1) over row bands, threaded when threads > 1."""
+    """Run job(row0, row1) over `threads` row bands, threaded when there
+    are several, on at most one OS thread per available CPU."""
     bands = row_bands(height, threads)
     if len(bands) == 1:
         job(*bands[0])
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=len(bands)) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(bands), available_cpus())) as pool:
         list(pool.map(lambda b: job(*b), bands))
 
 
@@ -291,8 +347,9 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
             d, validf, planes, params, acc, r0, r1, iso_sigma=params.sigma_s))
         return DepthMap(np.where(labels <= NONHOLE_EDGE, acc.normalized(), d))
 
+    edge_px = np.flatnonzero(labels == NONHOLE_EDGE)
     tri = WindowSums(d.shape)
-    dire = WindowSums(d.shape)
+    dire = WindowSums(edge_px.shape)
     cos_t = np.cos(edges.theta)
     sin_t = np.sin(edges.theta)
 
@@ -300,9 +357,9 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
         window_sums(d, validf, planes, params, tri, r0, r1,
                     iso_sigma=params.sigma_s, depth_sigma=params.sigma_r_depth)
         window_sums(d, validf, planes, params, dire, r0, r1,
-                    cos_t=cos_t, sin_t=sin_t)
+                    cos_t=cos_t, sin_t=sin_t, targets=edge_px)
 
     run_banded(h, threads, band)
-    out = np.where(labels == NONHOLE_NONEDGE, tri.normalized(),
-                   np.where(labels == NONHOLE_EDGE, dire.normalized(), d))
+    out = np.where(labels == NONHOLE_NONEDGE, tri.normalized(), d)
+    out.flat[edge_px] = dire.normalized()
     return DepthMap(out)

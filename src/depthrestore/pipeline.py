@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import ContractViolation
 from .image_model import ColorImage, DepthMap, to_grayscale
-from .preprocess import StructuringElement, close_depth, expand_holes, hole_mask
+from .preprocess import (
+    StructuringElement, chebyshev_dilate, close_depth, expand_holes, hole_mask)
 from .edge_analysis import (
     HOLE_EDGE,
     HOLE_NONEDGE,
@@ -41,7 +42,8 @@ from .edge_analysis import (
     nearest_edge_theta,
     sobel_gradients,
 )
-from .filters import WindowSums, filter_non_hole, guide_planes, run_banded, window_sums
+from .filters import (
+    WindowSums, available_cpus, filter_non_hole, guide_planes, run_banded, window_sums)
 from .kernels import KernelParams
 
 DEFAULT_EDGE_THRESHOLD = 100.0
@@ -55,7 +57,8 @@ class PipelineConfig:
 
     r_edge of None means "use the kernel window radius", so the edge
     region is exactly the set of pixels whose filter window straddles
-    an edge. threads 0 picks the machine's CPU count; any thread count
+    an edge. threads is the number of row bands, run on at most one OS
+    thread per available CPU; 0 picks that CPU count. Any thread count
     produces bit-identical output. isotropic_only switches every filter
     to the plain isotropic JBF (the ablation arm).
     """
@@ -119,11 +122,7 @@ class RestorationReport:
 
 
 def _resolve_threads(threads: int) -> int:
-    if threads == 0:
-        import os
-
-        return os.cpu_count() or 1
-    return threads
+    return available_cpus() if threads == 0 else threads
 
 
 def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
@@ -162,19 +161,22 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
         remaining = (labels == label) & ~valid
         while remaining.any() and passes < cfg.max_fill_passes:
             passes += 1
-            acc = WindowSums((h, w))
+            # Only a pixel with a valid pixel in its window can fill.
+            targets = np.flatnonzero(
+                remaining & chebyshev_dilate(valid, p_params.window_radius))
+            acc = WindowSums(targets.shape)
             validf = valid.astype(np.float64)
             run_banded(h, threads, lambda r0, r1: window_sums(
                 work, validf, planes, p_params, acc, r0, r1,
-                cos_t=cos_t, sin_t=sin_t))
-            fillable = remaining & (acc.cnt > 0)
-            if not fillable.any():
+                cos_t=cos_t, sin_t=sin_t, targets=targets))
+            got = acc.cnt > 0
+            if not got.any():
                 break
-            vals = acc.normalized()
-            work[fillable] = vals[fillable]
-            valid |= fillable
-            remaining &= ~fillable
-            filled += int(np.count_nonzero(fillable))
+            fillable = targets[got]
+            work.flat[fillable] = acc.normalized()[got]
+            valid.flat[fillable] = True
+            remaining.flat[fillable] = False
+            filled += fillable.size
 
     report = RestorationReport(
         holes_initial=holes_initial,

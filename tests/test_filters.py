@@ -1,9 +1,11 @@
 """Per-pixel filters vs the brute-force reference and the array engine."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from depthrestore import (
     ColorImage,
@@ -334,6 +336,46 @@ def test_mirrored_inputs_give_exactly_mirrored_output():
     m_edges = EdgeMap(m_labels == NONHOLE_EDGE, (-theta)[:, ::-1].copy())
     m_out = filter_non_hole(m_depth, m_guide, m_labels, m_edges, PARAMS)
     assert np.array_equal(m_out.samples, out.samples[:, ::-1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=st.integers(1, 9), w=st.integers(1, 9),
+       flavor=st.sampled_from(["isotropic", "trilateral", "directional"]),
+       radius=st.integers(1, 3), density=st.sampled_from([0.1, 0.5, 1.0]),
+       border=st.booleans(), bands=st.sampled_from([1, 3, 8]),
+       seed=st.integers(0, 2**32 - 1))
+@example(h=1, w=9, flavor="directional", radius=2, density=0.5, border=True, bands=3, seed=1)
+@example(h=9, w=1, flavor="trilateral", radius=3, density=0.5, border=True, bands=8, seed=2)
+@example(h=4, w=3, flavor="isotropic", radius=2, density=0.1, border=True, bands=1, seed=3)
+def test_gather_addressing_matches_slice_addressing(h, w, flavor, radius, density,
+                                                    border, bands, seed):
+    """A target-set run gives, at every target, the exact sums of a
+    dense run: num, den, cnt, cmin and cmax, for each flavor, on frames
+    down to 1xN and Nx1 and narrower than the window, with targets on
+    the borders and the targets split over several row bands."""
+    rng = np.random.default_rng(seed)
+    params = replace(PARAMS, window_radius=radius)
+    depth, guide, theta = random_instance(rng, shape=(h, w), hole_fraction=0.3)
+    d = depth.samples
+    validf = ((d != HOLE) & (rng.random((h, w)) < 0.8)).astype(np.float64)
+    mask = rng.random((h, w)) < density
+    if border:
+        mask[[0, -1], :] = True
+        mask[:, [0, -1]] = True
+    targets = np.flatnonzero(mask)
+    kwargs = {"cos_t": np.cos(theta), "sin_t": np.sin(theta)}
+    if flavor != "directional":
+        kwargs = {"iso_sigma": params.sigma_s}
+    if flavor == "trilateral":
+        kwargs["depth_sigma"] = params.sigma_r_depth
+    planes = guide_planes(guide)
+    dense = WindowSums((h, w))
+    window_sums(d, validf, planes, params, dense, 0, h, **kwargs)
+    sparse = WindowSums(targets.shape)
+    for r0, r1 in row_bands(h, bands):
+        window_sums(d, validf, planes, params, sparse, r0, r1, targets=targets, **kwargs)
+    for name in ("num", "den", "cnt", "cmin", "cmax"):
+        assert np.array_equal(getattr(dense, name).flat[targets], getattr(sparse, name)), name
 
 
 def test_row_bands_partition():

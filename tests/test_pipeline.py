@@ -1,6 +1,8 @@
 """Pipeline configuration, hole filling, and the full restore path."""
 
+import concurrent.futures
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from depthrestore import (
 )
 from depthrestore.edge_analysis import EdgeMap
 from depthrestore.image_model import HOLE
+from depthrestore.pipeline import _resolve_threads
 
 
 def flat_guide(shape, value=120):
@@ -205,6 +208,50 @@ def test_threads_must_be_a_plain_int():
         with pytest.raises(ContractViolation):
             PipelineConfig(threads=bad).validate()
     PipelineConfig(threads=3).validate()
+
+
+class InlinePool:
+    """Stands in for ThreadPoolExecutor: records each pool's max_workers
+    and band count, and runs the jobs inline, so no thread starts."""
+
+    pools = []
+
+    def __init__(self, max_workers):
+        self.record = {"max_workers": max_workers, "bands": 0}
+        InlinePool.pools.append(self.record)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        items = list(items)
+        self.record["bands"] += len(items)
+        return [fn(item) for item in items]
+
+
+def test_os_threads_capped_at_available_cpus_bands_kept(monkeypatch):
+    clean, guide = make_scene("step", 48, 40)
+    d = degrade(clean, DegradeSpec(20.0, 0.05, 2, seed=3))
+    want = encode_depth_pgm(restore(d, guide, PipelineConfig(threads=1))[0])
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    InlinePool.pools = []
+    got = encode_depth_pgm(restore(d, guide, PipelineConfig(threads=8))[0])
+    assert got == want
+    assert InlinePool.pools  # denoise and at least one fill pass
+    assert all(p == {"max_workers": 2, "bands": 8} for p in InlinePool.pools)
+    assert _resolve_threads(0) == 2
+
+
+def test_available_cpus_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _resolve_threads(0) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _resolve_threads(0) == 1
 
 
 def test_effective_edge_radius_defaults_to_window_radius():
