@@ -26,6 +26,16 @@ One body weighs and accumulates, on arrays from one of two addressings:
   out-of-image source reads the target itself with validity 0.0, so it
   adds exactly +0.0 where slice addressing skips it: same bits.
 
+Either way a call walks its band in blocks of at most BLOCK_PX output
+pixels (whole rows for slices, consecutive targets for gathers) and
+runs every offset on one block before the next, so the per-offset
+temporaries stay cache-sized instead of spanning the band: at VGA a
+band-wide temporary is 2.4 MB, a block's is 256 KiB. This is the
+tile-at-a-time schedule Halide (Ragan-Kelley et al., PLDI 2013)
+applies to stencils. It cannot change a bit: each output pixel's sums
+run over its own window in the same offset order whatever block holds
+it, which is also why row banding cannot.
+
 Two accumulation details are deliberate and load-bearing:
 
 * Within each window row, the two contributions at columns -dx and +dx
@@ -61,6 +71,10 @@ from .kernels import (
     rotated_weight,
     spatial_weight,
 )
+
+# Output pixels per block of one window_sums call: 256 KiB per float64
+# temporary, so a block's weight planes stay in L2 across its offsets.
+BLOCK_PX = 32768
 
 
 @dataclass(frozen=True)
@@ -196,40 +210,51 @@ def window_sums(depth: np.ndarray, validf: np.ndarray, planes, params: KernelPar
     targets (y * w + x), into one acc entry per target. acc is written
     in place, only for the band, so concurrent calls on disjoint bands
     are safe. Sources are read from the whole image; neither banding
-    nor the target set changes a single output bit.
+    nor the target set changes a single output bit, and neither does the
+    split into blocks of BLOCK_PX.
     """
-    h, w = depth.shape
-    frames = (planes, depth, cos_t, sin_t)
+    for shape, groups in _blocks(depth.shape, params.window_radius, row0, row1,
+                                 validf, (planes, depth, cos_t, sin_t), targets):
+        pair_num = np.empty(shape)
+        pair_den = np.empty(shape)
+        for dy, flush, rows, sides in groups:
+            pair_num[rows] = 0.0
+            pair_den[rows] = 0.0
+            for dx, (cpl, cd, cc, cs), (spl, dq), gate, out, local in sides:
+                if iso_sigma is not None:
+                    ws = spatial_weight(dx, dy, iso_sigma)
+                else:
+                    ws = rotated_weight(dx, dy, cc, cs, params.sigma_x, params.sigma_y)
+                wgt = ws * color_range_weight(cpl, spl, params.sigma_r_color)
+                if depth_sigma is not None:
+                    wgt = wgt * depth_range_weight(cd, dq, depth_sigma)
+                wgt = wgt * gate
+                pair_num[local] += wgt * dq
+                pair_den[local] += wgt
+                contrib = wgt > 0
+                acc.cnt[out] += contrib
+                np.minimum(acc.cmin[out], np.where(contrib, dq, np.inf), out=acc.cmin[out])
+                np.maximum(acc.cmax[out], np.where(contrib, dq, -np.inf), out=acc.cmax[out])
+            acc.num[flush] += pair_num[rows]
+            acc.den[flush] += pair_den[rows]
+
+
+def _blocks(shape, r, row0, row1, validf, frames, targets):
+    """Split rows [row0, row1) into blocks of at most BLOCK_PX output
+    pixels: whole rows for slice addressing, consecutive targets for
+    gather addressing. Yields each block's pair-buffer shape and groups."""
+    h, w = shape
     if targets is None:
-        shape = (row1 - row0, w)
-        groups = _slice_groups(h, w, params.window_radius, row0, row1, validf, frames)
+        step = max(1, BLOCK_PX // w)
+        for b0 in range(row0, row1, step):
+            b1 = min(b0 + step, row1)
+            yield (b1 - b0, w), _slice_groups(h, w, r, b0, b1, validf, frames)
     else:
         i0, i1 = np.searchsorted(targets, (row0 * w, row1 * w))
-        shape = (i1 - i0,)
-        groups = _gather_groups(h, w, params.window_radius, targets[i0:i1],
-                                slice(i0, i1), validf, frames)
-    pair_num = np.empty(shape)
-    pair_den = np.empty(shape)
-    for dy, flush, rows, sides in groups:
-        pair_num[rows] = 0.0
-        pair_den[rows] = 0.0
-        for dx, (cpl, cd, cc, cs), (spl, dq), gate, out, local in sides:
-            if iso_sigma is not None:
-                ws = spatial_weight(dx, dy, iso_sigma)
-            else:
-                ws = rotated_weight(dx, dy, cc, cs, params.sigma_x, params.sigma_y)
-            wgt = ws * color_range_weight(cpl, spl, params.sigma_r_color)
-            if depth_sigma is not None:
-                wgt = wgt * depth_range_weight(cd, dq, depth_sigma)
-            wgt = wgt * gate
-            pair_num[local] += wgt * dq
-            pair_den[local] += wgt
-            contrib = wgt > 0
-            acc.cnt[out] += contrib
-            np.minimum(acc.cmin[out], np.where(contrib, dq, np.inf), out=acc.cmin[out])
-            np.maximum(acc.cmax[out], np.where(contrib, dq, -np.inf), out=acc.cmax[out])
-        acc.num[flush] += pair_num[rows]
-        acc.den[flush] += pair_den[rows]
+        for j0 in range(i0, i1, BLOCK_PX):
+            j1 = min(j0 + BLOCK_PX, i1)
+            yield (j1 - j0,), _gather_groups(h, w, r, targets[j0:j1], slice(j0, j1),
+                                             validf, frames)
 
 
 def _cut(a, index):
