@@ -151,7 +151,10 @@ def _read_header(buf: bytes, magic: bytes, path: str):
     for tok in tokens:
         if not tok.isdigit():
             raise FormatError(f"{path}: bad header token {tok!r}")
-    w, h, maxval = map(int, tokens)
+    try:
+        w, h, maxval = map(int, tokens)
+    except ValueError:  # more digits than int() converts
+        raise FormatError(f"{path}: header number too long") from None
     if w <= 0 or h <= 0:
         raise FormatError(f"{path}: non-positive dimensions {w}x{h}")
     return w, h, maxval, i

@@ -126,6 +126,17 @@ def test_restore_trailing_payload_bytes_is_io_error(tmp_path):
         assert not out.exists()
 
 
+def test_restore_overlong_header_number_is_io_error(tmp_path):
+    """A 5000-digit width is more than int() converts; it is a malformed
+    file (exit 1), not a traceback."""
+    _, color, _ = scene_files(tmp_path)
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(b"P5 " + b"1" * 5000 + b" 1 65535\n\x00\x00")
+    out = tmp_path / "o.pgm"
+    assert main(["restore", str(bad), color, str(out)]) == 1
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_two(tmp_path):
     with pytest.raises(SystemExit) as e:
         main(["restore", "a", "b", "c", "--wat"])

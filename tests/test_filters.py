@@ -10,13 +10,19 @@ from hypothesis import example, given, settings, strategies as st
 from depthrestore import (
     ColorImage,
     ContractViolation,
+    DegradeSpec,
     DepthMap,
     KernelParams,
+    degrade,
     djbf_pixel,
+    encode_depth_pgm,
     jbf_pixel,
+    make_scene,
     pdjbf_pixel,
+    restore,
     tjbf_pixel,
 )
+from depthrestore import filters
 from depthrestore.edge_analysis import EdgeMap, NONHOLE_EDGE, NONHOLE_NONEDGE
 from depthrestore.filters import (
     WindowSums,
@@ -338,9 +344,28 @@ def test_mirrored_inputs_give_exactly_mirrored_output():
     assert np.array_equal(m_out.samples, out.samples[:, ::-1])
 
 
+def engine_case(rng, h, w, flavor, radius):
+    """A random h x w engine input: depth, source validity (holes and
+    20% more sources switched off), guide planes, params, and the
+    window_sums flavor keywords."""
+    params = replace(PARAMS, window_radius=radius)
+    depth, guide, theta = random_instance(rng, shape=(h, w), hole_fraction=0.3)
+    d = depth.samples
+    validf = ((d != HOLE) & (rng.random((h, w)) < 0.8)).astype(np.float64)
+    kwargs = {"cos_t": np.cos(theta), "sin_t": np.sin(theta)}
+    if flavor != "directional":
+        kwargs = {"iso_sigma": params.sigma_s}
+    if flavor == "trilateral":
+        kwargs["depth_sigma"] = params.sigma_r_depth
+    return d, validf, guide_planes(guide), params, kwargs
+
+
+FLAVORS = ["isotropic", "trilateral", "directional"]
+
+
 @settings(max_examples=80, deadline=None)
 @given(h=st.integers(1, 9), w=st.integers(1, 9),
-       flavor=st.sampled_from(["isotropic", "trilateral", "directional"]),
+       flavor=st.sampled_from(FLAVORS),
        radius=st.integers(1, 3), density=st.sampled_from([0.1, 0.5, 1.0]),
        border=st.booleans(), bands=st.sampled_from([1, 3, 8]),
        seed=st.integers(0, 2**32 - 1))
@@ -354,21 +379,12 @@ def test_gather_addressing_matches_slice_addressing(h, w, flavor, radius, densit
     down to 1xN and Nx1 and narrower than the window, with targets on
     the borders and the targets split over several row bands."""
     rng = np.random.default_rng(seed)
-    params = replace(PARAMS, window_radius=radius)
-    depth, guide, theta = random_instance(rng, shape=(h, w), hole_fraction=0.3)
-    d = depth.samples
-    validf = ((d != HOLE) & (rng.random((h, w)) < 0.8)).astype(np.float64)
+    d, validf, planes, params, kwargs = engine_case(rng, h, w, flavor, radius)
     mask = rng.random((h, w)) < density
     if border:
         mask[[0, -1], :] = True
         mask[:, [0, -1]] = True
     targets = np.flatnonzero(mask)
-    kwargs = {"cos_t": np.cos(theta), "sin_t": np.sin(theta)}
-    if flavor != "directional":
-        kwargs = {"iso_sigma": params.sigma_s}
-    if flavor == "trilateral":
-        kwargs["depth_sigma"] = params.sigma_r_depth
-    planes = guide_planes(guide)
     dense = WindowSums((h, w))
     window_sums(d, validf, planes, params, dense, 0, h, **kwargs)
     sparse = WindowSums(targets.shape)
@@ -376,6 +392,48 @@ def test_gather_addressing_matches_slice_addressing(h, w, flavor, radius, densit
         window_sums(d, validf, planes, params, sparse, r0, r1, targets=targets, **kwargs)
     for name in ("num", "den", "cnt", "cmin", "cmax"):
         assert np.array_equal(getattr(dense, name).flat[targets], getattr(sparse, name)), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 9), w=st.integers(1, 9), flavor=st.sampled_from(FLAVORS),
+       radius=st.integers(1, 3), sparse=st.booleans(), bands=st.sampled_from([1, 3, 8]),
+       seed=st.integers(0, 2**32 - 1))
+@example(h=5, w=9, flavor="trilateral", radius=2, sparse=False, bands=1, seed=4)
+@example(h=9, w=7, flavor="directional", radius=3, sparse=True, bands=3, seed=5)
+def test_block_size_never_changes_a_bit(h, w, flavor, radius, sparse, bands, seed):
+    """Splitting each call's band into blocks of BLOCK_PX output pixels
+    (rows for a dense run, targets for a target-set run) leaves num,
+    den, cnt, cmin and cmax exactly as one block per band leaves them,
+    including blocks of 1 px, blocks that end mid-row and a short last
+    block."""
+    rng = np.random.default_rng(seed)
+    d, validf, planes, params, kwargs = engine_case(rng, h, w, flavor, radius)
+    targets = np.flatnonzero(rng.random((h, w)) < 0.5) if sparse else None
+
+    def run(block_px):
+        acc = WindowSums((h, w) if targets is None else targets.shape)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filters, "BLOCK_PX", block_px)
+            for r0, r1 in row_bands(h, bands):
+                window_sums(d, validf, planes, params, acc, r0, r1, targets=targets, **kwargs)
+        return acc
+
+    whole = run(h * w)
+    for block_px in sorted({1, 2, w - 1, w, w + 1, 7} - {0}):
+        got = run(block_px)
+        for name in ("num", "den", "cnt", "cmin", "cmax"):
+            assert np.array_equal(getattr(whole, name), getattr(got, name)), (block_px, name)
+
+
+def test_restore_bytes_do_not_depend_on_block_size(monkeypatch):
+    """A whole restore (dense denoise, directional targets, fill passes)
+    writes the same bytes with 1 px and 50 px blocks as with the default."""
+    clean, guide = make_scene("occluder", 48, 36)
+    depth = degrade(clean, DegradeSpec(20, 0.05, 2, seed=42))
+    want = encode_depth_pgm(restore(depth, guide)[0])
+    for block_px in (1, 50):
+        monkeypatch.setattr(filters, "BLOCK_PX", block_px)
+        assert encode_depth_pgm(restore(depth, guide)[0]) == want, block_px
 
 
 def test_row_bands_partition():

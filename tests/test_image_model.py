@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from depthrestore import (
     ColorImage,
@@ -130,6 +131,27 @@ def test_header_tokens_must_be_ascii_digits(tmp_path):
 def test_nonpositive_dimensions_rejected(tmp_path):
     with pytest.raises(FormatError):
         load_depth_pgm(write(tmp_path, "d0.pgm", b"P5\n0 2\n65535\n"))
+
+
+HEADERS = st.sampled_from([b"P5", b"P6", b"P5\n", b"P6 3 2\n255\n", b"P5\n2 2\n65535\n",
+                           b"P5 1 1", b"P6\n#", b""])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(head=HEADERS, tail=st.binary(max_size=40))
+@example(head=b"P5 " + b"9" * 5000 + b" 1 65535\n", tail=b"")
+@example(head=b"P6 1 " + b"1" * 5000 + b" 255\n", tail=b"")
+def test_arbitrary_bytes_load_or_raise_format_error(tmp_path, head, tail):
+    """Any bytes given to either loader give a valid image or a
+    FormatError (or a subclass), never any other exception."""
+    path = write(tmp_path, "fuzz.pnm", head + tail)
+    for load in (load_depth_pgm, load_color_ppm):
+        try:
+            img = load(path)
+        except FormatError:
+            continue
+        assert img.samples.shape[:2] == (img.height, img.width)
 
 
 def test_truncation_is_a_format_error():

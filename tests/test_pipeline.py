@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from depthrestore import (
     ColorImage,
@@ -19,6 +20,7 @@ from depthrestore import (
     encode_depth_pgm,
     fill_holes,
     make_scene,
+    quantize,
     restore,
 )
 from depthrestore.edge_analysis import EdgeMap
@@ -164,6 +166,27 @@ def test_restore_output_has_no_new_holes_and_rounds_cleanly():
     assert report.holes_unfilled == 0
     assert not (out.samples == HOLE).any()
     assert out.samples.min() >= 0 and out.samples.max() <= 65535
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(3, 12), w=st.integers(3, 12),
+       hole_fraction=st.sampled_from([0.0, 0.2, 0.5, 0.9]),
+       seed=st.integers(0, 2**32 - 1))
+def test_restore_output_stays_inside_valid_input_range(h, w, hole_fraction, seed):
+    """On random frames with holes, every output sample, as a float and
+    as written, lies inside [min, max] of the valid input depths, or is
+    a hole the report counts as unfilled."""
+    rng = np.random.default_rng(seed)
+    d = rng.integers(500, 4000, (h, w)).astype(np.float64)
+    d[rng.random((h, w)) < hole_fraction] = HOLE
+    d[rng.integers(h), rng.integers(w)] = rng.integers(500, 4000)
+    guide = ColorImage(rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
+    lo, hi = d[d != HOLE].min(), d[d != HOLE].max()
+    out, _, report = restore(DepthMap(d), guide)
+    for samples in (out.samples, quantize(out.samples)):
+        unfilled = samples == HOLE
+        assert np.count_nonzero(unfilled) == report.holes_unfilled
+        assert np.all((lo <= samples[~unfilled]) & (samples[~unfilled] <= hi))
 
 
 def test_restore_thread_count_never_changes_pixels():
