@@ -7,6 +7,28 @@ xoshiro256++ stream, uniforms take the top 53 bits, and Gaussians use
 the polar Box-Muller rejection method. The draw order is part of the
 contract and is documented on `degrade`.
 
+The stream is one serial sequence, but it is made in numpy blocks.
+xoshiro256++ advances its state by a linear map T over GF(2)
+(Blackman & Vigna, "Scrambled linear pseudorandom number generators"),
+so s advanced by k steps is T^k s. T is found by running the one
+xoshiro step on the 256 unit states, and J = T^LANE_DRAWS by
+squaring (cached per process). A block runs up to BLOCK_LANES lanes in
+lockstep: lane k starts at J^k s, the state LANE_DRAWS * k draws on
+(Haramoto et al., "Efficient jump ahead for F2-linear random number
+generators", 2008), and gets LANE_DRAWS consecutive outputs. The
+starts double: J^(2^d) times the first 2^d starts gives the next 2^d,
+so a block costs log2(lanes) matrix products. Laid end
+to end, the lanes are exactly the next draws of the serial stream, and
+the last lane's final state starts the next block. Draws sit in a
+buffer and each call consumes exactly the draws the one-at-a-time
+definitions would, so the scalar methods and the array methods
+interleave freely.
+
+Box-Muller keeps libm's `math.log` per accepted pair: `np.log` rounds
+differently on a fraction of a percent of inputs. `np.sqrt`, `floor`
+and the IEEE products and sums are correctly rounded in both, so the
+rest is numpy.
+
 Metrics (PSNR with peak 65535, MAE, bad-pixel rate) are computed over
 pixels that are valid in both maps and inside the optional evaluation
 mask; holes never pollute the averages.
@@ -14,6 +36,7 @@ mask; holes never pollute the averages.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +51,108 @@ DISCONTINUITY_MM = 100.0
 DEFAULT_TAU = 10.0
 PEAK = 65535.0
 
+# A block holds at most BLOCK_LANES lanes of LANE_DRAWS draws each
+# (4 MiB of uint64 at most); a request of n draws uses ceil(n / LANE_DRAWS)
+# lanes, so small requests make small blocks.
+BLOCK_LANES = 1024
+LANE_DRAWS = 512
+
+# Under numpy 1.x rules a uint64 mixed with a signed integer becomes
+# float64; uint64 shift counts keep every step in uint64 on 1.x and 2.x.
+_BIT = np.arange(64, dtype=np.uint64)
+
+
+def _rotl(x: np.ndarray, k: int) -> np.ndarray:
+    return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
+
+
+def _xoshiro_step(s: np.ndarray) -> np.ndarray:
+    """One xoshiro256++ step on (4, L) uint64 states, in place; returns the L outputs."""
+    s0, s1, s2, s3 = s
+    out = _rotl(s0 + s3, 23) + s0
+    t = s1 << np.uint64(17)
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    s3[...] = _rotl(s3, 45)
+    return out
+
+
+def _to_unit(x: np.ndarray) -> np.ndarray:
+    """53 random bits in [0, 1): (x >> 11) * 2**-53."""
+    return (x >> np.uint64(11)) * 2.0 ** -53
+
+
+def _bits(states: np.ndarray) -> np.ndarray:
+    """(4, L) uint64 states as (256, L) 0/1 columns, bit i of word w at row 64w + i."""
+    return ((states[:, None, :] >> _BIT[:, None]) & np.uint64(1)).reshape(256, -1)
+
+
+def _words(bits: np.ndarray) -> np.ndarray:
+    """Inverse of _bits."""
+    b = bits.astype(np.uint64).reshape(4, 64, -1)
+    return (b << _BIT[:, None]).sum(axis=1, dtype=np.uint64)
+
+
+def _apply(a: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The 256x256 0/1 matrix a times (4, L) states, over GF(2).
+
+    Bit i of a result is the parity of row i of a AND the state. Integer
+    ops only: a float matmul would be exact too, but BLAS leaves worker
+    threads spinning after each call, which slows the caller's next
+    computation.
+    """
+    rows = _words(a.T)  # column i is row i of a
+    x = np.bitwise_xor.reduce(rows[:, :, None] & states[:, None, :], axis=0)
+    for k in (32, 16, 8, 4, 2, 1):
+        x ^= x >> np.uint64(k)
+    return _words(x & np.uint64(1))
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _bits(_apply(a, _words(b)))
+
+
+@functools.cache
+def _jump(steps: int, doublings: int) -> np.ndarray:
+    """The 256x256 GF(2) matrix that advances a state by steps * 2**doublings draws."""
+    if doublings:
+        half = _jump(steps, doublings - 1)
+        out = _product(half, half)
+    else:
+        units = _words(np.eye(256))
+        _xoshiro_step(units)
+        t = _bits(units)  # column j is the step applied to unit state j
+        out = np.eye(256, dtype=np.uint64)
+        while steps:
+            if steps & 1:
+                out = _product(t, out)
+            t = _product(t, t)
+            steps >>= 1
+    out.flags.writeable = False
+    return out
+
+
+def _block(state: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next draws after the (4,) state: min(ceil(n / M), L) lanes of M.
+
+    Returns the draws in stream order and the state after the last one.
+    """
+    m = LANE_DRAWS
+    lanes = min(BLOCK_LANES, -(-n // m))
+    s = state[:, None]
+    doublings = 0
+    while s.shape[1] < lanes:
+        s = np.concatenate([s, _apply(_jump(m, doublings), s)], axis=1)
+        doublings += 1
+    s = s[:, :lanes].copy()
+    out = np.empty((m, lanes), dtype=np.uint64)
+    for i in range(m):
+        out[i] = _xoshiro_step(s)
+    return out.T.reshape(-1), s[:, -1].copy()
+
 
 class Rng:
     """Pinned 64-bit generator: SplitMix64 seeding, xoshiro256++ stream.
@@ -37,6 +162,10 @@ class Rng:
     (u, v) in (-1, 1)^2 are rejected until 0 < u^2+v^2 < 1, two normals
     are produced, one is returned and the spare cached for the next
     call.
+
+    u64s(n), uniforms(n) and normals(n) return what n calls of
+    next_u64(), uniform() and gauss() would, and leave the generator
+    where those calls would; the scalar methods are their n = 1 case.
     """
 
     def __init__(self, seed: int):
@@ -48,40 +177,72 @@ class Rng:
             z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
             state.append(z ^ (z >> 31))
-        self._s = state
+        self._s = np.array(state, dtype=np.uint64)  # state after the buffered draws
+        self._buf = np.empty(0, dtype=np.uint64)
+        self._pos = 0
         self._spare = None
 
+    def _peek(self, n: int) -> np.ndarray:
+        """The next n draws, not yet consumed."""
+        have = self._buf.size - self._pos
+        if have < n:
+            parts = [self._buf[self._pos:]]
+            while have < n:
+                draws, self._s = _block(self._s, n - have)
+                parts.append(draws)
+                have += draws.size
+            self._buf = np.concatenate(parts)
+            self._pos = 0
+        return self._buf[self._pos:self._pos + n]
+
+    def u64s(self, n: int) -> np.ndarray:
+        out = self._peek(n)
+        self._pos += n
+        return out
+
+    def uniforms(self, n: int) -> np.ndarray:
+        return _to_unit(self.u64s(n))
+
+    def normals(self, n: int) -> np.ndarray:
+        out = np.empty(n)
+        k = 0
+        if n and self._spare is not None:
+            out[0] = self._spare
+            self._spare = None
+            k = 1
+        pairs = []
+        want = -(-(n - k) // 2)
+        while want:
+            # About pi/4 of the pairs are accepted; draws peeked past the
+            # last needed pair stay buffered for the next call. A round
+            # peeks at two blocks' worth at most.
+            cand = min(want + want // 2 + 8, BLOCK_LANES * LANE_DRAWS)
+            uv = _to_unit(self._peek(2 * cand)).reshape(cand, 2)
+            u = 2.0 * uv[:, 0] - 1.0
+            v = 2.0 * uv[:, 1] - 1.0
+            s = u * u + v * v
+            hit = np.flatnonzero((s > 0.0) & (s < 1.0))[:want]
+            self._pos += 2 * (int(hit[-1]) + 1 if hit.size == want else cand)
+            s = s[hit]
+            log_s = np.fromiter(map(math.log, s.tolist()), dtype=np.float64, count=s.size)
+            m = np.sqrt(-2.0 * log_s / s)
+            pairs.append(np.stack([u[hit] * m, v[hit] * m], axis=1).reshape(-1))
+            want -= hit.size
+        if pairs:
+            g = np.concatenate(pairs)
+            out[k:] = g[:n - k]
+            if g.size > n - k:
+                self._spare = float(g[-1])
+        return out
+
     def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        tmp = (s0 + s3) & _M64
-        result = (((tmp << 23) | (tmp >> 41)) & _M64) + s0 & _M64
-        t = (s1 << 17) & _M64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _M64
-        self._s = [s0, s1, s2, s3]
-        return result
+        return int(self.u64s(1)[0])
 
     def uniform(self) -> float:
-        return (self.next_u64() >> 11) * 2.0 ** -53
+        return float(self.uniforms(1)[0])
 
     def gauss(self) -> float:
-        if self._spare is not None:
-            g = self._spare
-            self._spare = None
-            return g
-        while True:
-            u = 2.0 * self.uniform() - 1.0
-            v = 2.0 * self.uniform() - 1.0
-            s = u * u + v * v
-            if s == 0.0 or s >= 1.0:
-                continue
-            m = math.sqrt(-2.0 * math.log(s) / s)
-            self._spare = v * m
-            return u * m
+        return float(self.normals(1)[0])
 
 
 @dataclass(frozen=True)
@@ -94,8 +255,10 @@ class DegradeSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.noise_sigma < 0:
-            raise ContractViolation(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ContractViolation(
+                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}"
+            )
         if not 0.0 <= self.speckle_hole_fraction < 1.0:
             raise ContractViolation(
                 f"speckle_hole_fraction must be in [0, 1), got {self.speckle_hole_fraction}"
@@ -184,21 +347,15 @@ def degrade(clean: DepthMap, spec: DegradeSpec) -> DepthMap:
     spec.validate()
     rng = Rng(spec.seed)
     d = clean.samples.copy()
-    h, w = d.shape
     if spec.noise_sigma > 0:
-        sigma = spec.noise_sigma
-        for y in range(h):
-            for x in range(w):
-                if d[y, x] == HOLE:
-                    continue
-                v = math.floor(d[y, x] + sigma * rng.gauss() + 0.5)
-                d[y, x] = min(65535, max(1, v))
+        valid = d != HOLE
+        g = rng.normals(int(np.count_nonzero(valid)))
+        # A finite sigma can still overflow the product to +-inf, which
+        # the clamp maps to 65535 or 1.
+        with np.errstate(over="ignore"):
+            d[valid] = np.clip(np.floor(d[valid] + spec.noise_sigma * g + 0.5), 1.0, 65535.0)
     if spec.speckle_hole_fraction > 0:
-        frac = spec.speckle_hole_fraction
-        for y in range(h):
-            for x in range(w):
-                if rng.uniform() < frac:
-                    d[y, x] = HOLE
+        d[rng.uniforms(d.size).reshape(d.shape) < spec.speckle_hole_fraction] = HOLE
     if spec.edge_hole_radius > 0:
         shadow = chebyshev_dilate(discontinuity_mask(clean), spec.edge_hole_radius)
         d[shadow] = HOLE

@@ -118,6 +118,52 @@ class RefXoshiro:
                 return a * scale
 
 
+def ref_degrade(clean, noise_sigma, speckle_fraction, edge_radius, seed):
+    """Per-pixel degradation on RefXoshiro; clean is a 2-D array of
+    depths with 0 for holes, and a new list of rows is returned.
+
+    Noise: one gauss() per valid pixel in row-major order, rounded and
+    clamped to [1, 65535]. Speckle: one uniform() per pixel; below the
+    fraction makes a hole. Edge holes: every pixel within Chebyshev
+    distance edge_radius of a pixel whose depth differs by more than
+    100 mm from a valid 4-neighbor, both valid in the clean input.
+    A zero parameter skips its stage and its draws.
+    """
+    h = len(clean)
+    w = len(clean[0])
+    src = [[float(clean[y][x]) for x in range(w)] for y in range(h)]
+    d = [row[:] for row in src]
+    rng = RefXoshiro(seed)
+    if noise_sigma > 0:
+        for y in range(h):
+            for x in range(w):
+                if d[y][x] == 0.0:
+                    continue
+                v = math.floor(d[y][x] + noise_sigma * rng.gauss() + 0.5)
+                d[y][x] = float(min(65535, max(1, v)))
+    if speckle_fraction > 0:
+        for y in range(h):
+            for x in range(w):
+                if rng.uniform() < speckle_fraction:
+                    d[y][x] = 0.0
+    if edge_radius > 0:
+        jump = [[False] * w for _ in range(h)]
+        for y in range(h):
+            for x in range(w):
+                for qy, qx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                    if (0 <= qy < h and 0 <= qx < w and src[y][x] != 0.0
+                            and src[qy][qx] != 0.0
+                            and abs(src[y][x] - src[qy][qx]) > 100.0):
+                        jump[y][x] = True
+        for y in range(h):
+            for x in range(w):
+                if any(jump[qy][qx]
+                       for qy in range(max(0, y - edge_radius), min(h, y + edge_radius + 1))
+                       for qx in range(max(0, x - edge_radius), min(w, x + edge_radius + 1))):
+                    d[y][x] = 0.0
+    return d
+
+
 def sobel_at(g, y, x):
     """One Sobel sample pair from explicit 3x3 correlation, clamped."""
     kx = ((-1, 0, 1), (-2, 0, 2), (-1, 0, 1))

@@ -66,6 +66,20 @@ def test_degrade_validates_speckle_fraction(tmp_path):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+def test_degrade_rejects_non_finite_noise_sigma(tmp_path, capsys, sigma):
+    out = str(tmp_path / "x.pgm")
+    assert main(["degrade", out, "--scene", "step", f"--noise-sigma={sigma}"]) == 2
+    assert os.listdir(tmp_path) == []
+    assert "noise_sigma" in capsys.readouterr().err
+
+
+def test_degrade_overflowing_noise_sigma_clamps(tmp_path):
+    out = str(tmp_path / "x.pgm")
+    assert main(["degrade", out, "--scene", "step", "--noise-sigma", "1e308"]) == 0
+    assert set(np.unique(load_depth_pgm(out).samples)) == {1.0, 65535.0}
+
+
 def test_restore_end_to_end(tmp_path, capsys):
     clean, color, deg = scene_files(tmp_path)
     out = str(tmp_path / "restored.pgm")

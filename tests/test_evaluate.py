@@ -1,9 +1,11 @@
 """Seeded RNG, synthetic scenes, degradation stages, quality metrics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from depthrestore import (
     ContractViolation,
@@ -18,9 +20,10 @@ from depthrestore import (
     make_scene,
     psnr,
 )
+from depthrestore import evaluate
 from depthrestore.evaluate import discontinuity_mask
 
-from oracles import RefXoshiro, splitmix64_stream
+from oracles import RefXoshiro, ref_degrade, splitmix64_stream
 
 
 def test_rng_matches_independent_transcription():
@@ -37,6 +40,58 @@ def test_gauss_stream_matches_independent_transcription():
         ref = RefXoshiro(seed)
         for _ in range(1000):
             assert ours.gauss() == ref.gauss()
+
+
+def ref_u64s(seed, n):
+    ref = RefXoshiro(seed)
+    return np.array([ref.next_u64() for _ in range(n)], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1])
+def test_lane_generator_matches_reference_stream(seed):
+    """100 000 draws span two default blocks of lanes jumped apart."""
+    assert np.array_equal(Rng(seed).u64s(100_000), ref_u64s(seed, 100_000))
+
+
+@pytest.mark.parametrize("lanes, lane_draws, n", [
+    (1, 1, 5_000),  # one draw per block: no jump at all
+    (7, 333, 100_000),  # lanes and blocks that do not divide n
+    (1024, 3, 10_000),  # many short lanes, a partial last lane
+])
+def test_lane_generator_matches_reference_for_any_block_shape(monkeypatch, lanes,
+                                                              lane_draws, n):
+    monkeypatch.setattr(evaluate, "BLOCK_LANES", lanes)
+    monkeypatch.setattr(evaluate, "LANE_DRAWS", lane_draws)
+    assert np.array_equal(Rng(7).u64s(n), ref_u64s(7, n))
+
+
+SCALAR_OF = {"u64s": "next_u64", "uniforms": "uniform", "normals": "gauss"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(st.tuples(st.sampled_from(sorted(SCALAR_OF) + sorted(SCALAR_OF.values())),
+                              st.integers(0, 25)), max_size=12),
+       seed=st.integers(0, 2**64 - 1), lanes=st.sampled_from([1, 2]),
+       lane_draws=st.sampled_from([1, 3, 16, 512]))
+@example(ops=[("gauss", 0), ("normals", 3), ("normals", 0), ("gauss", 0)], seed=42, lanes=1,
+         lane_draws=1)
+def test_array_and_scalar_draws_interleave_like_the_serial_stream(ops, seed, lanes, lane_draws):
+    """Array calls return what the scalar calls would and consume the
+    same draws, with the gauss spare carried across both kinds, even
+    when a block runs out in the middle of a rejection."""
+    ours = Rng(seed)
+    ref = RefXoshiro(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "BLOCK_LANES", lanes)
+        mp.setattr(evaluate, "LANE_DRAWS", lane_draws)
+        for name, n in ops:
+            if name in SCALAR_OF:
+                want = [getattr(ref, SCALAR_OF[name])() for _ in range(n)]
+                assert getattr(ours, name)(n).tolist() == want
+            else:
+                assert getattr(ours, name)() == getattr(ref, name)()
+        assert ours.gauss() == ref.gauss()  # the same spare, or none
+        assert ours.next_u64() == ref.next_u64()  # the same draws consumed
 
 
 def test_uniform_mixes_seeds_and_stays_in_range():
@@ -160,6 +215,44 @@ def test_skipped_noise_stage_consumes_no_draws():
     assert np.array_equal(only_speckle.samples == 0, holes)
 
 
+@settings(max_examples=80, deadline=None)
+@given(h=st.integers(1, 9), w=st.integers(1, 9), holes=st.sampled_from([0.0, 0.3, 1.0]),
+       sigma=st.sampled_from([0.0, 0.5, 20.0, 1e4]), frac=st.sampled_from([0.0, 0.05, 0.5]),
+       radius=st.integers(0, 2), seed=st.integers(0, 2**64 - 1),
+       lane_draws=st.sampled_from([1, 5, 512]))
+@example(h=3, w=3, holes=1.0, sigma=20.0, frac=0.5, radius=1, seed=1, lane_draws=5)
+@example(h=1, w=3, holes=0.0, sigma=20.0, frac=0.5, radius=0, seed=1, lane_draws=5)
+def test_degrade_matches_per_pixel_reference(h, w, holes, sigma, frac, radius, seed,
+                                             lane_draws):
+    """degrade equals the per-pixel loop on the reference generator:
+    holes in the clean input, odd and zero valid counts (the spare of
+    an odd count is drawn and dropped), skipped stages, clamping at
+    both ends, and blocks that end inside the noise stage."""
+    frame = np.random.default_rng(seed)
+    depth = np.floor(frame.uniform(1.0, 65535.0, (h, w)))
+    depth[frame.random((h, w)) < holes] = 0.0
+    spec = DegradeSpec(noise_sigma=sigma, speckle_hole_fraction=frac,
+                       edge_hole_radius=radius, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "BLOCK_LANES", 2)
+        mp.setattr(evaluate, "LANE_DRAWS", lane_draws)
+        out = degrade(DepthMap(depth), spec)
+    assert out.samples.tolist() == ref_degrade(depth, sigma, frac, radius, seed)
+
+
+def test_noise_overflow_clamps_without_warnings():
+    """A finite sigma whose product overflows to +-inf clamps to the
+    documented range instead of failing."""
+    depth, _ = make_scene("step", 16, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = degrade(depth, DegradeSpec(noise_sigma=1e308, seed=4))
+    ref = RefXoshiro(4)
+    g = np.array([ref.gauss() for _ in range(256)]).reshape(16, 16)
+    assert np.abs(g).max() > 1.8  # 1e308 * 1.8 is inf
+    assert np.array_equal(out.samples, np.where(g > 0, 65535.0, 1.0))
+
+
 def test_edge_hole_stage_is_deterministic_shadowing():
     depth, _ = make_scene("step", 160, 120)
     out = degrade(depth, DegradeSpec(edge_hole_radius=2))
@@ -191,6 +284,12 @@ def test_degrade_spec_validation():
     with pytest.raises(ContractViolation):
         DegradeSpec(seed=-1).validate()
     DegradeSpec().validate()
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_degrade_spec_rejects_non_finite_sigma(sigma):
+    with pytest.raises(ContractViolation):
+        DegradeSpec(noise_sigma=sigma).validate()
 
 
 def test_psnr_closed_forms():
