@@ -7,9 +7,18 @@ math.exp instead of numpy ufuncs, skipping invalid pixels instead of
 multiplying by a gate. Agreement between these and the package is the
 point of the tests, so resist any urge to "reuse" package helpers
 here.
+
+ref_window_sums is the one exception, on purpose: it is the window
+engine's float64 weight body as it stood before the guide became a
+uint8 stack and the color weight a table lookup, frozen as a dense,
+unblocked numpy loop. The package must keep matching it bit for bit,
+so it repeats the package's expressions and accumulation order
+exactly instead of restating the definitions.
 """
 
 import math
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 
@@ -61,6 +70,72 @@ def brute_filter(kind, y, x, depth, valid, colors, theta, *, radius,
                 n += 1
     value = num / den if den > 0 else 0.0
     return value, den, n
+
+
+def ref_window_sums(depth, validf, colors, params, *, iso_sigma=None, cos_t=None,
+                    sin_t=None, depth_sigma=None):
+    """Dense float64 window sums over the whole frame; returns the
+    (h, w) grids num, den, cnt, cmin and cmax.
+
+    The flavor keywords are window_sums': iso_sigma for the isotropic
+    spatial term, else cos_t/sin_t per pixel with params.sigma_x and
+    sigma_y; depth_sigma adds the depth range term. colors is the
+    (h, w, 3) guide. Per window row dy and column distance adx the -dx
+    and +dx contributions meet in a zeroed pair buffer, which then
+    joins num and den, and a source outside the frame is skipped.
+    """
+    h, w = depth.shape
+    planes = np.moveaxis(np.asarray(colors, dtype=np.float64), -1, 0)
+    r = params.window_radius
+    sr = params.sigma_r_color
+    sx = params.sigma_x
+    sy = params.sigma_y
+    num = np.zeros((h, w))
+    den = np.zeros((h, w))
+    cnt = np.zeros((h, w), dtype=np.int32)
+    cmin = np.full((h, w), np.inf)
+    cmax = np.full((h, w), -np.inf)
+    for dy in range(-r, r + 1):
+        a0 = max(0, -dy)
+        a1 = h - max(0, dy)
+        if a0 >= a1:
+            continue
+        for adx in range(min(r, w - 1) + 1):
+            pair_num = np.zeros((a1 - a0, w))
+            pair_den = np.zeros((a1 - a0, w))
+            for dx in (-adx, adx) if adx else (0,):
+                c0 = max(0, -dx)
+                c1 = w - max(0, dx)
+                dst = (slice(a0, a1), slice(c0, c1))
+                src = (slice(a0 + dy, a1 + dy), slice(c0 + dx, c1 + dx))
+                if iso_sigma is not None:
+                    ws = np.exp(-0.5 * (dx * dx + dy * dy) / (iso_sigma * iso_sigma))
+                else:
+                    ct = cos_t[dst]
+                    st = sin_t[dst]
+                    xt = dx * ct + dy * st
+                    yt = -dx * st + dy * ct
+                    ws = np.exp(-0.5 * (xt * xt / (sx * sx) + yt * yt / (sy * sy)))
+                cp = planes[(slice(None),) + dst]
+                cq = planes[(slice(None),) + src]
+                dr = cp[0] - cq[0]
+                dg = cp[1] - cq[1]
+                db = cp[2] - cq[2]
+                wgt = ws * np.exp(-0.5 * (dr * dr + dg * dg + db * db) / (sr * sr))
+                dq = depth[src]
+                if depth_sigma is not None and depth_sigma < 1e9:
+                    t = (depth[dst] - dq) / depth_sigma
+                    wgt = wgt * np.exp(-0.5 * (t * t))
+                wgt = wgt * validf[src]
+                pair_num[:, c0:c1] += wgt * dq
+                pair_den[:, c0:c1] += wgt
+                contrib = wgt > 0
+                cnt[dst] += contrib
+                cmin[dst] = np.minimum(cmin[dst], np.where(contrib, dq, np.inf))
+                cmax[dst] = np.maximum(cmax[dst], np.where(contrib, dq, -np.inf))
+            num[a0:a1] += pair_num
+            den[a0:a1] += pair_den
+    return {"num": num, "den": den, "cnt": cnt, "cmin": cmin, "cmax": cmax}
 
 
 def splitmix64_stream(seed, count):

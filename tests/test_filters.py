@@ -33,7 +33,7 @@ from depthrestore.filters import (
 )
 from depthrestore.image_model import HOLE
 
-from oracles import brute_filter
+from oracles import brute_filter, ref_window_sums
 
 PARAMS = KernelParams(sigma_s=2.0, sigma_r_color=20.0, sigma_r_depth=30.0,
                       sigma_x=4.0, sigma_y=1.5, window_radius=2)
@@ -423,6 +423,50 @@ def test_block_size_never_changes_a_bit(h, w, flavor, radius, sparse, bands, see
         got = run(block_px)
         for name in ("num", "den", "cnt", "cmin", "cmax"):
             assert np.array_equal(getattr(whole, name), getattr(got, name)), (block_px, name)
+
+
+@settings(max_examples=120, deadline=None)
+@given(h=st.integers(1, 9), w=st.integers(1, 9), flavor=st.sampled_from(FLAVORS),
+       radius=st.integers(1, 3), sparse=st.booleans(), bands=st.sampled_from([1, 3, 8]),
+       sigma_r_color=st.floats(0.5, 1e4), sigma_r_depth=st.sampled_from([30.0, 1e9]),
+       seed=st.integers(0, 2**32 - 1))
+@example(h=2, w=1, flavor="trilateral", radius=1, sparse=False, bands=1,
+         sigma_r_color=1e4, sigma_r_depth=30.0, seed=6)
+@example(h=6, w=9, flavor="directional", radius=3, sparse=True, bands=3,
+         sigma_r_color=0.5, sigma_r_depth=30.0, seed=7)
+@example(h=9, w=9, flavor="isotropic", radius=2, sparse=False, bands=8,
+         sigma_r_color=25.0, sigma_r_depth=1e9, seed=8)
+def test_engine_matches_float64_reference_body(h, w, flavor, radius, sparse, bands,
+                                               sigma_r_color, sigma_r_depth, seed):
+    """window_sums gives the exact num, den, cnt, cmin and cmax of the
+    frozen float64 weight body in tests/oracles.py, for each flavor,
+    dense and on a target set split over row bands, at any color sigma.
+    Every channel of the guide takes 0 and 255, and an all-0 pixel sits
+    next to an all-255 one, so the squared color distance reaches
+    3 * 255**2 = 195075."""
+    rng = np.random.default_rng(seed)
+    d, validf, _, params, kwargs = engine_case(rng, h, w, flavor, radius)
+    params = replace(params, sigma_r_color=sigma_r_color, sigma_r_depth=sigma_r_depth)
+    if "depth_sigma" in kwargs:
+        kwargs["depth_sigma"] = sigma_r_depth
+    colors = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+    mix = rng.random((h, w, 3))
+    colors[mix < 0.25] = 0
+    colors[mix > 0.75] = 255
+    if h * w > 1:
+        y = int(rng.integers(0, h - (w == 1)))
+        x = int(rng.integers(0, max(1, w - 1)))
+        colors[y, x] = 0
+        colors[y + (w == 1), x + (w > 1)] = 255
+    want = ref_window_sums(d, validf, colors, params, **kwargs)
+    targets = np.flatnonzero(rng.random((h, w)) < 0.5) if sparse else None
+    acc = WindowSums((h, w) if targets is None else targets.shape)
+    planes = guide_planes(ColorImage(colors))
+    for r0, r1 in row_bands(h, bands):
+        window_sums(d, validf, planes, params, acc, r0, r1, targets=targets, **kwargs)
+    for name in ("num", "den", "cnt", "cmin", "cmax"):
+        ref = want[name] if targets is None else want[name].flat[targets]
+        assert np.array_equal(ref, getattr(acc, name)), name
 
 
 def test_restore_bytes_do_not_depend_on_block_size(monkeypatch):
