@@ -33,3 +33,10 @@ class TruncationError(FormatError):
 
 class ContractViolation(ValueError):
     """Raised when arguments break a documented precondition."""
+
+
+def require_int(name: str, value) -> None:
+    """Raise ContractViolation unless value is an int; a bool is not
+    one here, although Python counts it as a subclass."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ContractViolation(f"{name} must be an int, got {value!r}")

@@ -8,10 +8,24 @@ get weight zero; a sentinel is not a measurement.
 
 `window_sums` is the one engine: it iterates window offsets and, per
 offset, weighs and accumulates a whole set of output pixels at once.
-Each of its four weight terms is a call into kernels.py
-(spatial_weight or rotated_weight, color_range_weight,
-depth_range_weight), so every formula is written once, and the
-*_pixel functions run the engine with their pixel as the one target.
+Each of its four weight terms comes from kernels.py (spatial_weight
+or rotated_weight, color_range_table, depth_range_weight), so every
+formula is written once, and the *_pixel functions run the engine with
+their pixel as the one target.
+
+The color term is a lookup, not an evaluation. The guide reaches the
+engine as a uint8 stack (guide_planes), so the squared RGB distance is
+an integer from 0 to 3 * 255**2; the engine takes it in int32, exactly,
+and reads kernels.color_range_table, whose entries are
+color_range_weight's own float64 expression. The float64 distance it
+replaces was exact too (a sum of three integer squares), so a lookup
+returns the very bits the kernel would. The other weight factors are
+multiplied into the looked-up plane in place, in the order ws * wc *
+wd * gate that the kernels define; a product of two doubles is exactly
+commutative, so doing it in place moves no bit. tests/oracles.py holds
+the float64 body as ref_window_sums, and a hypothesis test pins the
+engine to it.
+
 One body weighs and accumulates, on arrays from one of two addressings:
 
 * Slice addressing, for every pixel of a row band: an offset is two
@@ -48,7 +62,8 @@ Two accumulation details are deliberate and load-bearing:
 
 * The raw quotient num/den can overshoot the contributor range by an
   ulp, so each evaluation tracks the min and max contributing depth
-  and clamps the quotient. That makes the convex-combination guarantee
+  (a non-contributor enters fmin/fmax as NaN, which they skip) and
+  clamps the quotient. That makes the convex-combination guarantee
   exact rather than approximate, and it compounds through the fill
   stage: every filled value stays inside the range of the depths it
   was grown from.
@@ -66,7 +81,7 @@ from .image_model import HOLE, ColorImage, DepthMap
 from .edge_analysis import EdgeMap, NONHOLE_EDGE, NONHOLE_NONEDGE
 from .kernels import (
     KernelParams,
-    color_range_weight,
+    color_range_table,
     depth_range_weight,
     rotated_weight,
     spatial_weight,
@@ -186,10 +201,13 @@ class WindowSums:
 
     def normalized(self) -> np.ndarray:
         """Clamped weighted averages; 0.0 where nothing contributed."""
+        some = self.den > 0
         vals = np.zeros_like(self.num)
-        np.divide(self.num, self.den, out=vals, where=self.den > 0)
-        clamped = np.minimum(self.cmax, np.maximum(self.cmin, vals))
-        return np.where(self.den > 0, clamped, 0.0)
+        np.divide(self.num, self.den, out=vals, where=some)
+        np.maximum(self.cmin, vals, out=vals)
+        np.minimum(self.cmax, vals, out=vals)
+        vals[~some] = 0.0
+        return vals
 
 
 def window_sums(depth: np.ndarray, validf: np.ndarray, planes, params: KernelParams,
@@ -202,8 +220,9 @@ def window_sums(depth: np.ndarray, validf: np.ndarray, planes, params: KernelPar
       cos_t/sin_t set         directional term with per-pixel angle,
                               widths params.sigma_x / params.sigma_y
       depth_sigma set         additional depth range term
-    planes is the (3, h, w) guide stack from guide_planes. Weights are
-    gated by validf (1.0 where the source is usable, else 0.0).
+    planes is the (3, h, w) uint8 guide stack from guide_planes.
+    Weights are gated by validf (1.0 where the source is usable, else
+    0.0).
 
     targets of None evaluates every pixel of the band into (h, w)
     grids; else only the band's pixels among the sorted flat indices
@@ -213,6 +232,7 @@ def window_sums(depth: np.ndarray, validf: np.ndarray, planes, params: KernelPar
     nor the target set changes a single output bit, and neither does the
     split into blocks of BLOCK_PX.
     """
+    table = color_range_table(params.sigma_r_color)
     for shape, groups in _blocks(depth.shape, params.window_radius, row0, row1,
                                  validf, (planes, depth, cos_t, sin_t), targets):
         pair_num = np.empty(shape)
@@ -221,20 +241,26 @@ def window_sums(depth: np.ndarray, validf: np.ndarray, planes, params: KernelPar
             pair_num[rows] = 0.0
             pair_den[rows] = 0.0
             for dx, (cpl, cd, cc, cs), (spl, dq), gate, out, local in sides:
+                dist2 = np.subtract(cpl, spl, dtype=np.int32)
+                dist2 *= dist2
+                dist2[0] += dist2[1]
+                dist2[0] += dist2[2]
+                wgt = table.take(dist2[0])
                 if iso_sigma is not None:
-                    ws = spatial_weight(dx, dy, iso_sigma)
+                    wgt *= spatial_weight(dx, dy, iso_sigma)
                 else:
-                    ws = rotated_weight(dx, dy, cc, cs, params.sigma_x, params.sigma_y)
-                wgt = ws * color_range_weight(cpl, spl, params.sigma_r_color)
+                    wgt *= rotated_weight(dx, dy, cc, cs, params.sigma_x, params.sigma_y)
                 if depth_sigma is not None:
-                    wgt = wgt * depth_range_weight(cd, dq, depth_sigma)
-                wgt = wgt * gate
-                pair_num[local] += wgt * dq
+                    wgt *= depth_range_weight(cd, dq, depth_sigma)
+                wgt *= gate
                 pair_den[local] += wgt
                 contrib = wgt > 0
+                wgt *= dq
+                pair_num[local] += wgt
                 acc.cnt[out] += contrib
-                np.minimum(acc.cmin[out], np.where(contrib, dq, np.inf), out=acc.cmin[out])
-                np.maximum(acc.cmax[out], np.where(contrib, dq, -np.inf), out=acc.cmax[out])
+                tracked = np.where(contrib, dq, np.nan)
+                np.fmin(acc.cmin[out], tracked, out=acc.cmin[out])
+                np.fmax(acc.cmax[out], tracked, out=acc.cmax[out])
             acc.num[flush] += pair_num[rows]
             acc.den[flush] += pair_den[rows]
 
@@ -301,9 +327,14 @@ def _gather_groups(h, w, r, t, out, validf, frames):
 
 
 def guide_planes(guide: ColorImage) -> np.ndarray:
-    """The guide as one C-contiguous (3, h, w) float64 stack of channel
-    planes for window_sums, so each plane's rows are contiguous."""
-    return np.ascontiguousarray(np.moveaxis(guide.samples, -1, 0), dtype=np.float64)
+    """The guide as one C-contiguous (3, h, w) uint8 stack of channel
+    planes for window_sums, so each plane's rows are contiguous.
+
+    It stays uint8 because window_sums takes the squared color
+    distance in int32, which is exact, and looks the weight up in
+    kernels.color_range_table; a float64 stack would be 8x the memory
+    and every distance a float pass."""
+    return np.ascontiguousarray(np.moveaxis(guide.samples, -1, 0))
 
 
 def row_bands(height: int, workers: int):

@@ -5,22 +5,26 @@ RGB distance, a depth range Gaussian, and a rotated anisotropic
 (directional) Gaussian. All return values in (0, 1] and are exactly 1
 at zero argument.
 
-The filter engine calls all four terms directly, on whole arrays:
-spatial_weight, color_range_weight, depth_range_weight, and the
-directional term as rotated_weight on its precomputed per-pixel cos
-and sin of theta (dgf_weight is that same arithmetic for one angle).
-Their arithmetic is therefore part of every output byte. Do not
-"simplify" it; reassociating an expression changes low-order bits of
-the restored maps.
+The filter engine takes all four terms from here, on whole arrays:
+spatial_weight, depth_range_weight, the directional term as
+rotated_weight on its precomputed per-pixel cos and sin of theta
+(dgf_weight is that same arithmetic for one angle), and the color
+term as a lookup in color_range_table, which holds
+color_range_weight's values for every squared distance an 8-bit guide
+can produce, computed by the same expression. Their arithmetic is
+therefore part of every output byte. Do not "simplify" it;
+reassociating an expression changes low-order bits of the restored
+maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, require_int
 
 DEFAULT_SIGMA_S = 3.0
 DEFAULT_SIGMA_R_COLOR = 25.0
@@ -58,6 +62,7 @@ class KernelParams:
             v = getattr(self, name)
             if not v > 0:
                 raise ContractViolation(f"{name} must be > 0, got {v}")
+        require_int("window_radius", self.window_radius)
         if self.window_radius < 1:
             raise ContractViolation(
                 f"window_radius must be >= 1, got {self.window_radius}"
@@ -95,17 +100,45 @@ def color_range_weight(ip, iq, sigma_r):
     return np.exp(-0.5 * dist2 / (sigma_r * sigma_r))
 
 
+@lru_cache(maxsize=4)
+def color_range_table(sigma_r):
+    """color_range_weight for every squared RGB distance of 8-bit
+    colors: entry k is exp(-0.5 * k / (sigma_r * sigma_r)) for k in
+    0..3 * 255**2. Read-only and cached per sigma_r.
+
+    The engine looks its color weight up here by the exact integer
+    distance of a uint8 guide. Each entry is color_range_weight's own
+    float64 expression (k is exact, and -0.5 * k then / (s * s) round
+    the same way as on a float distance), so a lookup gives the same
+    bits as evaluating the kernel. It is built in place, so at most one
+    1.56 MB array is live while it is made.
+    """
+    table = np.arange(3 * 255 * 255 + 1, dtype=np.float64)
+    table *= -0.5
+    table /= sigma_r * sigma_r
+    np.exp(table, out=table)
+    table.flags.writeable = False
+    return table
+
+
 def depth_range_weight(dp, dq, sigma_r):
     """Gaussian of the depth difference between two valid pixels.
 
     A sigma_r of 1e9 or more means "no depth preference" and returns
     exactly 1.0 rather than evaluating an exponential that would only
-    approximate it.
+    approximate it. On arrays the result is one new array, computed in
+    place; scalars return a float.
     """
     if sigma_r >= SIGMA_DEPTH_INFINITE:
         return 1.0
-    t = (dp - dq) / sigma_r
-    return np.exp(-0.5 * (t * t))
+    if np.ndim(dp) == 0 and np.ndim(dq) == 0:
+        t = (dp - dq) / sigma_r
+        return np.exp(-0.5 * (t * t))
+    t = np.subtract(dp, dq)
+    t /= sigma_r
+    t *= t
+    t *= -0.5
+    return np.exp(t, out=t)
 
 
 def dgf_weight(dx, dy, theta, sigma_x, sigma_y):

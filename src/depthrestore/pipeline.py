@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, require_int
 from .image_model import ColorImage, DepthMap, to_grayscale
 from .preprocess import (
     StructuringElement, chebyshev_dilate, close_depth, expand_holes, hole_mask)
@@ -60,7 +60,9 @@ class PipelineConfig:
     an edge. threads is the number of row bands, run on at most one OS
     thread per available CPU; 0 picks that CPU count. Any thread count
     produces bit-identical output. isotropic_only switches every filter
-    to the plain isotropic JBF (the ablation arm).
+    to the plain isotropic JBF (the ablation arm). validate() wants every
+    count and radius as an int (not a bool or a float) and
+    isotropic_only as a bool.
     """
 
     kernel: KernelParams = field(default_factory=KernelParams)
@@ -82,6 +84,14 @@ class PipelineConfig:
             raise ContractViolation(
                 f"edge_threshold must be > 0, got {self.edge_threshold}"
             )
+        if self.r_edge is not None:
+            require_int("r_edge", self.r_edge)
+        for name in ("hole_expand_radius", "max_fill_passes", "threads"):
+            require_int(name, getattr(self, name))
+        if not isinstance(self.isotropic_only, bool):
+            raise ContractViolation(
+                f"isotropic_only must be a bool, got {self.isotropic_only!r}"
+            )
         if self.effective_r_edge() < 0:
             raise ContractViolation(f"r_edge must be >= 0, got {self.r_edge}")
         if self.hole_expand_radius < 0:
@@ -92,8 +102,6 @@ class PipelineConfig:
             raise ContractViolation(
                 f"max_fill_passes must be >= 1, got {self.max_fill_passes}"
             )
-        if isinstance(self.threads, bool) or not isinstance(self.threads, int):
-            raise ContractViolation(f"threads must be an int, got {self.threads!r}")
         if self.threads < 0:
             raise ContractViolation(f"threads must be >= 0, got {self.threads}")
 

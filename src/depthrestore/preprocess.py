@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, require_int
 from .image_model import HOLE, DepthMap
 
 
@@ -31,6 +31,7 @@ class StructuringElement:
     radius: int = 2
 
     def validate(self) -> None:
+        require_int("structuring radius", self.radius)
         if self.radius < 1:
             raise ContractViolation(f"structuring radius must be >= 1, got {self.radius}")
 

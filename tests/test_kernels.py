@@ -13,6 +13,23 @@ from depthrestore import (
     dgf_weight,
     spatial_weight,
 )
+from depthrestore.kernels import color_range_table
+
+MAX_DIST2 = 3 * 255 * 255
+
+
+def three_square_triples():
+    """Per squared distance k in 0..3 * 255**2: one (a, b, c) in 0..255
+    with a*a + b*b + c*c == k, or -1s where k has no such triple
+    (k = 4**i * (8j + 7), and a few sums too large for 255)."""
+    sq = np.arange(256) ** 2
+    ab = np.add.outer(sq, sq).ravel()
+    trip = np.full((MAX_DIST2 + 1, 3), -1)
+    for c in range(256):
+        k = ab + c * c
+        new = np.flatnonzero(trip[k, 0] < 0)
+        trip[k[new]] = np.stack([new // 256, new % 256, np.full(new.size, c)], axis=1)
+    return trip
 
 
 def test_spatial_unit_at_origin():
@@ -126,6 +143,41 @@ def test_huge_depth_gap_underflows_to_zero():
     assert depth_range_weight(100.0, 65100.0, 30.0) == 0.0
 
 
+@pytest.mark.parametrize("s", [0.5, 25.0, 1e4])
+def test_color_range_table_is_the_kernel_bit_for_bit(s):
+    """Entry k of the table is color_range_weight of a float triple at
+    squared distance k, exactly, for every k a pair of uint8 colors can
+    produce; the k no three squares reach hold the kernel's expression
+    all the same."""
+    table = color_range_table(s)
+    assert table.shape == (MAX_DIST2 + 1,) and table.dtype == np.float64
+    trip = three_square_triples()
+    reach = trip[:, 0] >= 0
+    assert reach[0] and reach[MAX_DIST2]
+    diff = trip[reach].T.astype(np.float64)
+    assert np.array_equal(table[reach], color_range_weight(diff, np.zeros_like(diff), s))
+    rest = np.flatnonzero(~reach).astype(np.float64)
+    assert np.array_equal(table[~reach], np.exp(-0.5 * rest / (s * s)))
+
+
+def test_color_range_table_is_cached_and_read_only():
+    table = color_range_table(25.0)
+    assert color_range_table(25.0) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0.5
+
+
+def test_depth_range_weight_on_arrays_leaves_its_inputs():
+    dp = np.array([1000.0, 1060.0, 1234.5])
+    dq = np.array([1060.0, 1000.0, 1234.5])
+    got = depth_range_weight(dp, dq, 30.0)
+    assert np.array_equal(got, [depth_range_weight(a, b, 30.0) for a, b in zip(dp, dq)])
+    assert np.array_equal(dp, [1000.0, 1060.0, 1234.5])
+    assert np.array_equal(dq, [1060.0, 1000.0, 1234.5])
+    assert isinstance(depth_range_weight(1000.0, 1060.0, 30.0), float)
+
+
 def test_params_validation():
     KernelParams().validate()
     with pytest.raises(ContractViolation):
@@ -136,6 +188,9 @@ def test_params_validation():
         KernelParams(window_radius=0).validate()
     with pytest.raises(ContractViolation):
         KernelParams(sigma_x=1.0, sigma_y=2.0).validate()
+    for bad in (True, 3.0, 2.5, "3", None):
+        with pytest.raises(ContractViolation):
+            KernelParams(window_radius=bad).validate()
 
 
 def test_default_params_are_the_published_ones():

@@ -233,6 +233,28 @@ def test_threads_must_be_a_plain_int():
     PipelineConfig(threads=3).validate()
 
 
+def test_int_fields_reject_bools_and_floats():
+    """A bool or a float in a count or radius fails validation instead
+    of running as 0/1 or escaping as a TypeError later."""
+    for bad in (True, False, 2.0, 2.5, "2"):
+        for cfg in (PipelineConfig(kernel=KernelParams(window_radius=bad)),
+                    PipelineConfig(se=StructuringElement(radius=bad)),
+                    PipelineConfig(r_edge=bad),
+                    PipelineConfig(hole_expand_radius=bad),
+                    PipelineConfig(max_fill_passes=bad)):
+            with pytest.raises(ContractViolation):
+                cfg.validate()
+    PipelineConfig(r_edge=None, hole_expand_radius=0).validate()
+
+
+def test_isotropic_only_must_be_a_bool():
+    d = DepthMap(np.full((8, 8), 900.0))
+    for bad in ("false", "true", 0, 1, None):
+        with pytest.raises(ContractViolation):
+            restore(d, flat_guide((8, 8)), PipelineConfig(isotropic_only=bad))
+    PipelineConfig(isotropic_only=True).validate()
+
+
 class InlinePool:
     """Stands in for ThreadPoolExecutor: records each pool's max_workers
     and band count, and runs the jobs inline, so no thread starts."""
