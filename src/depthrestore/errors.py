@@ -3,7 +3,8 @@
 Two failure families exist: file-format problems discovered while
 reading or writing rasters, and contract violations (bad arguments,
 mismatched shapes, out-of-range parameters). The CLI maps the former
-to exit code 1 and the latter to exit code 2.
+to exit code 1 and the latter to exit code 2. require_int is the int
+check that the config dataclasses' validate methods share.
 """
 
 

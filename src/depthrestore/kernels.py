@@ -84,8 +84,8 @@ def color_range_weight(ip, iq, sigma_r):
 
     ip and iq are either scalar intensities or RGB triples; for triples
     the difference is the Euclidean distance between the two colors.
-    A triple may also be a (3, ...) stack of channel planes, which the
-    engine passes to weigh a whole window offset at once.
+    A triple may also be a (3, ...) stack of channel planes. The engine
+    reads these values from color_range_table instead.
     """
     ip = np.asarray(ip, dtype=np.float64)
     iq = np.asarray(iq, dtype=np.float64)
@@ -102,16 +102,12 @@ def color_range_weight(ip, iq, sigma_r):
 
 @lru_cache(maxsize=4)
 def color_range_table(sigma_r):
-    """color_range_weight for every squared RGB distance of 8-bit
+    """color_range_weight for every squared RGB distance of two 8-bit
     colors: entry k is exp(-0.5 * k / (sigma_r * sigma_r)) for k in
-    0..3 * 255**2. Read-only and cached per sigma_r.
-
-    The engine looks its color weight up here by the exact integer
-    distance of a uint8 guide. Each entry is color_range_weight's own
-    float64 expression (k is exact, and -0.5 * k then / (s * s) round
-    the same way as on a float distance), so a lookup gives the same
-    bits as evaluating the kernel. It is built in place, so at most one
-    1.56 MB array is live while it is made.
+    0..3 * 255**2, the kernel's own float64 expression, so a lookup by
+    the exact integer distance gives the kernel's bits. Read-only,
+    cached per sigma_r, and built in place so that only one 1.56 MB
+    array is live while it is made.
     """
     table = np.arange(3 * 255 * 255 + 1, dtype=np.float64)
     table *= -0.5
@@ -131,14 +127,11 @@ def depth_range_weight(dp, dq, sigma_r):
     """
     if sigma_r >= SIGMA_DEPTH_INFINITE:
         return 1.0
-    if np.ndim(dp) == 0 and np.ndim(dq) == 0:
-        t = (dp - dq) / sigma_r
-        return np.exp(-0.5 * (t * t))
     t = np.subtract(dp, dq)
     t /= sigma_r
     t *= t
     t *= -0.5
-    return np.exp(t, out=t)
+    return np.exp(t, out=t if np.ndim(t) else None)
 
 
 def dgf_weight(dx, dy, theta, sigma_x, sigma_y):
