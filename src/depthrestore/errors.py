@@ -3,9 +3,12 @@
 Two failure families exist: file-format problems discovered while
 reading or writing rasters, and contract violations (bad arguments,
 mismatched shapes, out-of-range parameters). The CLI maps the former
-to exit code 1 and the latter to exit code 2. require_int is the int
-check that the config dataclasses' validate methods share.
+to exit code 1 and the latter to exit code 2. require_int and
+require_real are the type checks that the config dataclasses' validate
+methods share.
 """
+
+from numbers import Real
 
 
 class FormatError(Exception):
@@ -41,3 +44,10 @@ def require_int(name: str, value) -> None:
     one here, although Python counts it as a subclass."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ContractViolation(f"{name} must be an int, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """Raise ContractViolation unless value is a real number (an int,
+    a float or a numpy scalar of either); a bool is not one here."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ContractViolation(f"{name} must be a real number, got {value!r}")

@@ -9,9 +9,9 @@ get weight zero; a sentinel is not a measurement.
 `window_sums` is the one engine: it iterates window offsets and, per
 offset, weighs and accumulates a whole set of output pixels at once.
 Each of its four weight terms comes from kernels.py (spatial_weight
-or rotated_weight, color_range_table, depth_range_weight), so every
-formula is written once, and the *_pixel functions run the engine with
-their pixel as the one target.
+or rotated_weight, color_range_table, depth_range_table or
+depth_range_weight), so every formula is written once, and the *_pixel
+functions run the engine with their pixel as the one target.
 
 The color term is a lookup, not an evaluation. The guide reaches the
 engine as a uint8 stack (guide_planes), so the squared RGB distance is
@@ -22,9 +22,14 @@ replaces was exact too (a sum of three integer squares), so a lookup
 returns the very bits the kernel would. The other weight factors are
 multiplied into the looked-up plane in place, in the order ws * wc *
 wd * gate that the kernels define; a product of two doubles is exactly
-commutative, so doing it in place moves no bit. tests/oracles.py holds
-the float64 body as ref_window_sums, and a hypothesis test pins the
-engine to it.
+commutative, so doing it in place moves no bit. The depth term is a
+lookup too when the depth reaches the engine as uint16, which
+filter_non_hole does whenever every sample is an integer (always, for
+a depth read from a PGM: closing only takes windowed max/min of
+samples): kernels.depth_range_table holds depth_range_weight's bits
+for every |dp - dq|. Float depth still runs depth_range_weight.
+tests/oracles.py holds the float64 body as ref_window_sums, and a
+hypothesis test pins the engine to it.
 
 One body weighs and accumulates, on arrays from one of two addressings:
 
@@ -61,12 +66,32 @@ Two accumulation details are deliberate and load-bearing:
   instead of drifting by rounding.
 
 * The raw quotient num/den can overshoot the contributor range by an
-  ulp, so each evaluation tracks the min and max contributing depth
-  (a non-contributor enters fmin/fmax as NaN, which they skip) and
-  clamps the quotient. That makes the convex-combination guarantee
+  ulp, so a tracked WindowSums keeps the min and max contributing
+  depth (a non-contributor enters fmin/fmax as NaN, which they skip)
+  and clamps the quotient. That makes the convex-combination guarantee
   exact rather than approximate, and it compounds through the fill
   stage: every filled value stays inside the range of the depths it
-  was grown from.
+  was grown from. The fill passes and the *_pixel wrappers always
+  track.
+
+filter_non_hole defers the clamp on integer depth (_denoise): its
+passes run untracked, keeping num and den only, and only the suspects,
+the kept pixels whose quotient a clamp could move, run again tracked.
+The bound: a valid center weighs exactly 1.0 (every kernel is 1 at
+zero argument), so den >= 1 and num >= 1. num and den are sums of at
+most n = (2r+1)**2 non-negative terms, in any order, so each carries a
+relative error of at most about n*u (u = eps/2; Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., 4.2), and the quotient q
+lies within (2n+2)*u*q of the exact convex combination of the
+computed weights, which is inside [cmin, cmax]. Terms that underflow
+add at most n * 2**-1075 more, nothing against num, den >= 1. So
+q < cmin or q > cmax needs the integer cmin or cmax within that
+distance of q, and |q - rint(q)| <= 4 * n * eps * q catches every
+such pixel with room to spare. A kept pixel whose center is a hole
+(only a library caller's labels put one there) lacks the den >= 1
+floor of this argument, so it is a suspect too. The re-run addresses
+the suspects by gather, which gives the dense run's bits, so the
+deferred clamp moves no output bit either.
 """
 
 from __future__ import annotations
@@ -82,6 +107,7 @@ from .edge_analysis import EdgeMap, NONHOLE_EDGE, NONHOLE_NONEDGE
 from .kernels import (
     KernelParams,
     color_range_table,
+    depth_range_table,
     depth_range_weight,
     rotated_weight,
     spatial_weight,
@@ -90,6 +116,9 @@ from .kernels import (
 # Output pixels per block of one window_sums call: 256 KiB per float64
 # temporary, so a block's weight planes stay in L2 across its offsets.
 BLOCK_PX = 32768
+
+# Machine epsilon of float64, for the deferred clamp's suspect bound.
+EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -118,11 +147,12 @@ def _filter_at(p, depth: DepthMap, guide: ColorImage, params: KernelParams,
     """Run window_sums with p as the one target, on the clamped window
     around it.
 
-    Depth, validity, guide (and a constant cos/sin of theta for the
-    directional flavor) are cropped to the window. The crop gives the
-    same bits as a whole-image run: p reads only sources inside its
-    window, and an offset leaves the crop exactly when it leaves the
-    image. valid of None means every non-hole pixel is a source.
+    Depth, validity and guide are cropped to the window; the
+    directional flavor takes theta's cos and sin as scalars. The crop
+    gives the same bits as a whole-image run: p reads only sources
+    inside its window, and an offset leaves the crop exactly when it
+    leaves the image. valid of None means every non-hole pixel is a
+    source.
     """
     y, x = p
     h, w = depth.samples.shape
@@ -133,8 +163,8 @@ def _filter_at(p, depth: DepthMap, guide: ColorImage, params: KernelParams,
     d = depth.samples[win]
     usable = d != HOLE if valid is None else valid[win]
     if theta is not None:
-        flavor["cos_t"] = np.full(d.shape, np.cos(theta))
-        flavor["sin_t"] = np.full(d.shape, np.sin(theta))
+        flavor["cos_t"] = np.cos(theta)
+        flavor["sin_t"] = np.sin(theta)
     acc = WindowSums(1)
     window_sums(d, usable.astype(np.float64), guide_planes(ColorImage(guide.samples[win])),
                 params, acc, 0, d.shape[0],
@@ -190,23 +220,30 @@ def pdjbf_pixel(p, depth: DepthMap, valid: np.ndarray, guide: ColorImage,
 
 
 class WindowSums:
-    """Accumulator grids for one engine run: num, den, cnt, cmin, cmax."""
+    """Accumulator grids for one engine run: num and den, and, when
+    tracked, the contributor count cnt and range cmin, cmax. An
+    untracked run (track=False) keeps num and den only; cnt, cmin and
+    cmax are None, and the engine skips their four passes per offset."""
 
-    def __init__(self, shape):
+    def __init__(self, shape, track=True):
         self.num = np.zeros(shape)
         self.den = np.zeros(shape)
-        self.cnt = np.zeros(shape, dtype=np.int32)
-        self.cmin = np.full(shape, np.inf)
-        self.cmax = np.full(shape, -np.inf)
+        self.cnt = self.cmin = self.cmax = None
+        if track:
+            self.cnt = np.zeros(shape, dtype=np.int32)
+            self.cmin = np.full(shape, np.inf)
+            self.cmax = np.full(shape, -np.inf)
 
     def normalized(self) -> np.ndarray:
-        """Clamped weighted averages; 0.0 where nothing contributed."""
+        """Weighted averages, clamped to the contributor range when
+        tracked; 0.0 where nothing contributed."""
         some = self.den > 0
         vals = np.zeros_like(self.num)
         np.divide(self.num, self.den, out=vals, where=some)
-        np.maximum(self.cmin, vals, out=vals)
-        np.minimum(self.cmax, vals, out=vals)
-        vals[~some] = 0.0
+        if self.cmin is not None:
+            np.maximum(self.cmin, vals, out=vals)
+            np.minimum(self.cmax, vals, out=vals)
+            vals[~some] = 0.0
         return vals
 
 
@@ -217,12 +254,15 @@ def window_sums(depth: np.ndarray, validf: np.ndarray, planes, params: KernelPar
 
     One call covers one kernel flavor:
       iso_sigma set           isotropic spatial term
-      cos_t/sin_t set         directional term with per-pixel angle,
-                              widths params.sigma_x / params.sigma_y
+      cos_t/sin_t set         directional term with a per-pixel (h, w)
+                              or one scalar angle, widths
+                              params.sigma_x / params.sigma_y
       depth_sigma set         additional depth range term
     planes is the (3, h, w) uint8 guide stack from guide_planes.
     Weights are gated by validf (1.0 where the source is usable, else
-    0.0).
+    0.0). A uint16 depth reads the depth term from depth_range_table,
+    a float one evaluates depth_range_weight; both give the same bits
+    on integer values. An untracked acc gets num and den only.
 
     targets of None evaluates every pixel of the band into (h, w)
     grids; else only the band's pixels among the sorted flat indices
@@ -233,6 +273,10 @@ def window_sums(depth: np.ndarray, validf: np.ndarray, planes, params: KernelPar
     split into blocks of BLOCK_PX.
     """
     table = color_range_table(params.sigma_r_color)
+    track = acc.cmin is not None
+    dtable = None
+    if depth_sigma is not None and depth.dtype == np.uint16:
+        dtable = depth_range_table(depth_sigma, int(depth.max()) + 1)
     for shape, groups in _blocks(depth.shape, params.window_radius, row0, row1,
                                  validf, (planes, depth, cos_t, sin_t), targets):
         pair_num = np.empty(shape)
@@ -250,17 +294,21 @@ def window_sums(depth: np.ndarray, validf: np.ndarray, planes, params: KernelPar
                     wgt *= spatial_weight(dx, dy, iso_sigma)
                 else:
                     wgt *= rotated_weight(dx, dy, cc, cs, params.sigma_x, params.sigma_y)
-                if depth_sigma is not None:
+                if dtable is not None:
+                    diff = np.subtract(cd, dq, dtype=np.int32)
+                    wgt *= dtable.take(np.abs(diff, out=diff))
+                elif depth_sigma is not None:
                     wgt *= depth_range_weight(cd, dq, depth_sigma)
                 wgt *= gate
                 pair_den[local] += wgt
-                contrib = wgt > 0
+                if track:
+                    contrib = wgt > 0
+                    acc.cnt[out] += contrib
+                    tracked = np.where(contrib, dq, np.nan)
+                    np.fmin(acc.cmin[out], tracked, out=acc.cmin[out])
+                    np.fmax(acc.cmax[out], tracked, out=acc.cmax[out])
                 wgt *= dq
                 pair_num[local] += wgt
-                acc.cnt[out] += contrib
-                tracked = np.where(contrib, dq, np.nan)
-                np.fmin(acc.cmin[out], tracked, out=acc.cmin[out])
-                np.fmax(acc.cmax[out], tracked, out=acc.cmax[out])
             acc.num[flush] += pair_num[rows]
             acc.den[flush] += pair_den[rows]
 
@@ -283,8 +331,14 @@ def _blocks(shape, r, row0, row1, validf, frames, targets):
                                              validf, frames)
 
 
+def _scalar(a):
+    """True for a missing frame or a 0-d one (one angle for the call),
+    which every addressing passes through as it is."""
+    return a is None or np.ndim(a) == 0
+
+
 def _cut(a, index):
-    return None if a is None else a[(Ellipsis,) + index]
+    return a if _scalar(a) else a[(Ellipsis,) + index]
 
 
 def _slice_groups(h, w, r, row0, row1, validf, frames):
@@ -310,8 +364,8 @@ def _slice_groups(h, w, r, row0, row1, validf, frames):
 def _gather_groups(h, w, r, t, out, validf, frames):
     """Gather addressing for flat indices t, into acc[out]; as
     _slice_groups, with centers gathered once and sources per offset."""
-    flat = [None if a is None else a.reshape(a.shape[:-2] + (-1,)) for a in frames]
-    ctr = [None if a is None else a.take(t, axis=-1) for a in flat]
+    flat = [a if _scalar(a) else a.reshape(a.shape[:-2] + (-1,)) for a in frames]
+    ctr = [a if _scalar(a) else a.take(t, axis=-1) for a in flat]
     validf = validf.reshape(-1)
     ty, tx = np.divmod(t, w)
     for dy in range(-r, r + 1):
@@ -393,29 +447,70 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
             f"depth {depth.samples.shape} and labels {labels.shape} differ in shape"
         )
     d = depth.samples
-    h, w = d.shape
     planes = guide_planes(guide)
-    validf = (d != HOLE).astype(np.float64)
 
     if isotropic_only:
-        acc = WindowSums(d.shape)
-        run_banded(h, threads, lambda r0, r1: window_sums(
-            d, validf, planes, params, acc, r0, r1, iso_sigma=params.sigma_s))
-        return DepthMap(np.where(labels <= NONHOLE_EDGE, acc.normalized(), d))
+        kept = labels <= NONHOLE_EDGE
+        (vals,) = _denoise(d, planes, params, threads,
+                           [(None, kept, {"iso_sigma": params.sigma_s})])
+        return DepthMap(np.where(kept, vals, d))
 
+    kept = labels == NONHOLE_NONEDGE
     edge_px = np.flatnonzero(labels == NONHOLE_EDGE)
-    tri = WindowSums(d.shape)
-    dire = WindowSums(edge_px.shape)
-    cos_t = np.cos(edges.theta)
-    sin_t = np.sin(edges.theta)
+    tri, dire = _denoise(d, planes, params, threads, [
+        (None, kept, {"iso_sigma": params.sigma_s, "depth_sigma": params.sigma_r_depth}),
+        (edge_px, None, {"cos_t": np.cos(edges.theta), "sin_t": np.sin(edges.theta)}),
+    ])
+    out = np.where(kept, tri, d)
+    out.flat[edge_px] = dire
+    return DepthMap(out)
+
+
+def _denoise(d, planes, params, threads, passes):
+    """Run filter_non_hole's passes over depth d in one set of row bands
+    and return each pass's clamped weighted averages.
+
+    A pass is (targets, kept, flavor): the window_sums target set (None
+    for every pixel), the (h, w) mask of outputs the caller keeps (None
+    for every target) and the flavor keywords. On integer depth the
+    passes run untracked on a uint16 copy, and only the suspects among
+    the kept outputs (see the module doc for the bound) run again,
+    tracked, to be clamped; depth that is not integer-valued runs
+    tracked throughout. Integrality is decided here, once per frame.
+    """
+    h = d.shape[0]
+    validf = (d != HOLE).astype(np.float64)
+    # DepthMap holds [0, 65535], so the copy is exact where d is integer.
+    src = d.astype(np.uint16)
+    integer = np.array_equal(src, d)
+    if not integer:
+        src = d
+    accs = [WindowSums(d.shape if t is None else t.shape, track=not integer)
+            for t, _, _ in passes]
 
     def band(r0, r1):
-        window_sums(d, validf, planes, params, tri, r0, r1,
-                    iso_sigma=params.sigma_s, depth_sigma=params.sigma_r_depth)
-        window_sums(d, validf, planes, params, dire, r0, r1,
-                    cos_t=cos_t, sin_t=sin_t, targets=edge_px)
+        for acc, (targets, _, flavor) in zip(accs, passes):
+            window_sums(src, validf, planes, params, acc, r0, r1, targets=targets, **flavor)
 
     run_banded(h, threads, band)
-    out = np.where(labels == NONHOLE_NONEDGE, tri.normalized(), d)
-    out.flat[edge_px] = dire.normalized()
-    return DepthMap(out)
+    results = [acc.normalized() for acc in accs]
+    accs.clear()  # free num and den before the suspect test's temporaries
+    if not integer:
+        return results
+    tol = 4 * (2 * params.window_radius + 1) ** 2 * EPS
+    for q, (targets, kept, flavor) in zip(results, passes):
+        q = q.reshape(-1)
+        off = np.rint(q)
+        off -= q
+        np.abs(off, out=off)
+        suspect = off <= q * tol
+        suspect |= (validf.reshape(-1) if targets is None else validf.flat[targets]) == 0.0
+        if kept is not None:
+            suspect &= kept.reshape(-1)
+        at = np.flatnonzero(suspect)
+        if at.size:
+            fix = WindowSums(at.shape)
+            window_sums(src, validf, planes, params, fix, 0, h,
+                        targets=at if targets is None else targets[at], **flavor)
+            q[at] = fix.normalized()
+    return results

@@ -6,13 +6,16 @@ RGB distance, a depth range Gaussian, and a rotated anisotropic
 at zero argument.
 
 The filter engine takes all four terms from here, on whole arrays:
-spatial_weight, depth_range_weight, the directional term as
-rotated_weight on its precomputed per-pixel cos and sin of theta
-(dgf_weight is that same arithmetic for one angle), and the color
-term as a lookup in color_range_table, which holds
-color_range_weight's values for every squared distance an 8-bit guide
-can produce, computed by the same expression. Their arithmetic is
-therefore part of every output byte. Do not "simplify" it;
+spatial_weight, the directional term as rotated_weight on its cos and
+sin of theta (per pixel, or one angle for a whole call; dgf_weight is
+that same arithmetic for one angle), the color term as a lookup in
+color_range_table, which holds color_range_weight's values for every
+squared distance an 8-bit guide can produce, and the depth term as a
+lookup in depth_range_table, which holds depth_range_weight's values
+for every integer depth difference up to the frame's maximum (depth
+that is not integer-valued still goes through depth_range_weight).
+Each table entry is computed by its kernel's own expression, so their
+arithmetic is part of every output byte. Do not "simplify" it;
 reassociating an expression changes low-order bits of the restored
 maps.
 """
@@ -24,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContractViolation, require_int
+from .errors import ContractViolation, require_int, require_real
 
 DEFAULT_SIGMA_S = 3.0
 DEFAULT_SIGMA_R_COLOR = 25.0
@@ -60,6 +63,7 @@ class KernelParams:
     def validate(self) -> None:
         for name in ("sigma_s", "sigma_r_color", "sigma_r_depth", "sigma_x", "sigma_y"):
             v = getattr(self, name)
+            require_real(name, v)
             if not v > 0:
                 raise ContractViolation(f"{name} must be > 0, got {v}")
         require_int("window_radius", self.window_radius)
@@ -113,6 +117,28 @@ def color_range_table(sigma_r):
     table *= -0.5
     table /= sigma_r * sigma_r
     np.exp(table, out=table)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=4)
+def depth_range_table(sigma_r, n):
+    """depth_range_weight for every integer depth difference 0..n-1:
+    entry k is the kernel's own in-place sequence on float(k) (/= sigma_r,
+    squared, *= -0.5, exp). (-k) / sigma_r is exactly -(k / sigma_r), so
+    a lookup by |dp - dq| gives the kernel's bits for either sign. A
+    sigma_r of 1e9 or more gives a table of exact 1.0, as the kernel
+    does. Read-only and cached per (sigma_r, n); the engine sizes it
+    max(depth) + 1, at most 65536 entries.
+    """
+    if sigma_r >= SIGMA_DEPTH_INFINITE:
+        table = np.ones(n)
+    else:
+        table = np.arange(n, dtype=np.float64)
+        table /= sigma_r
+        table *= table
+        table *= -0.5
+        np.exp(table, out=table)
     table.flags.writeable = False
     return table
 

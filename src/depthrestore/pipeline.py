@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ContractViolation, require_int
+from .errors import ContractViolation, require_int, require_real
 from .image_model import ColorImage, DepthMap, to_grayscale
 from .preprocess import (
     StructuringElement, chebyshev_dilate, close_depth, expand_holes, hole_mask)
@@ -61,7 +61,8 @@ class PipelineConfig:
     thread per available CPU; 0 picks that CPU count. Any thread count
     produces bit-identical output. isotropic_only switches every filter
     to the plain isotropic JBF (the ablation arm). validate() wants every
-    count and radius as an int (not a bool or a float) and
+    count and radius as an int (not a bool or a float), edge_threshold
+    and the kernel widths as real numbers (not bools or strings), and
     isotropic_only as a bool.
     """
 
@@ -80,6 +81,7 @@ class PipelineConfig:
     def validate(self) -> None:
         self.kernel.validate()
         self.se.validate()
+        require_real("edge_threshold", self.edge_threshold)
         if not self.edge_threshold > 0:
             raise ContractViolation(
                 f"edge_threshold must be > 0, got {self.edge_threshold}"
@@ -147,14 +149,13 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
             f"depth {filtered.samples.shape} and labels {labels.shape} differ in shape"
         )
     work = filtered.samples.copy()
-    h, w = work.shape
+    h = work.shape[0]
     valid = labels <= NONHOLE_EDGE
     planes = guide_planes(guide)
     params = cfg.kernel
     threads = _resolve_threads(cfg.threads)
 
-    iso = (replace(params, sigma_x=params.sigma_s, sigma_y=params.sigma_s),
-           np.ones((h, w)), np.zeros((h, w)))
+    iso = (replace(params, sigma_x=params.sigma_s, sigma_y=params.sigma_s), 1.0, 0.0)
     if cfg.isotropic_only:
         steered = iso
     else:

@@ -344,13 +344,18 @@ def test_mirrored_inputs_give_exactly_mirrored_output():
     assert np.array_equal(m_out.samples, out.samples[:, ::-1])
 
 
-def engine_case(rng, h, w, flavor, radius):
+def engine_case(rng, h, w, flavor, radius, integer=False):
     """A random h x w engine input: depth, source validity (holes and
     20% more sources switched off), guide planes, params, and the
-    window_sums flavor keywords."""
+    window_sums flavor keywords. With integer the depth is rounded and
+    handed over as uint16, so the engine reads its depth term from
+    depth_range_table; depth differences reach 2500, where the weight
+    underflows to 0."""
     params = replace(PARAMS, window_radius=radius)
     depth, guide, theta = random_instance(rng, shape=(h, w), hole_fraction=0.3)
     d = depth.samples
+    if integer:
+        d = np.rint(d).astype(np.uint16)
     validf = ((d != HOLE) & (rng.random((h, w)) < 0.8)).astype(np.float64)
     kwargs = {"cos_t": np.cos(theta), "sin_t": np.sin(theta)}
     if flavor != "directional":
@@ -368,84 +373,104 @@ FLAVORS = ["isotropic", "trilateral", "directional"]
        flavor=st.sampled_from(FLAVORS),
        radius=st.integers(1, 3), density=st.sampled_from([0.1, 0.5, 1.0]),
        border=st.booleans(), bands=st.sampled_from([1, 3, 8]),
-       seed=st.integers(0, 2**32 - 1))
-@example(h=1, w=9, flavor="directional", radius=2, density=0.5, border=True, bands=3, seed=1)
-@example(h=9, w=1, flavor="trilateral", radius=3, density=0.5, border=True, bands=8, seed=2)
-@example(h=4, w=3, flavor="isotropic", radius=2, density=0.1, border=True, bands=1, seed=3)
+       track=st.booleans(), integer=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(h=1, w=9, flavor="directional", radius=2, density=0.5, border=True, bands=3,
+         track=True, integer=False, seed=1)
+@example(h=9, w=1, flavor="trilateral", radius=3, density=0.5, border=True, bands=8,
+         track=True, integer=False, seed=2)
+@example(h=4, w=3, flavor="isotropic", radius=2, density=0.1, border=True, bands=1,
+         track=True, integer=False, seed=3)
+@example(h=8, w=9, flavor="trilateral", radius=3, density=0.5, border=True, bands=3,
+         track=False, integer=True, seed=4)
 def test_gather_addressing_matches_slice_addressing(h, w, flavor, radius, density,
-                                                    border, bands, seed):
+                                                    border, bands, track, integer, seed):
     """A target-set run gives, at every target, the exact sums of a
-    dense run: num, den, cnt, cmin and cmax, for each flavor, on frames
-    down to 1xN and Nx1 and narrower than the window, with targets on
-    the borders and the targets split over several row bands."""
+    dense run: num, den, cnt, cmin and cmax (num and den untracked),
+    for each flavor, on float and uint16 depth, on frames down to 1xN
+    and Nx1 and narrower than the window, with targets on the borders
+    and the targets split over several row bands."""
     rng = np.random.default_rng(seed)
-    d, validf, planes, params, kwargs = engine_case(rng, h, w, flavor, radius)
+    d, validf, planes, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
     mask = rng.random((h, w)) < density
     if border:
         mask[[0, -1], :] = True
         mask[:, [0, -1]] = True
     targets = np.flatnonzero(mask)
-    dense = WindowSums((h, w))
+    dense = WindowSums((h, w), track)
     window_sums(d, validf, planes, params, dense, 0, h, **kwargs)
-    sparse = WindowSums(targets.shape)
+    sparse = WindowSums(targets.shape, track)
     for r0, r1 in row_bands(h, bands):
         window_sums(d, validf, planes, params, sparse, r0, r1, targets=targets, **kwargs)
-    for name in ("num", "den", "cnt", "cmin", "cmax"):
+    names = ("num", "den", "cnt", "cmin", "cmax") if track else ("num", "den")
+    for name in names:
         assert np.array_equal(getattr(dense, name).flat[targets], getattr(sparse, name)), name
+    assert track or sparse.cnt is sparse.cmin is sparse.cmax is None
 
 
 @settings(max_examples=60, deadline=None)
 @given(h=st.integers(1, 9), w=st.integers(1, 9), flavor=st.sampled_from(FLAVORS),
        radius=st.integers(1, 3), sparse=st.booleans(), bands=st.sampled_from([1, 3, 8]),
-       seed=st.integers(0, 2**32 - 1))
-@example(h=5, w=9, flavor="trilateral", radius=2, sparse=False, bands=1, seed=4)
-@example(h=9, w=7, flavor="directional", radius=3, sparse=True, bands=3, seed=5)
-def test_block_size_never_changes_a_bit(h, w, flavor, radius, sparse, bands, seed):
+       track=st.booleans(), integer=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(h=5, w=9, flavor="trilateral", radius=2, sparse=False, bands=1, track=True,
+         integer=False, seed=4)
+@example(h=9, w=7, flavor="directional", radius=3, sparse=True, bands=3, track=True,
+         integer=False, seed=5)
+@example(h=9, w=8, flavor="trilateral", radius=3, sparse=False, bands=3, track=False,
+         integer=True, seed=6)
+def test_block_size_never_changes_a_bit(h, w, flavor, radius, sparse, bands, track,
+                                        integer, seed):
     """Splitting each call's band into blocks of BLOCK_PX output pixels
     (rows for a dense run, targets for a target-set run) leaves num,
-    den, cnt, cmin and cmax exactly as one block per band leaves them,
-    including blocks of 1 px, blocks that end mid-row and a short last
-    block."""
+    den, cnt, cmin and cmax exactly as one tracked block per band
+    leaves them, including blocks of 1 px, blocks that end mid-row and
+    a short last block; an untracked run leaves num and den so."""
     rng = np.random.default_rng(seed)
-    d, validf, planes, params, kwargs = engine_case(rng, h, w, flavor, radius)
+    d, validf, planes, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
     targets = np.flatnonzero(rng.random((h, w)) < 0.5) if sparse else None
 
-    def run(block_px):
-        acc = WindowSums((h, w) if targets is None else targets.shape)
+    def run(block_px, track):
+        acc = WindowSums((h, w) if targets is None else targets.shape, track)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(filters, "BLOCK_PX", block_px)
             for r0, r1 in row_bands(h, bands):
                 window_sums(d, validf, planes, params, acc, r0, r1, targets=targets, **kwargs)
         return acc
 
-    whole = run(h * w)
-    for block_px in sorted({1, 2, w - 1, w, w + 1, 7} - {0}):
-        got = run(block_px)
-        for name in ("num", "den", "cnt", "cmin", "cmax"):
+    whole = run(h * w, True)
+    names = ("num", "den", "cnt", "cmin", "cmax") if track else ("num", "den")
+    for block_px in sorted({1, 2, w - 1, w, w + 1, 7, h * w} - {0}):
+        got = run(block_px, track)
+        for name in names:
             assert np.array_equal(getattr(whole, name), getattr(got, name)), (block_px, name)
 
 
 @settings(max_examples=120, deadline=None)
 @given(h=st.integers(1, 9), w=st.integers(1, 9), flavor=st.sampled_from(FLAVORS),
        radius=st.integers(1, 3), sparse=st.booleans(), bands=st.sampled_from([1, 3, 8]),
-       sigma_r_color=st.floats(0.5, 1e4), sigma_r_depth=st.sampled_from([30.0, 1e9]),
+       sigma_r_color=st.floats(0.5, 1e4),
+       sigma_r_depth=st.sampled_from([0.3, 30.0, 1e5, 1e9]), integer=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 @example(h=2, w=1, flavor="trilateral", radius=1, sparse=False, bands=1,
-         sigma_r_color=1e4, sigma_r_depth=30.0, seed=6)
+         sigma_r_color=1e4, sigma_r_depth=30.0, integer=False, seed=6)
 @example(h=6, w=9, flavor="directional", radius=3, sparse=True, bands=3,
-         sigma_r_color=0.5, sigma_r_depth=30.0, seed=7)
+         sigma_r_color=0.5, sigma_r_depth=30.0, integer=False, seed=7)
 @example(h=9, w=9, flavor="isotropic", radius=2, sparse=False, bands=8,
-         sigma_r_color=25.0, sigma_r_depth=1e9, seed=8)
+         sigma_r_color=25.0, sigma_r_depth=1e9, integer=False, seed=8)
+@example(h=9, w=9, flavor="trilateral", radius=3, sparse=False, bands=3,
+         sigma_r_color=25.0, sigma_r_depth=30.0, integer=True, seed=9)
+@example(h=7, w=8, flavor="trilateral", radius=2, sparse=True, bands=1,
+         sigma_r_color=3.0, sigma_r_depth=0.3, integer=True, seed=10)
 def test_engine_matches_float64_reference_body(h, w, flavor, radius, sparse, bands,
-                                               sigma_r_color, sigma_r_depth, seed):
+                                               sigma_r_color, sigma_r_depth, integer, seed):
     """window_sums gives the exact num, den, cnt, cmin and cmax of the
     frozen float64 weight body in tests/oracles.py, for each flavor,
-    dense and on a target set split over row bands, at any color sigma.
-    Every channel of the guide takes 0 and 255, and an all-0 pixel sits
-    next to an all-255 one, so the squared color distance reaches
-    3 * 255**2 = 195075."""
+    dense and on a target set split over row bands, at any color sigma,
+    on float depth and on integer depth handed over as uint16 (the
+    depth_range_table path). Every channel of the guide takes 0 and
+    255, and an all-0 pixel sits next to an all-255 one, so the squared
+    color distance reaches 3 * 255**2 = 195075."""
     rng = np.random.default_rng(seed)
-    d, validf, _, params, kwargs = engine_case(rng, h, w, flavor, radius)
+    d, validf, _, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
     params = replace(params, sigma_r_color=sigma_r_color, sigma_r_depth=sigma_r_depth)
     if "depth_sigma" in kwargs:
         kwargs["depth_sigma"] = sigma_r_depth
@@ -458,7 +483,7 @@ def test_engine_matches_float64_reference_body(h, w, flavor, radius, sparse, ban
         x = int(rng.integers(0, max(1, w - 1)))
         colors[y, x] = 0
         colors[y + (w == 1), x + (w > 1)] = 255
-    want = ref_window_sums(d, validf, colors, params, **kwargs)
+    want = ref_window_sums(d.astype(np.float64), validf, colors, params, **kwargs)
     targets = np.flatnonzero(rng.random((h, w)) < 0.5) if sparse else None
     acc = WindowSums((h, w) if targets is None else targets.shape)
     planes = guide_planes(ColorImage(colors))
@@ -467,6 +492,129 @@ def test_engine_matches_float64_reference_body(h, w, flavor, radius, sparse, ban
     for name in ("num", "den", "cnt", "cmin", "cmax"):
         ref = want[name] if targets is None else want[name].flat[targets]
         assert np.array_equal(ref, getattr(acc, name)), name
+
+
+def clamp_prone_case(rng, h, w, kind, base, stray):
+    """An integer-valued h x w frame whose quotients land within ulps of
+    an integer, its guide, labels and edges. kind "constant" is the one
+    depth base, "patches" 3x3 constant tiles, "two_levels" a random mix
+    of base and a depth up to 300 above, "fine_noise" base plus sub-mm
+    noise rounded to the integer grid. About 15% holes; the other
+    pixels get a random kept label, and a stray label other than None
+    goes to one more hole."""
+    if kind == "constant":
+        d = np.full((h, w), float(base))
+    elif kind == "patches":
+        tiles = rng.integers(1, 4000, (h // 3 + 1, w // 3 + 1)).astype(np.float64)
+        d = np.kron(tiles, np.ones((3, 3)))[:h, :w]
+    elif kind == "two_levels":
+        d = np.where(rng.random((h, w)) < 0.5, base, base + int(rng.integers(1, 300)))
+    else:
+        d = np.clip(np.rint(base + rng.normal(0.0, 0.6, (h, w))), HOLE, 65535)
+    d = d.astype(np.float64)
+    d[rng.random((h, w)) < 0.15] = HOLE
+    labels = np.where(rng.random((h, w)) < 0.4, NONHOLE_EDGE, NONHOLE_NONEDGE).astype(np.uint8)
+    labels[d == HOLE] = 2
+    if stray is not None:
+        y, x = int(rng.integers(0, h)), int(rng.integers(0, w))
+        d[y, x] = HOLE
+        labels[y, x] = stray
+    guide = ColorImage(rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
+    theta = rng.uniform(-np.pi / 2, np.pi / 2, (h, w))
+    return DepthMap(d), guide, labels, EdgeMap(labels == NONHOLE_EDGE, theta)
+
+
+def tracked_filter_non_hole(depth, guide, labels, edges, params, isotropic_only):
+    """filter_non_hole composed from tracked window_sums runs on the
+    float depth, every quotient clamped; also returns how many kept
+    outputs the clamp moved."""
+    d = depth.samples
+    h = d.shape[0]
+    validf = (d != HOLE).astype(np.float64)
+    planes = guide_planes(guide)
+
+    def run(targets, **flavor):
+        acc = WindowSums(d.shape if targets is None else targets.shape)
+        window_sums(d, validf, planes, params, acc, 0, h, targets=targets, **flavor)
+        raw = np.divide(acc.num, acc.den, out=np.zeros_like(acc.num), where=acc.den > 0)
+        return acc.normalized(), raw
+
+    if isotropic_only:
+        kept = labels <= NONHOLE_EDGE
+        vals, raw = run(None, iso_sigma=params.sigma_s)
+        return np.where(kept, vals, d), int(np.count_nonzero(kept & (vals != raw)))
+    kept = labels == NONHOLE_NONEDGE
+    edge_px = np.flatnonzero(labels == NONHOLE_EDGE)
+    tri, tri_raw = run(None, iso_sigma=params.sigma_s, depth_sigma=params.sigma_r_depth)
+    dire, dire_raw = run(edge_px, cos_t=np.cos(edges.theta), sin_t=np.sin(edges.theta))
+    out = np.where(kept, tri, d)
+    out.flat[edge_px] = dire
+    return out, int(np.count_nonzero(kept & (tri != tri_raw)) + np.count_nonzero(dire != dire_raw))
+
+
+CLAMP_KINDS = ["constant", "patches", "two_levels", "fine_noise"]
+
+
+STRAYS = [None, NONHOLE_NONEDGE, NONHOLE_EDGE]
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=st.integers(1, 12), w=st.integers(1, 12), kind=st.sampled_from(CLAMP_KINDS),
+       base=st.integers(1, 65235), radius=st.integers(1, 3),
+       sigma_r_depth=st.sampled_from([0.05, 0.3, 30.0]), sigma_y=st.sampled_from([0.05, 1.5]),
+       isotropic_only=st.booleans(), threads=st.integers(1, 3),
+       stray=st.sampled_from(STRAYS), seed=st.integers(0, 2**32 - 1), pinned=st.just(False))
+@example(h=12, w=12, kind="constant", base=1500, radius=2, sigma_r_depth=30.0,
+         sigma_y=1.5, isotropic_only=False, threads=1, stray=None, seed=0, pinned=True)
+@example(h=12, w=11, kind="patches", base=1, radius=1, sigma_r_depth=0.05,
+         sigma_y=0.05, isotropic_only=False, threads=2, stray=None, seed=0, pinned=True)
+@example(h=10, w=12, kind="fine_noise", base=65000, radius=3, sigma_r_depth=0.3,
+         sigma_y=1.5, isotropic_only=True, threads=3, stray=None, seed=1, pinned=True)
+@example(h=12, w=12, kind="two_levels", base=700, radius=2, sigma_r_depth=0.3,
+         sigma_y=0.05, isotropic_only=False, threads=2, stray=NONHOLE_EDGE, seed=0,
+         pinned=True)
+@example(h=9, w=9, kind="constant", base=1140, radius=2, sigma_r_depth=30.0,
+         sigma_y=1.5, isotropic_only=False, threads=1, stray=NONHOLE_NONEDGE, seed=0,
+         pinned=True)
+def test_deferred_clamp_matches_the_tracked_engine(h, w, kind, base, radius, sigma_r_depth,
+                                                   sigma_y, isotropic_only, threads, stray,
+                                                   seed, pinned):
+    """On integer frames built to provoke the clamp, filter_non_hole
+    (untracked passes on uint16 depth, then a tracked re-run of the
+    suspects) gives the bits of tracked runs on float depth, for the
+    trilateral, directional and isotropic-only passes at 1-3 threads,
+    also when a kept label sits on a hole. The pinned examples are
+    frames where the clamp does move some kept quotient. In the last
+    one a trilateral label sits on a hole amid depth 1140, 38 depth
+    sigmas from the hole's 0, so every weight that hole gets is
+    subnormal."""
+    rng = np.random.default_rng(seed)
+    depth, guide, labels, edges = clamp_prone_case(rng, h, w, kind, base, stray)
+    params = replace(PARAMS, window_radius=radius, sigma_r_depth=sigma_r_depth,
+                     sigma_y=sigma_y)
+    want, moved = tracked_filter_non_hole(depth, guide, labels, edges, params, isotropic_only)
+    got = filter_non_hole(depth, guide, labels, edges, params, threads=threads,
+                          isotropic_only=isotropic_only)
+    assert np.array_equal(got.samples, want)
+    if pinned:
+        assert moved > 0
+        assert stray is None or np.any((depth.samples == HOLE) & (labels <= NONHOLE_EDGE))
+
+
+@pytest.mark.parametrize("isotropic_only", [False, True])
+def test_non_integer_depth_keeps_the_tracked_bits(isotropic_only):
+    """Depth with a fractional sample runs tracked on float depth, as
+    before the deferred clamp: the same bits, on a frame where the
+    clamp moves some quotient."""
+    rng = np.random.default_rng(0)
+    depth, guide, labels, edges = clamp_prone_case(rng, 12, 12, "constant", 1500, None)
+    d = depth.samples.copy()
+    d[d != HOLE] += 0.25
+    depth = DepthMap(d)
+    want, moved = tracked_filter_non_hole(depth, guide, labels, edges, PARAMS, isotropic_only)
+    assert moved > 0
+    got = filter_non_hole(depth, guide, labels, edges, PARAMS, isotropic_only=isotropic_only)
+    assert np.array_equal(got.samples, want)
 
 
 def test_restore_bytes_do_not_depend_on_block_size(monkeypatch):

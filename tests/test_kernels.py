@@ -13,7 +13,7 @@ from depthrestore import (
     dgf_weight,
     spatial_weight,
 )
-from depthrestore.kernels import color_range_table
+from depthrestore.kernels import color_range_table, depth_range_table
 
 MAX_DIST2 = 3 * 255 * 255
 
@@ -178,6 +178,31 @@ def test_depth_range_weight_on_arrays_leaves_its_inputs():
     assert isinstance(depth_range_weight(1000.0, 1060.0, 30.0), float)
 
 
+@pytest.mark.parametrize("s", [0.3, 30.0, 1e5, 1e9])
+def test_depth_range_table_is_the_kernel_bit_for_bit(s):
+    """Entry k of the table is depth_range_weight of the depth pair
+    (k, 0) and of (0, k), exactly, for every difference of two uint16
+    depths; at the 1e9 cap every entry is the kernel's exact 1.0."""
+    table = depth_range_table(s, 65536)
+    assert table.shape == (65536,) and table.dtype == np.float64
+    k = np.arange(65536, dtype=np.float64)
+    zero = np.zeros_like(k)
+    assert np.array_equal(table, np.broadcast_to(depth_range_weight(k, zero, s), k.shape))
+    assert np.array_equal(table, np.broadcast_to(depth_range_weight(zero, k, s), k.shape))
+    for j in (0, 1, 2, 29, 30, 31, 1000, 65535):
+        assert table[j] == depth_range_weight(float(j), 0.0, s)
+        assert table[j] == depth_range_weight(0.0, float(j), s)
+
+
+def test_depth_range_table_is_cached_read_only_and_sized():
+    table = depth_range_table(30.0, 4096)
+    assert depth_range_table(30.0, 4096) is table
+    assert table.shape == (4096,)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0.5
+
+
 def test_params_validation():
     KernelParams().validate()
     with pytest.raises(ContractViolation):
@@ -191,6 +216,19 @@ def test_params_validation():
     for bad in (True, 3.0, 2.5, "3", None):
         with pytest.raises(ContractViolation):
             KernelParams(window_radius=bad).validate()
+
+
+@pytest.mark.parametrize("name", ["sigma_s", "sigma_r_color", "sigma_r_depth",
+                                  "sigma_x", "sigma_y"])
+def test_sigmas_must_be_real_numbers(name):
+    """A bool or a string in a width fails validation instead of running
+    as 1.0 or escaping as a TypeError; ints and numpy floats are fine."""
+    for bad in (True, False, "25", None, 2 + 0j):
+        with pytest.raises(ContractViolation):
+            KernelParams(**{name: bad}).validate()
+    good = {"sigma_x": 9, "sigma_y": 1} if name in ("sigma_x", "sigma_y") else {name: 7}
+    KernelParams(**good).validate()
+    KernelParams(**{name: np.float64(getattr(KernelParams(), name))}).validate()
 
 
 def test_default_params_are_the_published_ones():

@@ -226,6 +226,16 @@ def test_config_validation_errors():
     PipelineConfig().validate()
 
 
+def test_edge_threshold_must_be_a_real_number():
+    """A bool or a string edge threshold fails validation instead of
+    running as 1.0 or escaping as a TypeError."""
+    for bad in (True, False, "100", None):
+        with pytest.raises(ContractViolation):
+            PipelineConfig(edge_threshold=bad).validate()
+    PipelineConfig(edge_threshold=50).validate()
+    PipelineConfig(edge_threshold=np.float64(50.0)).validate()
+
+
 def test_threads_must_be_a_plain_int():
     for bad in (True, False, 2.0, "2", None):
         with pytest.raises(ContractViolation):
