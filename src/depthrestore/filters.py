@@ -11,7 +11,7 @@ offset, weighs and accumulates a whole set of output pixels at once.
 Each of its four weight terms comes from kernels.py (spatial_weight
 or rotated_weight, color_range_table, depth_range_table or
 depth_range_weight), so every formula is written once, and the *_pixel
-functions run the engine with their pixel as the one target.
+functions run the engine on their pixel as a 1x1 frame.
 
 The color term is a lookup, not an evaluation. The guide reaches the
 engine as a uint8 stack (guide_planes), so the squared RGB distance is
@@ -31,39 +31,43 @@ for every |dp - dq|. Float depth still runs depth_range_weight.
 tests/oracles.py holds the float64 body as ref_window_sums, and a
 hypothesis test pins the engine to it.
 
-One body weighs and accumulates, on arrays from one of two addressings:
+Every frame the engine reads comes padded by r = window_radius on
+every side (pad, guide_planes): depth 0, color 0 and validity 0.0, the
+constant_exterior boundary of Halide (Ragan-Kelley et al., PLDI 2013).
+Every weight is finite, so an exterior source weighs exactly +0.0, and
+adding +0.0 to sums that are never below +0.0 leaves their bits: no
+offset needs to know where the image ends. One body weighs and
+accumulates, on arrays from one of two addressings:
 
-* Slice addressing, for every pixel of a row band: an offset is two
-  views of the same arrays, clipped to the image (a clamped window,
-  as in preprocessing). The dense trilateral pass and the isotropic
-  ablation use it; views are free, and gathers there measured 2x slower.
+* Slice addressing, for every pixel of a row band: an offset is one
+  fixed-shape view of each padded frame. The dense trilateral pass and
+  the isotropic ablation use it; views are free, and gathers there
+  measured 2x slower.
 
 * Gather addressing, for a sorted set of flat target indices: the
   directional pass on nonhole_edge pixels, and each fill pass on the
   holes with a valid pixel in reach (the narrow band of Telea's 2004
-  fast-marching inpainting). Sources are gathered by flat index; an
-  out-of-image source reads the target itself with validity 0.0, so it
-  adds exactly +0.0 where slice addressing skips it: same bits.
+  fast-marching inpainting). A block maps its targets to padded flat
+  indices once and gathers each offset's sources at one fixed shift.
 
 Either way a call walks its band in blocks of at most BLOCK_PX output
 pixels (whole rows for slices, consecutive targets for gathers) and
 runs every offset on one block before the next, so the per-offset
 temporaries stay cache-sized instead of spanning the band: at VGA a
 band-wide temporary is 2.4 MB, a block's is 256 KiB. This is the
-tile-at-a-time schedule Halide (Ragan-Kelley et al., PLDI 2013)
-applies to stencils. It cannot change a bit: each output pixel's sums
-run over its own window in the same offset order whatever block holds
-it, which is also why row banding cannot.
+tile-at-a-time schedule Halide applies to stencils. It cannot change a
+bit: each output pixel's sums run over its own window in the same
+offset order whatever block holds it, which is also why row banding
+cannot.
 
 Two accumulation details are deliberate and load-bearing:
 
 * Within each window row, the two contributions at columns -dx and +dx
-  are multiplied out separately and added to each other in a pair
-  buffer before joining the running sums (dx = 0 goes through the
-  same buffer alone). A horizontal mirror of all inputs swaps the two
-  addends of that pair, and float addition of two terms is exactly
-  commutative, so mirrored inputs produce exactly mirrored outputs
-  instead of drifting by rounding.
+  are multiplied out separately and summed, w1 + w2, before joining
+  the running sums (dx = 0 joins alone). A horizontal mirror of all
+  inputs swaps the two addends, and float addition of two terms is
+  exactly commutative, so mirrored inputs produce exactly mirrored
+  outputs instead of drifting by rounding.
 
 * The raw quotient num/den can overshoot the contributor range by an
   ulp, so a tracked WindowSums keeps the min and max contributing
@@ -98,6 +102,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -144,32 +149,23 @@ def _check_non_hole(depth: DepthMap, y: int, x: int, op: str) -> None:
 
 def _filter_at(p, depth: DepthMap, guide: ColorImage, params: KernelParams,
                valid=None, theta=None, **flavor) -> FilterOutcome:
-    """Run window_sums with p as the one target, on the clamped window
-    around it.
-
-    Depth, validity and guide are cropped to the window; the
-    directional flavor takes theta's cos and sin as scalars. The crop
-    gives the same bits as a whole-image run: p reads only sources
-    inside its window, and an offset leaves the crop exactly when it
-    leaves the image. valid of None means every non-hole pixel is a
-    source.
-    """
+    """Run window_sums on p as a 1x1 frame padded by r: the (2r+1)**2
+    crop of the padded frames around p, which reads the sources of a
+    whole-image run and so gives its bits. The directional flavor takes
+    theta's cos and sin as scalars; valid of None means every non-hole
+    pixel is a source. Each call pads the whole frame."""
     y, x = p
-    h, w = depth.samples.shape
     r = params.window_radius
-    y0 = max(0, y - r)
-    x0 = max(0, x - r)
-    win = (slice(y0, min(h, y + r + 1)), slice(x0, min(w, x + r + 1)))
-    d = depth.samples[win]
-    usable = d != HOLE if valid is None else valid[win]
+    win = (Ellipsis, slice(y, y + 2 * r + 1), slice(x, x + 2 * r + 1))
+    usable = depth.samples != HOLE if valid is None else valid
     if theta is not None:
         flavor["cos_t"] = np.cos(theta)
         flavor["sin_t"] = np.sin(theta)
-    acc = WindowSums(1)
-    window_sums(d, usable.astype(np.float64), guide_planes(ColorImage(guide.samples[win])),
-                params, acc, 0, d.shape[0],
-                targets=np.array([(y - y0) * d.shape[1] + x - x0]), **flavor)
-    return FilterOutcome(float(acc.normalized()[0]), float(acc.den[0]), int(acc.cnt[0]))
+    acc = WindowSums((1, 1))
+    window_sums(pad(depth.samples, r)[win], pad(usable, r, np.float64)[win],
+                guide_planes(guide, r)[win], params, acc, 0, 1, **flavor)
+    return FilterOutcome(float(acc.normalized()[0, 0]), float(acc.den[0, 0]),
+                         int(acc.cnt[0, 0]))
 
 
 def jbf_pixel(p, depth: DepthMap, guide: ColorImage, params: KernelParams) -> FilterOutcome:
@@ -250,145 +246,141 @@ class WindowSums:
 def window_sums(depth: np.ndarray, validf: np.ndarray, planes, params: KernelParams,
                 acc: WindowSums, row0: int, row1: int, *, iso_sigma=None,
                 cos_t=None, sin_t=None, depth_sigma=None, targets=None) -> None:
-    """Accumulate filter sums for output rows [row0, row1).
-
-    One call covers one kernel flavor:
+    """Accumulate filter sums for output rows [row0, row1) of an h x w
+    frame, whose depth, validf (1.0 where the source is usable, else
+    0.0) and uint8 guide planes come padded by r = params.window_radius
+    (pad, guide_planes). The pad's validity must be 0.0; its depth and
+    color may be any finite values, for uint16 depth up to the interior
+    maximum. One call covers one kernel flavor:
       iso_sigma set           isotropic spatial term
-      cos_t/sin_t set         directional term with a per-pixel (h, w)
-                              or one scalar angle, widths
-                              params.sigma_x / params.sigma_y
+      cos_t/sin_t set         directional term, widths params.sigma_x /
+                              params.sigma_y, at one scalar angle or
+                              one per output: (h, w) for a dense call,
+                              one per target for a target-set call
       depth_sigma set         additional depth range term
-    planes is the (3, h, w) uint8 guide stack from guide_planes.
-    Weights are gated by validf (1.0 where the source is usable, else
-    0.0). A uint16 depth reads the depth term from depth_range_table,
-    a float one evaluates depth_range_weight; both give the same bits
-    on integer values. An untracked acc gets num and den only.
+    A uint16 depth reads the depth term from depth_range_table, a float
+    one evaluates depth_range_weight; both give the same bits on
+    integer values. An untracked acc gets num and den only.
 
     targets of None evaluates every pixel of the band into (h, w)
     grids; else only the band's pixels among the sorted flat indices
     targets (y * w + x), into one acc entry per target. acc is written
     in place, only for the band, so concurrent calls on disjoint bands
-    are safe. Sources are read from the whole image; neither banding
+    are safe. Sources are read from the whole frame; neither banding
     nor the target set changes a single output bit, and neither does the
     split into blocks of BLOCK_PX.
     """
+    r = params.window_radius
     table = color_range_table(params.sigma_r_color)
     track = acc.cmin is not None
     dtable = None
     if depth_sigma is not None and depth.dtype == np.uint16:
         dtable = depth_range_table(depth_sigma, int(depth.max()) + 1)
-    for shape, groups in _blocks(depth.shape, params.window_radius, row0, row1,
-                                 validf, (planes, depth, cos_t, sin_t), targets):
-        pair_num = np.empty(shape)
-        pair_den = np.empty(shape)
-        for dy, flush, rows, sides in groups:
-            pair_num[rows] = 0.0
-            pair_den[rows] = 0.0
-            for dx, (cpl, cd, cc, cs), (spl, dq), gate, out, local in sides:
-                dist2 = np.subtract(cpl, spl, dtype=np.int32)
-                dist2 *= dist2
-                dist2[0] += dist2[1]
-                dist2[0] += dist2[2]
-                wgt = table.take(dist2[0])
-                if iso_sigma is not None:
-                    wgt *= spatial_weight(dx, dy, iso_sigma)
+    for out, at in _blocks(r, row0, row1, (planes, depth, validf), targets):
+        cpl, cd, _ = at(0, 0)
+        cc, cs = (a if _scalar(a) else a[out] for a in (cos_t, sin_t))
+        for dy in range(-r, r + 1):
+            for adx in range(r + 1):
+                sides = []
+                for dx in (-adx, adx) if adx else (0,):
+                    spl, dq, gate = at(dy, dx)
+                    dist2 = np.subtract(cpl, spl, dtype=np.int32)
+                    dist2 *= dist2
+                    dist2[0] += dist2[1]
+                    dist2[0] += dist2[2]
+                    wgt = table.take(dist2[0])
+                    if iso_sigma is not None:
+                        wgt *= spatial_weight(dx, dy, iso_sigma)
+                    else:
+                        wgt *= rotated_weight(dx, dy, cc, cs, params.sigma_x, params.sigma_y)
+                    if dtable is not None:
+                        diff = np.subtract(cd, dq, dtype=np.int32)
+                        wgt *= dtable.take(np.abs(diff, out=diff))
+                    elif depth_sigma is not None:
+                        wgt *= depth_range_weight(cd, dq, depth_sigma)
+                    wgt *= gate
+                    if track:
+                        contrib = wgt > 0
+                        acc.cnt[out] += contrib
+                        tracked = np.where(contrib, dq, np.nan)
+                        np.fmin(acc.cmin[out], tracked, out=acc.cmin[out])
+                        np.fmax(acc.cmax[out], tracked, out=acc.cmax[out])
+                    sides.append((wgt, dq))
+                wgt, dq = sides[0]
+                if adx:
+                    w2, d2 = sides[1]
+                    acc.den[out] += wgt + w2
+                    wgt *= dq
+                    w2 *= d2
+                    wgt += w2
                 else:
-                    wgt *= rotated_weight(dx, dy, cc, cs, params.sigma_x, params.sigma_y)
-                if dtable is not None:
-                    diff = np.subtract(cd, dq, dtype=np.int32)
-                    wgt *= dtable.take(np.abs(diff, out=diff))
-                elif depth_sigma is not None:
-                    wgt *= depth_range_weight(cd, dq, depth_sigma)
-                wgt *= gate
-                pair_den[local] += wgt
-                if track:
-                    contrib = wgt > 0
-                    acc.cnt[out] += contrib
-                    tracked = np.where(contrib, dq, np.nan)
-                    np.fmin(acc.cmin[out], tracked, out=acc.cmin[out])
-                    np.fmax(acc.cmax[out], tracked, out=acc.cmax[out])
-                wgt *= dq
-                pair_num[local] += wgt
-            acc.num[flush] += pair_num[rows]
-            acc.den[flush] += pair_den[rows]
+                    acc.den[out] += wgt
+                    wgt *= dq
+                acc.num[out] += wgt
 
 
-def _blocks(shape, r, row0, row1, validf, frames, targets):
+def _blocks(r, row0, row1, frames, targets):
     """Split rows [row0, row1) into blocks of at most BLOCK_PX output
     pixels: whole rows for slice addressing, consecutive targets for
-    gather addressing. Yields each block's pair-buffer shape and groups."""
-    h, w = shape
+    gather addressing. Yields each block's acc slice and at(dy, dx),
+    which returns the frames at offset (dy, dx) of the block's outputs."""
+    w = frames[-1].shape[1] - 2 * r
     if targets is None:
         step = max(1, BLOCK_PX // w)
         for b0 in range(row0, row1, step):
             b1 = min(b0 + step, row1)
-            yield (b1 - b0, w), _slice_groups(h, w, r, b0, b1, validf, frames)
+            yield slice(b0, b1), partial(_rows_at, frames, r, w, b0, b1)
     else:
+        wp = w + 2 * r
+        flat = [a.reshape(a.shape[:-2] + (-1,)) for a in frames]
         i0, i1 = np.searchsorted(targets, (row0 * w, row1 * w))
         for j0 in range(i0, i1, BLOCK_PX):
             j1 = min(j0 + BLOCK_PX, i1)
-            yield (j1 - j0,), _gather_groups(h, w, r, targets[j0:j1], slice(j0, j1),
-                                             validf, frames)
+            t = targets[j0:j1]
+            tp = t + (t // w) * (2 * r) + r * (wp + 1)  # (y + r) * wp + x + r
+            yield slice(j0, j1), partial(_flat_at, flat, tp, wp)
+
+
+def _rows_at(frames, r, w, b0, b1, dy, dx):
+    """Slice addressing: the frames at offset (dy, dx) of rows [b0, b1), as views."""
+    index = (Ellipsis, slice(r + b0 + dy, r + b1 + dy), slice(r + dx, r + dx + w))
+    return [a[index] for a in frames]
+
+
+def _flat_at(flat, tp, wp, dy, dx):
+    """Gather addressing: the flat frames at offset (dy, dx) of padded flat indices tp."""
+    return [a.take(tp + (dy * wp + dx), axis=-1) for a in flat]
 
 
 def _scalar(a):
-    """True for a missing frame or a 0-d one (one angle for the call),
-    which every addressing passes through as it is."""
+    """True for a missing angle or a 0-d one (one angle for the call)."""
     return a is None or np.ndim(a) == 0
 
 
-def _cut(a, index):
-    return a if _scalar(a) else a[(Ellipsis,) + index]
+def pad(a, r, dtype=None):
+    """a with r zeros on every side of its last two axes, as a new
+    C-contiguous array of dtype (default a's): the frame layout
+    window_sums reads, in which every exterior source weighs +0.0."""
+    h, w = a.shape[-2:]
+    out = np.zeros(a.shape[:-2] + (h + 2 * r, w + 2 * r), dtype or a.dtype)
+    out[..., r:r + h, r:r + w] = a
+    return out
 
 
-def _slice_groups(h, w, r, row0, row1, validf, frames):
-    """Slice addressing for rows [row0, row1): per window row dy and
-    column distance adx, the acc rows, pair-buffer rows and -dx/+dx sides."""
-    for dy in range(-r, r + 1):
-        a0 = max(0, -dy, row0)
-        a1 = min(h - max(0, dy), row1)
-        if a0 >= a1:
-            continue
-        rows = slice(a0 - row0, a1 - row0)
-        for adx in range(min(r, w - 1) + 1):
-            sides = []
-            for dx in (-adx, adx) if adx else (0,):
-                cols = slice(max(0, -dx), w - max(0, dx))
-                dst = (slice(a0, a1), cols)
-                src = (slice(a0 + dy, a1 + dy), slice(cols.start + dx, cols.stop + dx))
-                sides.append((dx, [_cut(a, dst) for a in frames],
-                              [_cut(a, src) for a in frames[:2]], validf[src], dst, (rows, cols)))
-            yield dy, slice(a0, a1), rows, sides
+def interior(a, r):
+    """The image inside a frame padded by r, as a view."""
+    return a[..., r:a.shape[-2] - r, r:a.shape[-1] - r]
 
 
-def _gather_groups(h, w, r, t, out, validf, frames):
-    """Gather addressing for flat indices t, into acc[out]; as
-    _slice_groups, with centers gathered once and sources per offset."""
-    flat = [a if _scalar(a) else a.reshape(a.shape[:-2] + (-1,)) for a in frames]
-    ctr = [a if _scalar(a) else a.take(t, axis=-1) for a in flat]
-    validf = validf.reshape(-1)
-    ty, tx = np.divmod(t, w)
-    for dy in range(-r, r + 1):
-        row_in = (ty >= -dy) & (ty < h - dy)
-        for adx in range(min(r, w - 1) + 1):
-            sides = []
-            for dx in (-adx, adx) if adx else (0,):
-                inside = row_in & (tx >= -dx) & (tx < w - dx)
-                src = np.where(inside, t + (dy * w + dx), t)
-                sides.append((dx, ctr, [a.take(src, axis=-1) for a in flat[:2]],
-                              np.where(inside, validf[src], 0.0), out, slice(None)))
-            yield dy, out, slice(None), sides
-
-
-def guide_planes(guide: ColorImage) -> np.ndarray:
-    """The guide as one C-contiguous (3, h, w) uint8 stack of channel
-    planes for window_sums, so each plane's rows are contiguous.
+def guide_planes(guide: ColorImage, r: int) -> np.ndarray:
+    """The guide as one (3, h + 2r, w + 2r) uint8 stack of channel
+    planes padded by r (pad), so each plane's rows are contiguous.
 
     It stays uint8 because window_sums takes the squared color
     distance in int32, which is exact, and looks the weight up in
     kernels.color_range_table; a float64 stack would be 8x the memory
     and every distance a float pass."""
-    return np.ascontiguousarray(np.moveaxis(guide.samples, -1, 0))
+    return pad(np.moveaxis(guide.samples, -1, 0), r)
 
 
 def row_bands(height: int, workers: int):
@@ -447,7 +439,7 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
             f"depth {depth.samples.shape} and labels {labels.shape} differ in shape"
         )
     d = depth.samples
-    planes = guide_planes(guide)
+    planes = guide_planes(guide, params.window_radius)
 
     if isotropic_only:
         kept = labels <= NONHOLE_EDGE
@@ -457,9 +449,10 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
 
     kept = labels == NONHOLE_NONEDGE
     edge_px = np.flatnonzero(labels == NONHOLE_EDGE)
+    theta = edges.theta.flat[edge_px]
     tri, dire = _denoise(d, planes, params, threads, [
         (None, kept, {"iso_sigma": params.sigma_s, "depth_sigma": params.sigma_r_depth}),
-        (edge_px, None, {"cos_t": np.cos(edges.theta), "sin_t": np.sin(edges.theta)}),
+        (edge_px, None, {"cos_t": np.cos(theta), "sin_t": np.sin(theta)}),
     ])
     out = np.where(kept, tri, d)
     out.flat[edge_px] = dire
@@ -470,21 +463,23 @@ def _denoise(d, planes, params, threads, passes):
     """Run filter_non_hole's passes over depth d in one set of row bands
     and return each pass's clamped weighted averages.
 
-    A pass is (targets, kept, flavor): the window_sums target set (None
-    for every pixel), the (h, w) mask of outputs the caller keeps (None
-    for every target) and the flavor keywords. On integer depth the
-    passes run untracked on a uint16 copy, and only the suspects among
-    the kept outputs (see the module doc for the bound) run again,
-    tracked, to be clamped; depth that is not integer-valued runs
-    tracked throughout. Integrality is decided here, once per frame.
+    planes is the padded guide. A pass is (targets, kept, flavor): the
+    window_sums target set (None for every pixel), the (h, w) mask of
+    outputs the caller keeps (None for every target) and the flavor
+    keywords. On integer depth the passes run untracked on a uint16
+    copy, and only the suspects among the kept outputs (see the module
+    doc for the bound) run again, tracked, to be clamped; other depth
+    runs tracked throughout. Integrality is decided here, once per
+    frame, and each padded frame is built once for all the runs.
     """
     h = d.shape[0]
-    validf = (d != HOLE).astype(np.float64)
+    r = params.window_radius
+    validf = pad(d != HOLE, r, np.float64)
     # DepthMap holds [0, 65535], so the copy is exact where d is integer.
-    src = d.astype(np.uint16)
-    integer = np.array_equal(src, d)
+    src = pad(d, r, np.uint16)
+    integer = np.array_equal(interior(src, r), d)
     if not integer:
-        src = d
+        src = pad(d, r)
     accs = [WindowSums(d.shape if t is None else t.shape, track=not integer)
             for t, _, _ in passes]
 
@@ -497,19 +492,21 @@ def _denoise(d, planes, params, threads, passes):
     accs.clear()  # free num and den before the suspect test's temporaries
     if not integer:
         return results
-    tol = 4 * (2 * params.window_radius + 1) ** 2 * EPS
+    tol = 4 * (2 * r + 1) ** 2 * EPS
     for q, (targets, kept, flavor) in zip(results, passes):
         q = q.reshape(-1)
         off = np.rint(q)
         off -= q
         np.abs(off, out=off)
         suspect = off <= q * tol
-        suspect |= (validf.reshape(-1) if targets is None else validf.flat[targets]) == 0.0
+        suspect |= (d.reshape(-1) if targets is None else d.flat[targets]) == HOLE
         if kept is not None:
             suspect &= kept.reshape(-1)
         at = np.flatnonzero(suspect)
         if at.size:
             fix = WindowSums(at.shape)
+            # A per-output angle follows its outputs into the re-run.
+            flavor = {k: v if _scalar(v) else v.reshape(-1)[at] for k, v in flavor.items()}
             window_sums(src, validf, planes, params, fix, 0, h,
                         targets=at if targets is None else targets[at], **flavor)
             q[at] = fix.normalized()

@@ -43,7 +43,8 @@ from .edge_analysis import (
     sobel_gradients,
 )
 from .filters import (
-    WindowSums, available_cpus, filter_non_hole, guide_planes, run_banded, window_sums)
+    WindowSums, available_cpus, filter_non_hole, guide_planes, interior, pad, run_banded,
+    window_sums)
 from .kernels import KernelParams
 
 DEFAULT_EDGE_THRESHOLD = 100.0
@@ -142,39 +143,39 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
     `filtered` must already have its non-hole pixels denoised; they are
     the seed values the fill grows from. Returns the completed map and
     the run report. Passes are counted across both phases against
-    cfg.max_fill_passes.
+    cfg.max_fill_passes. The padded depth and validity frames are built
+    once, and each pass writes its fills into their interiors.
     """
     if filtered.samples.shape != labels.shape:
         raise ContractViolation(
             f"depth {filtered.samples.shape} and labels {labels.shape} differ in shape"
         )
-    work = filtered.samples.copy()
-    h = work.shape[0]
-    valid = labels <= NONHOLE_EDGE
-    planes = guide_planes(guide)
+    h = labels.shape[0]
     params = cfg.kernel
+    r = params.window_radius
+    valid = labels <= NONHOLE_EDGE
+    work = pad(filtered.samples, r)
+    validf = pad(valid, r, np.float64)
+    planes = guide_planes(guide, r)
     threads = _resolve_threads(cfg.threads)
 
-    iso = (replace(params, sigma_x=params.sigma_s, sigma_y=params.sigma_s), 1.0, 0.0)
-    if cfg.isotropic_only:
-        steered = iso
-    else:
-        fill_theta = nearest_edge_theta(edges, cfg.effective_r_edge())
-        steered = (params, np.cos(fill_theta), np.sin(fill_theta))
+    iso = (replace(params, sigma_x=params.sigma_s, sigma_y=params.sigma_s), None)
+    steered = iso if cfg.isotropic_only else (
+        params, nearest_edge_theta(edges, cfg.effective_r_edge()))
     phases = [(HOLE_NONEDGE, *iso), (HOLE_EDGE, *steered)]
 
     holes_initial = int(np.count_nonzero(labels >= HOLE_NONEDGE))
     passes = 0
     filled = 0
-    for label, p_params, cos_t, sin_t in phases:
+    for label, p_params, theta in phases:
         remaining = (labels == label) & ~valid
         while remaining.any() and passes < cfg.max_fill_passes:
             passes += 1
             # Only a pixel with a valid pixel in its window can fill.
-            targets = np.flatnonzero(
-                remaining & chebyshev_dilate(valid, p_params.window_radius))
+            targets = np.flatnonzero(remaining & chebyshev_dilate(valid, r))
             acc = WindowSums(targets.shape)
-            validf = valid.astype(np.float64)
+            at = None if theta is None else theta.flat[targets]
+            cos_t, sin_t = (1.0, 0.0) if at is None else (np.cos(at), np.sin(at))
             run_banded(h, threads, lambda r0, r1: window_sums(
                 work, validf, planes, p_params, acc, r0, r1,
                 cos_t=cos_t, sin_t=sin_t, targets=targets))
@@ -182,7 +183,8 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
             if not got.any():
                 break
             fillable = targets[got]
-            work.flat[fillable] = acc.normalized()[got]
+            interior(work, r).flat[fillable] = acc.normalized()[got]
+            interior(validf, r).flat[fillable] = 1.0
             valid.flat[fillable] = True
             remaining.flat[fillable] = False
             filled += fillable.size
@@ -194,7 +196,7 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
         fill_passes_used=passes,
         region_counts=label_counts(labels),
     )
-    return DepthMap(work), report
+    return DepthMap(np.ascontiguousarray(interior(work, r))), report
 
 
 def restore(depth: DepthMap, guide: ColorImage,

@@ -44,7 +44,7 @@ from depthrestore import (
 from depthrestore.cli import main
 from depthrestore.edge_analysis import EdgeMap
 from depthrestore.evaluate import discontinuity_mask
-from depthrestore.filters import WindowSums, guide_planes, window_sums
+from depthrestore.filters import WindowSums, guide_planes, pad, window_sums
 from depthrestore.image_model import HOLE
 from depthrestore.preprocess import chebyshev_dilate
 
@@ -84,8 +84,10 @@ def random_filter_instance(seed):
 def engine_maps(depth, guide, theta, params):
     """All three engine modes over the full image, normalized."""
     d = depth.samples
-    validf = (d != HOLE).astype(np.float64)
-    planes = guide_planes(guide)
+    r = params.window_radius
+    padded = pad(d, r)
+    validf = pad(d != HOLE, r, np.float64)
+    planes = guide_planes(guide, r)
     out = {}
     for key, kwargs in (
         ("jbf", {"iso_sigma": params.sigma_s}),
@@ -93,7 +95,7 @@ def engine_maps(depth, guide, theta, params):
         ("dgf", {"cos_t": np.cos(theta), "sin_t": np.sin(theta)}),
     ):
         acc = WindowSums(d.shape)
-        window_sums(d, validf, planes, params, acc, 0, d.shape[0], **kwargs)
+        window_sums(padded, validf, planes, params, acc, 0, d.shape[0], **kwargs)
         out[key] = acc.normalized()
     return out
 

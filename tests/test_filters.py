@@ -28,6 +28,8 @@ from depthrestore.filters import (
     WindowSums,
     filter_non_hole,
     guide_planes,
+    interior,
+    pad,
     row_bands,
     window_sums,
 )
@@ -229,7 +231,8 @@ def engine_values(depth, guide, params, *, theta=None, iso=False, depth_term=Fal
                   valid=None):
     d = depth.samples
     h, w = d.shape
-    validf = (d != HOLE).astype(np.float64) if valid is None else valid.astype(np.float64)
+    r = params.window_radius
+    usable = d != HOLE if valid is None else valid
     acc = WindowSums((h, w))
     kwargs = {}
     if iso:
@@ -239,7 +242,8 @@ def engine_values(depth, guide, params, *, theta=None, iso=False, depth_term=Fal
         kwargs["sin_t"] = np.sin(theta)
     if depth_term:
         kwargs["depth_sigma"] = params.sigma_r_depth
-    window_sums(d, validf, guide_planes(guide), params, acc, 0, h, **kwargs)
+    window_sums(pad(d, r), pad(usable, r, np.float64), guide_planes(guide, r), params, acc,
+                0, h, **kwargs)
     return acc
 
 
@@ -275,13 +279,14 @@ def test_engine_reproduces_scalar_filters_bit_for_bit():
 def test_banded_run_is_bit_identical_to_whole_image():
     rng = np.random.default_rng(50)
     depth, guide, theta = random_instance(rng, shape=(16, 16))
-    d = depth.samples
-    validf = (d != HOLE).astype(np.float64)
-    planes = guide_planes(guide)
-    whole = WindowSums(d.shape)
+    r = PARAMS.window_radius
+    d = pad(depth.samples, r)
+    validf = pad(depth.samples != HOLE, r, np.float64)
+    planes = guide_planes(guide, r)
+    whole = WindowSums(depth.samples.shape)
     window_sums(d, validf, planes, PARAMS, whole, 0, 16,
                 iso_sigma=PARAMS.sigma_s, depth_sigma=PARAMS.sigma_r_depth)
-    split = WindowSums(d.shape)
+    split = WindowSums(depth.samples.shape)
     for r0, r1 in ((0, 1), (1, 6), (6, 13), (13, 16)):
         window_sums(d, validf, planes, PARAMS, split, r0, r1,
                     iso_sigma=PARAMS.sigma_s, depth_sigma=PARAMS.sigma_r_depth)
@@ -346,11 +351,12 @@ def test_mirrored_inputs_give_exactly_mirrored_output():
 
 def engine_case(rng, h, w, flavor, radius, integer=False):
     """A random h x w engine input: depth, source validity (holes and
-    20% more sources switched off), guide planes, params, and the
-    window_sums flavor keywords. With integer the depth is rounded and
-    handed over as uint16, so the engine reads its depth term from
-    depth_range_table; depth differences reach 2500, where the weight
-    underflows to 0."""
+    20% more sources switched off), guide planes, all three padded by
+    the radius as window_sums takes them, params, and the flavor
+    keywords of a dense run (at_targets gives a target-set run's). With
+    integer the depth is rounded and handed over as uint16, so the
+    engine reads its depth term from depth_range_table; depth
+    differences reach 2500, where the weight underflows to 0."""
     params = replace(PARAMS, window_radius=radius)
     depth, guide, theta = random_instance(rng, shape=(h, w), hole_fraction=0.3)
     d = depth.samples
@@ -362,7 +368,15 @@ def engine_case(rng, h, w, flavor, radius, integer=False):
         kwargs = {"iso_sigma": params.sigma_s}
     if flavor == "trilateral":
         kwargs["depth_sigma"] = params.sigma_r_depth
-    return d, validf, guide_planes(guide), params, kwargs
+    return pad(d, radius), pad(validf, radius), guide_planes(guide, radius), params, kwargs
+
+
+def at_targets(kwargs, targets):
+    """The flavor keywords for a run on targets: a per-pixel (h, w)
+    angle becomes one entry per target."""
+    if targets is None:
+        return kwargs
+    return {k: v.flat[targets] if np.ndim(v) == 2 else v for k, v in kwargs.items()}
 
 
 FLAVORS = ["isotropic", "trilateral", "directional"]
@@ -400,7 +414,8 @@ def test_gather_addressing_matches_slice_addressing(h, w, flavor, radius, densit
     window_sums(d, validf, planes, params, dense, 0, h, **kwargs)
     sparse = WindowSums(targets.shape, track)
     for r0, r1 in row_bands(h, bands):
-        window_sums(d, validf, planes, params, sparse, r0, r1, targets=targets, **kwargs)
+        window_sums(d, validf, planes, params, sparse, r0, r1, targets=targets,
+                    **at_targets(kwargs, targets))
     names = ("num", "den", "cnt", "cmin", "cmax") if track else ("num", "den")
     for name in names:
         assert np.array_equal(getattr(dense, name).flat[targets], getattr(sparse, name)), name
@@ -427,6 +442,7 @@ def test_block_size_never_changes_a_bit(h, w, flavor, radius, sparse, bands, tra
     rng = np.random.default_rng(seed)
     d, validf, planes, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
     targets = np.flatnonzero(rng.random((h, w)) < 0.5) if sparse else None
+    kwargs = at_targets(kwargs, targets)
 
     def run(block_px, track):
         acc = WindowSums((h, w) if targets is None else targets.shape, track)
@@ -483,15 +499,59 @@ def test_engine_matches_float64_reference_body(h, w, flavor, radius, sparse, ban
         x = int(rng.integers(0, max(1, w - 1)))
         colors[y, x] = 0
         colors[y + (w == 1), x + (w > 1)] = 255
-    want = ref_window_sums(d.astype(np.float64), validf, colors, params, **kwargs)
+    want = ref_window_sums(interior(d, radius).astype(np.float64), interior(validf, radius),
+                           colors, params, **kwargs)
     targets = np.flatnonzero(rng.random((h, w)) < 0.5) if sparse else None
     acc = WindowSums((h, w) if targets is None else targets.shape)
-    planes = guide_planes(ColorImage(colors))
+    planes = guide_planes(ColorImage(colors), radius)
     for r0, r1 in row_bands(h, bands):
-        window_sums(d, validf, planes, params, acc, r0, r1, targets=targets, **kwargs)
+        window_sums(d, validf, planes, params, acc, r0, r1, targets=targets,
+                    **at_targets(kwargs, targets))
     for name in ("num", "den", "cnt", "cmin", "cmax"):
         ref = want[name] if targets is None else want[name].flat[targets]
         assert np.array_equal(ref, getattr(acc, name)), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=st.integers(1, 9), w=st.integers(1, 9), flavor=st.sampled_from(FLAVORS),
+       radius=st.integers(1, 3), sparse=st.booleans(), track=st.booleans(),
+       integer=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(h=1, w=1, flavor="trilateral", radius=3, sparse=False, track=True, integer=True,
+         seed=11)
+@example(h=6, w=2, flavor="directional", radius=2, sparse=True, track=True, integer=False,
+         seed=12)
+@example(h=5, w=9, flavor="isotropic", radius=1, sparse=False, track=False, integer=False,
+         seed=13)
+def test_the_exterior_is_inert(h, w, flavor, radius, sparse, track, integer, seed):
+    """Validity 0.0 in the pad makes whatever depth and color it holds
+    add exactly nothing: with random finite depth (uint16 up to the
+    interior maximum, which the depth table reaches, or any float) and
+    random colors in the pad ring, num, den, cnt, cmin and cmax match
+    the zero pad's (num and den untracked), dense and on a target set,
+    for each flavor."""
+    rng = np.random.default_rng(seed)
+    d, validf, planes, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
+    ring = ~pad(np.ones((h, w), bool), radius)
+    n = int(np.count_nonzero(ring))
+    noisy_d = d.copy()
+    if integer:
+        noisy_d[ring] = rng.integers(0, int(d.max()) + 1, n)
+    else:
+        noisy_d[ring] = rng.uniform(-1e6, 1e6, n)
+    noisy_planes = planes.copy()
+    noisy_planes[:, ring] = rng.integers(0, 256, (3, n), dtype=np.uint8)
+    targets = np.flatnonzero(rng.random((h, w)) < 0.5) if sparse else None
+    kwargs = at_targets(kwargs, targets)
+
+    def run(depth, planes):
+        acc = WindowSums((h, w) if targets is None else targets.shape, track)
+        window_sums(depth, validf, planes, params, acc, 0, h, targets=targets, **kwargs)
+        return acc
+
+    zero, noisy = run(d, planes), run(noisy_d, noisy_planes)
+    names = ("num", "den", "cnt", "cmin", "cmax") if track else ("num", "den")
+    for name in names:
+        assert np.array_equal(getattr(zero, name), getattr(noisy, name)), name
 
 
 def clamp_prone_case(rng, h, w, kind, base, stray):
@@ -530,12 +590,15 @@ def tracked_filter_non_hole(depth, guide, labels, edges, params, isotropic_only)
     outputs the clamp moved."""
     d = depth.samples
     h = d.shape[0]
-    validf = (d != HOLE).astype(np.float64)
-    planes = guide_planes(guide)
+    r = params.window_radius
+    padded = pad(d, r)
+    validf = pad(d != HOLE, r, np.float64)
+    planes = guide_planes(guide, r)
 
     def run(targets, **flavor):
         acc = WindowSums(d.shape if targets is None else targets.shape)
-        window_sums(d, validf, planes, params, acc, 0, h, targets=targets, **flavor)
+        window_sums(padded, validf, planes, params, acc, 0, h, targets=targets,
+                    **at_targets(flavor, targets))
         raw = np.divide(acc.num, acc.den, out=np.zeros_like(acc.num), where=acc.den > 0)
         return acc.normalized(), raw
 

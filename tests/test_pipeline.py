@@ -3,6 +3,7 @@
 import concurrent.futures
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from depthrestore import (
     quantize,
     restore,
 )
+from depthrestore import pipeline
 from depthrestore.edge_analysis import EdgeMap
 from depthrestore.image_model import HOLE
 from depthrestore.pipeline import _resolve_threads
@@ -198,6 +200,37 @@ def test_restore_thread_count_never_changes_pixels():
     for threads in (2, 5, 0):
         again, _, _ = restore(DepthMap(a), guide, PipelineConfig(threads=threads))
         assert np.array_equal(base.samples, again.samples)
+
+
+def test_denoise_and_fill_peaks_stay_under_six_frames(monkeypatch):
+    """On a degraded 640x480 occluder, the traced peak of
+    filter_non_hole and of fill_holes, above the memory live when each
+    starts, is at most 6 float64 frames: each stage builds its padded
+    frames once, and takes the angles' cos and sin only at the
+    outputs that read them."""
+    clean, guide = make_scene("occluder", 640, 480)
+    depth = degrade(clean, DegradeSpec(20, 0.05, 2, seed=1))
+    frame = 640 * 480 * 8
+    peaks = {}
+
+    def measured(fn):
+        def run(*args, **kwargs):
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fn(*args, **kwargs)
+            peaks[fn.__name__] = (tracemalloc.get_traced_memory()[1] - live) / frame
+            return out
+        return run
+
+    for name in ("filter_non_hole", "fill_holes"):
+        monkeypatch.setattr(pipeline, name, measured(getattr(pipeline, name)))
+    tracemalloc.start()
+    try:
+        restore(depth, guide)
+    finally:
+        tracemalloc.stop()
+    assert set(peaks) == {"filter_non_hole", "fill_holes"}
+    assert max(peaks.values()) <= 6, peaks
 
 
 def test_report_lines_are_stable_and_complete():
