@@ -21,9 +21,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
-from .errors import ContractViolation, FormatError
+from .errors import ContractViolation, FormatError, require_real
 from .image_model import (
     DepthMap,
     load_color_ppm,
@@ -34,10 +34,10 @@ from .image_model import (
     to_grayscale,
 )
 from .edge_analysis import detect_edges, sobel_gradients, theta_to_units
-from .kernels import KernelParams
+from .kernels import SIGMA_DEPTH_INFINITE, KernelParams
 from .pipeline import DEFAULT_EDGE_THRESHOLD, PipelineConfig, restore
 from .preprocess import StructuringElement
-from .evaluate import SCENE_KINDS, DegradeSpec, compare, degrade, make_scene
+from .evaluate import DEFAULT_TAU, SCENE_KINDS, DegradeSpec, compare, degrade, make_scene
 
 DEGRADE_SCENE_SIZE = (160, 120)
 
@@ -55,7 +55,7 @@ _INT_KEYS = {k for k, v in _DEFAULTS.items() if type(v) is int} | {"r_edge"}
 _FLAG_HELP = (
     ("sigma_s", "isotropic spatial sigma, pixels"),
     ("sigma_r_color", "color range sigma, intensity units"),
-    ("sigma_r_depth", "depth range sigma, mm; >= 1e9 disables"),
+    ("sigma_r_depth", f"depth range sigma, mm; >= {SIGMA_DEPTH_INFINITE:g} disables"),
     ("sigma_x", "directional sigma along the edge, pixels"),
     ("sigma_y", "directional sigma across the edge, pixels"),
     ("window_radius", "filter window radius, pixels"),
@@ -150,12 +150,7 @@ def cmd_restore(args) -> int:
 
 
 def cmd_degrade(args) -> int:
-    spec = DegradeSpec(
-        noise_sigma=args.noise_sigma,
-        speckle_hole_fraction=args.speckle,
-        edge_hole_radius=args.edge_hole_radius,
-        seed=args.seed,
-    )
+    spec = DegradeSpec(**{f.name: getattr(args, f.name) for f in fields(DegradeSpec)})
     spec.validate()
     if (args.clean is None) == (args.scene is None):
         raise ContractViolation("give exactly one input: a clean PGM path or --scene")
@@ -173,8 +168,7 @@ def cmd_degrade(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.tau < 0:
-        raise ContractViolation(f"tau must be >= 0, got {args.tau}")
+    require_real("tau", args.tau, ge=0)
     ref = load_depth_pgm(args.ref)
     test = load_depth_pgm(args.test)
     report = compare(ref, test, tau=args.tau)
@@ -184,12 +178,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_edges(args) -> int:
-    threshold = args.edge_threshold
-    if not threshold > 0:
-        raise ContractViolation(f"edge threshold must be > 0, got {threshold}")
+    require_real("edge threshold", args.edge_threshold, gt=0)
     guide = load_color_ppm(args.color)
     grad = sobel_gradients(to_grayscale(guide))
-    edges = detect_edges(grad, threshold)
+    edges = detect_edges(grad, args.edge_threshold)
     save_mask_pgm(edges.edge, args.out_prefix + "_edges.pgm")
     save_depth_pgm(DepthMap(theta_to_units(edges.theta)), args.out_prefix + "_theta.pgm")
     return 0
@@ -214,23 +206,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="clean input depth map (omit when using --scene)")
     p.add_argument("out", help="output depth map path")
     p.add_argument("--scene", choices=SCENE_KINDS,
-                   help="generate this 160x120 scene instead of reading a file; "
-                        "also writes <out>_clean.pgm and <out>_color.ppm")
-    p.add_argument("--seed", type=int, default=0,
-                   help="64-bit RNG seed (default: 0)")
-    p.add_argument("--noise-sigma", type=float, default=0.0, dest="noise_sigma",
-                   help="Gaussian depth noise sigma, mm (default: 0)")
-    p.add_argument("--speckle", type=float, default=0.0,
-                   help="fraction of pixels punched to holes (default: 0)")
-    p.add_argument("--edge-hole-radius", type=int, default=0, dest="edge_hole_radius",
-                   help="hole band radius at depth discontinuities (default: 0)")
+                   help="generate this {}x{} scene instead of reading a file; also "
+                        "writes <out>_clean.pgm and <out>_color.ppm".format(*DEGRADE_SCENE_SIZE))
+    spec = DegradeSpec()
+    p.add_argument("--seed", type=int, default=spec.seed,
+                   help=f"64-bit RNG seed (default: {spec.seed})")
+    p.add_argument("--noise-sigma", type=float, default=spec.noise_sigma, dest="noise_sigma",
+                   help=f"Gaussian depth noise sigma, mm (default: {spec.noise_sigma})")
+    p.add_argument("--speckle", type=float, default=spec.speckle_hole_fraction,
+                   dest="speckle_hole_fraction", metavar="SPECKLE",
+                   help="fraction of pixels punched to holes "
+                        f"(default: {spec.speckle_hole_fraction})")
+    p.add_argument("--edge-hole-radius", type=int, default=spec.edge_hole_radius,
+                   dest="edge_hole_radius",
+                   help="hole band radius at depth discontinuities "
+                        f"(default: {spec.edge_hole_radius})")
     p.set_defaults(func=cmd_degrade)
 
     p = sub.add_parser("eval", help="compare two depth maps")
     p.add_argument("ref", help="reference depth map, 16-bit PGM")
     p.add_argument("test", help="depth map under test, 16-bit PGM")
-    p.add_argument("--tau", type=float, default=10.0,
-                   help="bad pixel threshold, mm (default: 10)")
+    p.add_argument("--tau", type=float, default=DEFAULT_TAU,
+                   help=f"bad pixel threshold, mm (default: {DEFAULT_TAU})")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("edges", help="dump edge mask and orientation map")

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
-from .image_model import GrayImage
+from .errors import ContractViolation, require_int, require_real
+from .image_model import DEPTH_MAXVAL, GrayImage
 from .preprocess import chebyshev_dilate
 
 NONHOLE_NONEDGE = 0
@@ -94,8 +94,7 @@ def detect_edges(grad: GradientField, threshold: float) -> EdgeMap:
     near edges, but keeping the full grid lets later stages index it
     without special cases.
     """
-    if not threshold > 0:
-        raise ContractViolation(f"edge threshold must be > 0, got {threshold}")
+    require_real("edge threshold", threshold, gt=0)
     return EdgeMap(grad.magnitude >= threshold, edge_theta(grad.gx, grad.gy))
 
 
@@ -110,8 +109,7 @@ def classify_regions(holes: np.ndarray, edges: EdgeMap, r_edge: int) -> np.ndarr
         raise ContractViolation(
             f"hole mask {holes.shape} and edge map {edges.edge.shape} differ in shape"
         )
-    if r_edge < 0:
-        raise ContractViolation(f"r_edge must be >= 0, got {r_edge}")
+    require_int("r_edge", r_edge, ge=0)
     near_edge = chebyshev_dilate(edges.edge, r_edge)
     labels = np.zeros(holes.shape, dtype=np.uint8)
     labels[near_edge] = NONHOLE_EDGE
@@ -141,8 +139,7 @@ def nearest_edge_theta(edges: EdgeMap, r_edge: int) -> np.ndarray:
     every target sees at most one source, so "first assignment wins"
     reproduces the scan-order tie rule exactly.
     """
-    if r_edge < 0:
-        raise ContractViolation(f"r_edge must be >= 0, got {r_edge}")
+    require_int("r_edge", r_edge, ge=0)
     theta = edges.theta
     h, w = theta.shape
     out = theta.copy()
@@ -172,4 +169,4 @@ def theta_to_units(theta: np.ndarray) -> np.ndarray:
 
     Maps (-pi/2, pi/2] linearly onto [0, 65535] via (theta + pi/2) / pi.
     """
-    return (theta + np.pi / 2) / np.pi * 65535.0
+    return (theta + np.pi / 2) / np.pi * DEPTH_MAXVAL

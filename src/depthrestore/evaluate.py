@@ -42,14 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
-from .image_model import HOLE, ColorImage, DepthMap
+from .errors import ContractViolation, require_int, require_real
+from .image_model import DEPTH_MAXVAL, HOLE, ColorImage, DepthMap
 from .preprocess import chebyshev_dilate
 
 _M64 = (1 << 64) - 1
 DISCONTINUITY_MM = 100.0
 DEFAULT_TAU = 10.0
-PEAK = 65535.0
 
 # A block holds at most BLOCK_LANES lanes of LANE_DRAWS draws each
 # (4 MiB of uint64 at most); a request of n draws uses ceil(n / LANE_DRAWS)
@@ -255,20 +254,10 @@ class DegradeSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ContractViolation(
-                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}"
-            )
-        if not 0.0 <= self.speckle_hole_fraction < 1.0:
-            raise ContractViolation(
-                f"speckle_hole_fraction must be in [0, 1), got {self.speckle_hole_fraction}"
-            )
-        if self.edge_hole_radius < 0:
-            raise ContractViolation(
-                f"edge_hole_radius must be >= 0, got {self.edge_hole_radius}"
-            )
-        if not 0 <= self.seed <= _M64:
-            raise ContractViolation(f"seed must be a 64-bit unsigned value, got {self.seed}")
+        require_real("noise_sigma", self.noise_sigma, ge=0, lt=math.inf)
+        require_real("speckle_hole_fraction", self.speckle_hole_fraction, ge=0, lt=1)
+        require_int("edge_hole_radius", self.edge_hole_radius, ge=0)
+        require_int("seed", self.seed, ge=0, lt=1 << 64)
 
 
 SCENE_KINDS = ("step", "ramp", "occluder")
@@ -284,8 +273,8 @@ def make_scene(kind: str, width: int, height: int) -> tuple[DepthMap, ColorImage
     occluder  1500 mm background with a centered 800 mm rectangle, the
               rectangle recolored so depth and color edges coincide
     """
-    if width < 16 or height < 16:
-        raise ContractViolation(f"scene must be at least 16x16, got {width}x{height}")
+    require_int("scene width", width, ge=16)
+    require_int("scene height", height, ge=16)
     if kind == "step":
         depth = np.full((height, width), 2000.0)
         depth[:, : width // 2] = 1000.0
@@ -353,7 +342,7 @@ def degrade(clean: DepthMap, spec: DegradeSpec) -> DepthMap:
         # A finite sigma can still overflow the product to +-inf, which
         # the clamp maps to 65535 or 1.
         with np.errstate(over="ignore"):
-            d[valid] = np.clip(np.floor(d[valid] + spec.noise_sigma * g + 0.5), 1.0, 65535.0)
+            d[valid] = np.clip(np.floor(d[valid] + spec.noise_sigma * g + 0.5), 1.0, DEPTH_MAXVAL)
     if spec.speckle_hole_fraction > 0:
         d[rng.uniforms(d.size).reshape(d.shape) < spec.speckle_hole_fraction] = HOLE
     if spec.edge_hole_radius > 0:
@@ -386,7 +375,7 @@ def psnr(a: DepthMap, b: DepthMap, mask: np.ndarray | None = None) -> float:
     mse = float(np.mean(diff * diff))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(PEAK * PEAK / mse)
+    return 10.0 * math.log10(DEPTH_MAXVAL * DEPTH_MAXVAL / mse)
 
 
 def mae(a: DepthMap, b: DepthMap, mask: np.ndarray | None = None) -> float:
@@ -398,8 +387,7 @@ def mae(a: DepthMap, b: DepthMap, mask: np.ndarray | None = None) -> float:
 def bad_pixel_rate(a: DepthMap, b: DepthMap, tau: float = DEFAULT_TAU,
                    mask: np.ndarray | None = None) -> float:
     """Fraction of evaluated pixels with |difference| above tau mm."""
-    if tau < 0:
-        raise ContractViolation(f"tau must be >= 0, got {tau}")
+    require_real("tau", tau, ge=0)
     m = _mutual_valid(a, b, mask)
     diff = np.abs(a.samples[m] - b.samples[m])
     return float(np.count_nonzero(diff > tau)) / int(np.count_nonzero(m))

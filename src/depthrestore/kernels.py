@@ -62,15 +62,8 @@ class KernelParams:
 
     def validate(self) -> None:
         for name in ("sigma_s", "sigma_r_color", "sigma_r_depth", "sigma_x", "sigma_y"):
-            v = getattr(self, name)
-            require_real(name, v)
-            if not v > 0:
-                raise ContractViolation(f"{name} must be > 0, got {v}")
-        require_int("window_radius", self.window_radius)
-        if self.window_radius < 1:
-            raise ContractViolation(
-                f"window_radius must be >= 1, got {self.window_radius}"
-            )
+            require_real(name, getattr(self, name), gt=0)
+        require_int("window_radius", self.window_radius, ge=1)
         if self.sigma_x < self.sigma_y:
             raise ContractViolation(
                 f"sigma_x ({self.sigma_x}) must be >= sigma_y ({self.sigma_y}); "

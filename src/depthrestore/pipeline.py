@@ -61,9 +61,9 @@ class PipelineConfig:
     an edge. threads is the number of row bands, run on at most one OS
     thread per available CPU; 0 picks that CPU count. Any thread count
     produces bit-identical output. isotropic_only switches every filter
-    to the plain isotropic JBF (the ablation arm). validate() wants every
-    count and radius as an int (not a bool or a float), edge_threshold
-    and the kernel widths as real numbers (not bools or strings), and
+    to the plain isotropic JBF (the ablation arm). validate() checks
+    each count and radius with errors.require_int and edge_threshold
+    and the kernel widths with errors.require_real, and wants
     isotropic_only as a bool.
     """
 
@@ -82,31 +82,16 @@ class PipelineConfig:
     def validate(self) -> None:
         self.kernel.validate()
         self.se.validate()
-        require_real("edge_threshold", self.edge_threshold)
-        if not self.edge_threshold > 0:
-            raise ContractViolation(
-                f"edge_threshold must be > 0, got {self.edge_threshold}"
-            )
+        require_real("edge_threshold", self.edge_threshold, gt=0)
         if self.r_edge is not None:
-            require_int("r_edge", self.r_edge)
-        for name in ("hole_expand_radius", "max_fill_passes", "threads"):
-            require_int(name, getattr(self, name))
+            require_int("r_edge", self.r_edge, ge=0)
+        require_int("hole_expand_radius", self.hole_expand_radius, ge=0)
+        require_int("max_fill_passes", self.max_fill_passes, ge=1)
+        require_int("threads", self.threads, ge=0)
         if not isinstance(self.isotropic_only, bool):
             raise ContractViolation(
                 f"isotropic_only must be a bool, got {self.isotropic_only!r}"
             )
-        if self.effective_r_edge() < 0:
-            raise ContractViolation(f"r_edge must be >= 0, got {self.r_edge}")
-        if self.hole_expand_radius < 0:
-            raise ContractViolation(
-                f"hole_expand_radius must be >= 0, got {self.hole_expand_radius}"
-            )
-        if self.max_fill_passes < 1:
-            raise ContractViolation(
-                f"max_fill_passes must be >= 1, got {self.max_fill_passes}"
-            )
-        if self.threads < 0:
-            raise ContractViolation(f"threads must be >= 0, got {self.threads}")
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,7 @@ class StructuringElement:
     radius: int = 2
 
     def validate(self) -> None:
-        require_int("structuring radius", self.radius)
-        if self.radius < 1:
-            raise ContractViolation(f"structuring radius must be >= 1, got {self.radius}")
+        require_int("structuring radius", self.radius, ge=1)
 
 
 def _window_extreme(a: np.ndarray, radius: int, op) -> np.ndarray:
@@ -100,8 +98,7 @@ def expand_holes(holes: np.ndarray, edges: np.ndarray, radius: int = 1) -> np.nd
         raise ContractViolation(
             f"hole mask {holes.shape} and edge mask {edges.shape} differ in shape"
         )
-    if radius < 0:
-        raise ContractViolation(f"expansion radius must be >= 0, got {radius}")
+    require_int("expansion radius", radius, ge=0)
     if radius == 0:
         return holes.copy()
     return holes | (chebyshev_dilate(holes, radius) & edges)

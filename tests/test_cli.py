@@ -2,12 +2,16 @@
 
 import math
 import os
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from depthrestore import (
+    DegradeSpec,
     DepthMap,
+    KernelParams,
+    StructuringElement,
     load_color_ppm,
     load_depth_pgm,
     make_scene,
@@ -15,7 +19,8 @@ from depthrestore import (
     save_depth_pgm,
 )
 from depthrestore.cli import assemble_pipeline_config, build_parser, main, parse_config_file
-from depthrestore.pipeline import PipelineConfig
+from depthrestore.evaluate import DEFAULT_TAU
+from depthrestore.pipeline import DEFAULT_EDGE_THRESHOLD, PipelineConfig
 from depthrestore.errors import ContractViolation
 
 
@@ -183,7 +188,8 @@ def test_eval_reports_closed_form_metrics(tmp_path, capsys):
 def test_eval_rejects_negative_tau(tmp_path):
     p = str(tmp_path / "a.pgm")
     save_depth_pgm(DepthMap(np.full((8, 8), 1000.0)), p)
-    assert main(["eval", p, p, "--tau", "-1"]) == 2
+    for tau in ("-1", "nan"):
+        assert main(["eval", p, p, "--tau", tau]) == 2
 
 
 def test_edges_dumps_mask_and_theta(tmp_path):
@@ -235,6 +241,40 @@ def test_config_file_applies_and_flags_override(tmp_path):
 def test_no_flags_and_no_config_give_library_defaults():
     args = build_parser().parse_args(["restore", "d.pgm", "c.ppm", "o.pgm"])
     assert assemble_pipeline_config(args) == PipelineConfig()
+
+
+def _library_defaults():
+    """(command, flag dest, value) for every valued flag, read from the
+    library object the flag sets."""
+    cfg, spec = PipelineConfig(), DegradeSpec()
+    rows = [("restore", f.name, getattr(cfg.kernel, f.name)) for f in fields(KernelParams)]
+    rows += [("restore", f.name, getattr(cfg, f.name)) for f in fields(PipelineConfig)
+             if f.name not in ("kernel", "se")]
+    rows.append(("restore", "closing_radius", StructuringElement().radius))
+    rows += [("degrade", f.name, getattr(spec, f.name)) for f in fields(DegradeSpec)]
+    rows += [("eval", "tau", DEFAULT_TAU), ("edges", "edge_threshold", DEFAULT_EDGE_THRESHOLD)]
+    return rows
+
+
+_POSITIONALS = {"restore": ["d.pgm", "c.ppm", "o.pgm"], "degrade": ["o.pgm"],
+                "eval": ["a.pgm", "b.pgm"], "edges": ["c.ppm", "prefix"]}
+
+
+@pytest.mark.parametrize("command,dest,want", _library_defaults())
+def test_flag_default_is_the_library_default(command, dest, want):
+    """A flag's default and the one its help shows are the library's.
+    restore's flags default to None so that a config file can fill
+    them; for those the default is what the assembled config holds."""
+    parser = build_parser()
+    sub = parser._subparsers._group_actions[0].choices[command]
+    action = next(a for a in sub._actions if a.dest == dest)
+    got = action.default
+    if command == "restore":
+        cfg = assemble_pipeline_config(parser.parse_args([command, *_POSITIONALS[command]]))
+        got = {**asdict(cfg), **asdict(cfg.kernel), "closing_radius": cfg.se.radius}[dest]
+    assert got == want and type(got) is type(want)
+    if want is not None and type(want) is not bool:
+        assert f"(default: {want})" in action.help
 
 
 def test_config_file_unknown_key_fails_closed(tmp_path):

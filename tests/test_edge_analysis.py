@@ -100,8 +100,9 @@ def test_detect_edges_threshold_semantics():
     assert np.array_equal(edges.edge, np.tile([False, True, True, False], (4, 1)))
     assert not detect_edges(g, 1021.0).edge.any()
     assert detect_edges(g, 1020.0).edge.any()  # inclusive at the threshold
-    with pytest.raises(ContractViolation):
-        detect_edges(g, 0.0)
+    for bad in (0.0, math.nan, True, "500"):
+        with pytest.raises(ContractViolation):
+            detect_edges(g, bad)
 
 
 def test_classification_covers_all_four_labels():
@@ -137,6 +138,10 @@ def test_classification_shape_mismatch():
     with pytest.raises(ContractViolation):
         classify_regions(np.zeros((2, 2), bool),
                          EdgeMap(np.zeros((3, 3), bool), np.zeros((3, 3))), 1)
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ContractViolation):
+            classify_regions(np.zeros((3, 3), bool),
+                             EdgeMap(np.zeros((3, 3), bool), np.zeros((3, 3))), bad)
 
 
 def test_nearest_edge_theta_takes_closest_source():
@@ -171,6 +176,10 @@ def test_nearest_edge_theta_radius_zero_is_identity():
     edge = rng.random((6, 6)) < 0.3
     out = nearest_edge_theta(EdgeMap(edge, theta), 0)
     assert np.array_equal(out, theta)
+    assert np.array_equal(nearest_edge_theta(EdgeMap(edge, theta), np.int64(0)), theta)
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ContractViolation):
+            nearest_edge_theta(EdgeMap(edge, theta), bad)
 
 
 def test_theta_units_scale_and_invert():

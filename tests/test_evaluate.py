@@ -146,8 +146,9 @@ def test_occluder_scene_two_depths_colocated_color():
 
 
 def test_scene_size_floor_and_unknown_kind():
-    with pytest.raises(ContractViolation):
-        make_scene("step", 15, 120)
+    for width, height in ((15, 120), (16.5, 120), (64, True), (64, "64")):
+        with pytest.raises(ContractViolation):
+            make_scene("step", width, height)
     with pytest.raises(ContractViolation):
         make_scene("plateau", 64, 64)
 
@@ -283,7 +284,14 @@ def test_degrade_spec_validation():
         DegradeSpec(edge_hole_radius=-1).validate()
     with pytest.raises(ContractViolation):
         DegradeSpec(seed=-1).validate()
+    # Not numbers of the field's kind: none runs as 1 or escapes as a TypeError.
+    for name in ("noise_sigma", "speckle_hole_fraction", "edge_hole_radius", "seed"):
+        for bad in (True, 1.5, "3", None):
+            if (name, bad) != ("noise_sigma", 1.5):
+                with pytest.raises(ContractViolation):
+                    DegradeSpec(**{name: bad}).validate()
     DegradeSpec().validate()
+    DegradeSpec(edge_hole_radius=np.int64(2), seed=2**64 - 1).validate()
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
@@ -333,8 +341,10 @@ def test_metrics_skip_holes_and_respect_mask():
 
 def test_metric_validation():
     a = DepthMap(np.full((4, 4), 1000.0))
-    with pytest.raises(ContractViolation):
-        bad_pixel_rate(a, a, tau=-1.0)
+    for tau in (-1.0, math.nan, "3", None):
+        with pytest.raises(ContractViolation):
+            bad_pixel_rate(a, a, tau=tau)
+    assert bad_pixel_rate(a, a, tau=math.inf) == 0.0
     with pytest.raises(ContractViolation):
         mae(a, DepthMap(np.zeros((3, 3))))
     with pytest.raises(ContractViolation):

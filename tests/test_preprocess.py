@@ -162,5 +162,9 @@ def test_expand_holes_monotone_in_radius():
 def test_expand_holes_validation():
     with pytest.raises(ContractViolation):
         expand_holes(np.zeros((2, 2), bool), np.zeros((3, 3), bool), 1)
-    with pytest.raises(ContractViolation):
-        expand_holes(np.zeros((2, 2), bool), np.zeros((2, 2), bool), -1)
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ContractViolation):
+            expand_holes(np.zeros((2, 2), bool), np.zeros((2, 2), bool), bad)
+    holes = np.eye(4, dtype=bool)
+    assert np.array_equal(expand_holes(holes, ~holes, np.int64(1)),
+                          expand_holes(holes, ~holes, 1))
