@@ -3,9 +3,12 @@
 The filter pipeline needs to know, per pixel, whether it sits near a
 color edge and at what angle that edge runs. Gradients come from the
 standard 3x3 Sobel kernels on the luminance image with replicated
-borders. The orientation theta = atan(gx / gy) is the direction of the
-edge contour itself (the gradient turned a quarter turn), which is the
-axis the directional filter smooths along.
+borders. The orientation theta = atan(-gx / gy) is the direction of
+the edge contour itself (the gradient turned a quarter turn), which is
+the axis the directional filter smooths along. Angles are measured
+with x pointing right and y pointing down, the frame of the Sobel
+gradients and of kernels.rotated_weight, so on a diagonal edge the
+kernel's long axis lies along the contour, not across it.
 
 Region labels split the image four ways: hole or non-hole crossed with
 edge-region or not, where "edge region" means some edge pixel lies
@@ -74,15 +77,16 @@ def sobel_gradients(g: GrayImage) -> GradientField:
 def edge_theta(gx, gy):
     """Orientation of the edge contour from gradient samples.
 
-    Returns atan(gx / gy) in (-pi/2, pi/2], elementwise over arrays and
-    as a float for scalars. A purely horizontal gradient (gy == 0,
-    gx != 0) means a vertical contour, so pi/2; a zero gradient has no
-    direction and maps to 0.
+    Returns atan(-gx / gy) in (-pi/2, pi/2], y pointing down,
+    elementwise over arrays and as a float for scalars: (gx, gy) = (1, 1)
+    gives -pi/4, a contour running up and to the right. A purely
+    horizontal gradient (gy == 0, gx != 0) means a vertical contour, so
+    pi/2; a zero gradient has no direction and maps to 0.
     """
     gx = np.asarray(gx, dtype=np.float64)
     gy = np.asarray(gy, dtype=np.float64)
     flat = gy == 0.0
-    t = np.arctan(gx / np.where(flat, 1.0, gy))
+    t = np.arctan(-gx / np.where(flat, 1.0, gy))
     t = np.where(flat, np.where(gx == 0.0, 0.0, np.pi / 2), t)
     return float(t) if t.ndim == 0 else t
 

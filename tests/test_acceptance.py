@@ -186,11 +186,13 @@ def test_criterion_3_convex_combination_bound():
                   f"{violations} violations in {checked} sampled filter outputs, exact comparison")
 
 
+PINNED_DEGRADATION = DegradeSpec(noise_sigma=20.0, speckle_hole_fraction=0.05,
+                                 edge_hole_radius=2, seed=42)
+
+
 def pinned_degraded_instance():
     clean, color = make_scene("step", 160, 120)
-    spec = DegradeSpec(noise_sigma=20.0, speckle_hole_fraction=0.05,
-                       edge_hole_radius=2, seed=42)
-    return clean, color, degrade(clean, spec)
+    return clean, color, degrade(clean, PINNED_DEGRADATION)
 
 
 def test_criterion_4_end_to_end_restoration():
@@ -238,7 +240,27 @@ def test_criterion_5_edge_band_error():
     clean, step_color, degraded = pinned_degraded_instance()
     c = step_color.samples.copy()
     c[:, c.shape[1] // 2:] = 104
-    color = ColorImage(c)
+    check_edge_band(clean, ColorImage(c), degraded, "64|104 guide")
+
+
+def test_criterion_5_diagonal_edge_band_error():
+    """Criterion 5 on a diagonal step: 2000 mm and guide 104 where
+    x > y + 20, 1000 mm and 64 elsewhere, 160x120, degraded as the
+    pinned instance. The contour runs at -45 degrees, so the
+    directional kernel lies along it only if edge_theta and the
+    kernel's rotation agree that y points down; an axis-aligned edge
+    cannot tell the two conventions apart."""
+    y, x = np.mgrid[:120, :160]
+    far = x > y + 20
+    clean = DepthMap(np.where(far, 2000.0, 1000.0))
+    color = ColorImage(np.where(far, 104, 64).astype(np.uint8)[..., None].repeat(3, axis=2))
+    check_edge_band(clean, color, degrade(clean, PINNED_DEGRADATION), "diagonal 64|104 guide")
+
+
+def check_edge_band(clean, color, degraded, what):
+    """The full pipeline's MAE in the 2-pixel band around the depth
+    discontinuities is strictly below the isotropic ablation's, and the
+    full run labels some hole pixels as edge region."""
     full, _, rep = restore(degraded, color, PipelineConfig())
     iso, _, _ = restore(degraded, color, PipelineConfig(isotropic_only=True))
     band = chebyshev_dilate(discontinuity_mask(clean), 2)
@@ -247,7 +269,7 @@ def test_criterion_5_edge_band_error():
     hole_edge = rep.region_counts["hole_edge"]
     ok = hole_edge > 0 and full_mae < iso_mae
     assert report(5, "edge band error, directional vs isotropic", ok,
-                  f"64|104 guide, band MAE full {full_mae:.6f} vs isotropic "
+                  f"{what}, band MAE full {full_mae:.6f} vs isotropic "
                   f"{iso_mae:.6f} mm, hole_edge {hole_edge}"), \
         "directional filtering did not beat the isotropic ablation in the edge band"
 

@@ -354,7 +354,7 @@ def test_effective_edge_radius_defaults_to_window_radius():
 # the pinned degradation; any drift means the numerics changed.
 ANCHOR_SPEC = DegradeSpec(20.0, 0.05, 2, seed=42)
 RAMP_HOLE_SHA256 = "a0a8bb9bc56536196804c79ff075b9948bba43d9b59f545a431d257ed17929d3"
-TILES_SHA256 = "8a5197a463591b8dd3a2dd1b4a4f0f592e24c737f49a605999eb8e713cccac06"
+TILES_SHA256 = "2b488b17edcc4e5b4024c35d3140f8ef22e4c28eea7cfd172a48be2a2f6fb4ce"
 WEAK_STEP_SHA256 = "76b55dbb18213ef86dcbcd2171c947aa8d07069ce8bdee9d6e6e51d95ec21236"
 
 
