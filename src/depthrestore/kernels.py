@@ -14,10 +14,10 @@ squared distance an 8-bit guide can produce, and the depth term as a
 lookup in depth_range_table, which holds depth_range_weight's values
 for every integer depth difference up to the frame's maximum (depth
 that is not integer-valued still goes through depth_range_weight).
-Each table entry is computed by its kernel's own expression, so their
-arithmetic is part of every output byte. Do not "simplify" it;
-reassociating an expression changes low-order bits of the restored
-maps.
+Each table is built by a call into its kernel (the color pair through
+the body they share), so a kernel's arithmetic is part of every output
+byte. Do not "simplify" it; reassociating an expression changes
+low-order bits of the restored maps.
 """
 
 from __future__ import annotations
@@ -88,50 +88,45 @@ def color_range_weight(ip, iq, sigma_r):
     iq = np.asarray(iq, dtype=np.float64)
     if ip.ndim == 0:
         d = ip - iq
-        dist2 = d * d
-    else:
-        dr = ip[0] - iq[0]
-        dg = ip[1] - iq[1]
-        db = ip[2] - iq[2]
-        dist2 = dr * dr + dg * dg + db * db
-    return np.exp(-0.5 * dist2 / (sigma_r * sigma_r))
+        return _color_weight(d * d, sigma_r)
+    dr = ip[0] - iq[0]
+    dg = ip[1] - iq[1]
+    db = ip[2] - iq[2]
+    return _color_weight(dr * dr + dg * dg + db * db, sigma_r)
+
+
+def _color_weight(sq, sigma_r):
+    """exp(-0.5 * sq / sigma_r**2) of the squared color distance sq,
+    computed in place when sq is a float64 array."""
+    sq *= -0.5
+    sq /= sigma_r * sigma_r
+    return np.exp(sq, out=sq if np.ndim(sq) else None)
 
 
 @lru_cache(maxsize=4)
 def color_range_table(sigma_r):
     """color_range_weight for every squared RGB distance of two 8-bit
-    colors: entry k is exp(-0.5 * k / (sigma_r * sigma_r)) for k in
-    0..3 * 255**2, the kernel's own float64 expression, so a lookup by
-    the exact integer distance gives the kernel's bits. Read-only,
-    cached per sigma_r, and built in place so that only one 1.56 MB
-    array is live while it is made.
+    colors: entry k is the kernel's body on float(k) for k in
+    0..3 * 255**2, so a lookup by the exact integer distance gives the
+    kernel's bits. Read-only, cached per sigma_r, and built in place so
+    that only one 1.56 MB array is live while it is made.
     """
-    table = np.arange(3 * 255 * 255 + 1, dtype=np.float64)
-    table *= -0.5
-    table /= sigma_r * sigma_r
-    np.exp(table, out=table)
+    table = _color_weight(np.arange(3 * 255 * 255 + 1, dtype=np.float64), sigma_r)
     table.flags.writeable = False
     return table
 
 
 @lru_cache(maxsize=4)
 def depth_range_table(sigma_r, n):
-    """depth_range_weight for every integer depth difference 0..n-1:
-    entry k is the kernel's own in-place sequence on float(k) (/= sigma_r,
-    squared, *= -0.5, exp). (-k) / sigma_r is exactly -(k / sigma_r), so
-    a lookup by |dp - dq| gives the kernel's bits for either sign. A
-    sigma_r of 1e9 or more gives a table of exact 1.0, as the kernel
-    does. Read-only and cached per (sigma_r, n); the engine sizes it
+    """depth_range_weight(k, 0, sigma_r) for every integer depth
+    difference k in 0..n-1. (-k) / sigma_r is exactly -(k / sigma_r),
+    so a lookup by |dp - dq| gives the kernel's bits for either sign;
+    a sigma_r of 1e9 or more gives a table of the kernel's exact 1.0.
+    Read-only and cached per (sigma_r, n); the engine sizes it
     max(depth) + 1, at most 65536 entries.
     """
-    if sigma_r >= SIGMA_DEPTH_INFINITE:
-        table = np.ones(n)
-    else:
-        table = np.arange(n, dtype=np.float64)
-        table /= sigma_r
-        table *= table
-        table *= -0.5
-        np.exp(table, out=table)
+    table = np.ones(n)
+    table *= depth_range_weight(np.arange(n, dtype=np.float64), 0.0, sigma_r)
     table.flags.writeable = False
     return table
 
