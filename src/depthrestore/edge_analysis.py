@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, require_int, require_real
+from .errors import ContractViolation, require_int, require_real, require_same_shape
 from .image_model import DEPTH_MAXVAL, GrayImage
 from .preprocess import chebyshev_dilate
 
@@ -109,10 +109,7 @@ def classify_regions(holes: np.ndarray, edges: EdgeMap, r_edge: int) -> np.ndarr
     radius r_edge, so a filter window of that radius centered there
     would straddle an edge.
     """
-    if holes.shape != edges.edge.shape:
-        raise ContractViolation(
-            f"hole mask {holes.shape} and edge map {edges.edge.shape} differ in shape"
-        )
+    require_same_shape(holes=holes, edges=edges.edge)
     require_int("r_edge", r_edge, ge=0)
     near_edge = chebyshev_dilate(edges.edge, r_edge)
     labels = np.zeros(holes.shape, dtype=np.uint8)

@@ -15,11 +15,16 @@ helpers, which state its whole contract in one call:
   a bool, with bounds gt=, ge= and lt=. NaN fails every bound, and
   lt=math.inf asks for a finite value.
 
-A string, None, a bool or a value out of bounds raises
-ContractViolation, with the parameter's name in the message.
+A public function that takes two or more frames checks that they
+agree in height and width with a third, require_same_shape.
+
+A string, None, a bool, a value out of bounds or a frame of another
+size raises ContractViolation, naming the parameter.
 """
 
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class FormatError(Exception):
@@ -66,6 +71,17 @@ def require_real(name: str, value, *, gt=None, ge=None, lt=None) -> None:
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ContractViolation(f"{name} must be a real number, got {value!r}")
     _require_bounds(name, value, gt, ge, lt)
+
+
+def require_same_shape(**frames) -> None:
+    """Raise ContractViolation unless every frame has the same (h, w):
+    a 2-D array's shape, or the first two axes of an image's samples.
+    The message names each frame with its size as WxH."""
+    sizes = {name: f.samples.shape[:2] if hasattr(f, "samples") else np.shape(f)
+             for name, f in frames.items()}
+    if len(set(sizes.values())) > 1 or any(len(s) != 2 for s in sizes.values()):
+        raise ContractViolation("frame sizes differ: " + ", ".join(
+            f"{name} {'x'.join(map(str, s[::-1]))}" for name, s in sizes.items()))
 
 
 def _require_bounds(name: str, value, gt, ge, lt) -> None:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, require_int, require_real
+from .errors import ContractViolation, require_int, require_real, require_same_shape
 from .image_model import DEPTH_MAXVAL, HOLE, ColorImage, DepthMap
 from .preprocess import chebyshev_dilate
 
@@ -352,16 +352,10 @@ def degrade(clean: DepthMap, spec: DegradeSpec) -> DepthMap:
 
 
 def _mutual_valid(a: DepthMap, b: DepthMap, mask: np.ndarray | None) -> np.ndarray:
-    if a.samples.shape != b.samples.shape:
-        raise ContractViolation(
-            f"metric inputs differ in shape: {a.samples.shape} vs {b.samples.shape}"
-        )
+    require_same_shape(a=a, b=b)
     m = (a.samples != HOLE) & (b.samples != HOLE)
     if mask is not None:
-        if mask.shape != m.shape:
-            raise ContractViolation(
-                f"evaluation mask {mask.shape} does not match maps {m.shape}"
-            )
+        require_same_shape(maps=m, mask=mask)
         m &= mask
     if not m.any():
         raise ContractViolation("no mutually valid pixels to evaluate")

@@ -106,7 +106,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, require_int, require_same_shape
 from .image_model import HOLE, ColorImage, DepthMap
 from .edge_analysis import EdgeMap, NONHOLE_EDGE, NONHOLE_NONEDGE
 from .kernels import (
@@ -433,11 +433,15 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
     With isotropic_only the region split is ignored and every non-hole
     pixel gets the plain isotropic JBF (no depth term); this is the
     ablation arm for measuring what the directional kernel buys.
+
+    params is validated; threads must be an int >= 0 (0 runs one band),
+    isotropic_only a bool, and every frame the depth's size.
     """
-    if depth.samples.shape != labels.shape:
-        raise ContractViolation(
-            f"depth {depth.samples.shape} and labels {labels.shape} differ in shape"
-        )
+    params.validate()
+    require_int("threads", threads, ge=0)
+    if not isinstance(isotropic_only, bool):
+        raise ContractViolation(f"isotropic_only must be a bool, got {isotropic_only!r}")
+    require_same_shape(depth=depth, guide=guide, labels=labels, theta=edges.theta)
     d = depth.samples
     planes = guide_planes(guide, params.window_radius)
 

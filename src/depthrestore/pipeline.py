@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ContractViolation, require_int, require_real
+from .errors import ContractViolation, require_int, require_real, require_same_shape
 from .image_model import ColorImage, DepthMap, to_grayscale
 from .preprocess import (
     StructuringElement, chebyshev_dilate, close_depth, expand_holes, hole_mask)
@@ -89,9 +89,7 @@ class PipelineConfig:
         require_int("max_fill_passes", self.max_fill_passes, ge=1)
         require_int("threads", self.threads, ge=0)
         if not isinstance(self.isotropic_only, bool):
-            raise ContractViolation(
-                f"isotropic_only must be a bool, got {self.isotropic_only!r}"
-            )
+            raise ContractViolation(f"isotropic_only must be a bool, got {self.isotropic_only!r}")
 
 
 @dataclass(frozen=True)
@@ -129,12 +127,11 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
     the seed values the fill grows from. Returns the completed map and
     the run report. Passes are counted across both phases against
     cfg.max_fill_passes. The padded depth and validity frames are built
-    once, and each pass writes its fills into their interiors.
+    once, and each pass writes its fills into their interiors. cfg is
+    validated, and every frame must have the depth's size.
     """
-    if filtered.samples.shape != labels.shape:
-        raise ContractViolation(
-            f"depth {filtered.samples.shape} and labels {labels.shape} differ in shape"
-        )
+    cfg.validate()
+    require_same_shape(depth=filtered, guide=guide, labels=labels, theta=edges.theta)
     h = labels.shape[0]
     params = cfg.kernel
     r = params.window_radius
@@ -189,11 +186,7 @@ def restore(depth: DepthMap, guide: ColorImage,
             ) -> tuple[DepthMap, np.ndarray, RestorationReport]:
     """Run the whole restoration; returns (map, labels, report)."""
     cfg.validate()
-    if (depth.height, depth.width) != (guide.height, guide.width):
-        raise ContractViolation(
-            f"depth {depth.width}x{depth.height} and guide "
-            f"{guide.width}x{guide.height} dimensions differ"
-        )
+    require_same_shape(depth=depth, guide=guide)
     closed = close_depth(depth, cfg.se)
     holes0 = hole_mask(closed)
     gray = to_grayscale(guide)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, require_int
+from .errors import require_int, require_same_shape
 from .image_model import HOLE, DepthMap
 
 
@@ -94,10 +94,7 @@ def expand_holes(holes: np.ndarray, edges: np.ndarray, radius: int = 1) -> np.nd
     trustworthy, so they are re-estimated by the fill stage instead of
     being smoothed in place. All original holes are preserved.
     """
-    if holes.shape != edges.shape:
-        raise ContractViolation(
-            f"hole mask {holes.shape} and edge mask {edges.shape} differ in shape"
-        )
+    require_same_shape(holes=holes, edges=edges)
     require_int("expansion radius", radius, ge=0)
     if radius == 0:
         return holes.copy()

@@ -17,10 +17,17 @@ from depthrestore import (
     KernelParams,
     PipelineConfig,
     StructuringElement,
+    bad_pixel_rate,
+    classify_regions,
+    compare,
     degrade,
     encode_depth_pgm,
+    expand_holes,
     fill_holes,
+    filter_non_hole,
+    mae,
     make_scene,
+    psnr,
     quantize,
     restore,
 )
@@ -153,9 +160,55 @@ def test_restore_rejects_mismatched_shapes():
 
 def test_restore_validates_config_before_touching_data():
     d = DepthMap(np.full((16, 16), 100.0))
-    bad = PipelineConfig(kernel=KernelParams(sigma_s=-1.0))
-    with pytest.raises(ContractViolation):
-        restore(d, flat_guide((16, 16)), bad)
+    for sigma_s in (-1.0, 0):
+        bad = PipelineConfig(kernel=KernelParams(sigma_s=sigma_s))
+        with pytest.raises(ContractViolation):
+            restore(d, flat_guide((16, 16)), bad)
+        with pytest.raises(ContractViolation):
+            filter_non_hole(d, flat_guide((16, 16)), np.zeros((16, 16), np.uint8),
+                            no_edges((16, 16)), bad.kernel)
+
+
+def frames(h, w):
+    """One frame of each kind a public function takes, all h x w."""
+    return {"depth": DepthMap(np.full((h, w), 900.0)), "truth": DepthMap(np.full((h, w), 910.0)),
+            "guide": flat_guide((h, w)), "labels": np.zeros((h, w), np.uint8),
+            "edges": no_edges((h, w)), "holes": np.zeros((h, w), bool),
+            "mask": np.ones((h, w), bool)}
+
+
+def metric_call(fn):
+    return lambda f: fn(f["depth"], f["truth"], mask=f["mask"])
+
+
+FRAME_CALLS = {
+    "restore": (lambda f: restore(f["depth"], f["guide"], small_cfg()), ("depth", "guide")),
+    "filter_non_hole": (lambda f: filter_non_hole(f["depth"], f["guide"], f["labels"],
+                                                  f["edges"], KernelParams()),
+                        ("depth", "guide", "labels", "edges")),
+    "fill_holes": (lambda f: fill_holes(f["depth"], f["guide"], f["labels"], f["edges"],
+                                        small_cfg()),
+                   ("depth", "guide", "labels", "edges")),
+    "expand_holes": (lambda f: expand_holes(f["holes"], f["edges"].edge, 1), ("holes", "edges")),
+    "classify_regions": (lambda f: classify_regions(f["holes"], f["edges"], 1),
+                         ("holes", "edges")),
+    **{fn.__name__: (metric_call(fn), ("depth", "truth", "mask"))
+       for fn in (psnr, mae, bad_pixel_rate, compare)},
+}
+
+
+@pytest.mark.parametrize("size", [(8, 11), (6, 8)], ids=["wider", "shorter"])
+@pytest.mark.parametrize("name,frame", [(name, frame) for name, (_, reads) in FRAME_CALLS.items()
+                                        for frame in reads])
+def test_every_frame_must_match_in_size(name, frame, size):
+    """Each frame a public function reads, made larger or smaller than
+    the others, fails as a ContractViolation naming both sizes, instead
+    of running on misaligned pixels or escaping as a raw numpy error."""
+    call, _ = FRAME_CALLS[name]
+    call(frames(8, 8))
+    with pytest.raises(ContractViolation) as e:
+        call(frames(8, 8) | {frame: frames(*size)[frame]})
+    assert "8x8" in str(e.value) and f"{size[1]}x{size[0]}" in str(e.value)
 
 
 def test_restore_output_has_no_new_holes_and_rounds_cleanly():
@@ -246,16 +299,16 @@ def test_report_lines_are_stable_and_complete():
 
 
 def test_config_validation_errors():
-    with pytest.raises(ContractViolation):
-        PipelineConfig(edge_threshold=0.0).validate()
-    with pytest.raises(ContractViolation):
-        PipelineConfig(hole_expand_radius=-1).validate()
-    with pytest.raises(ContractViolation):
-        PipelineConfig(max_fill_passes=0).validate()
-    with pytest.raises(ContractViolation):
-        PipelineConfig(threads=-2).validate()
-    with pytest.raises(ContractViolation):
-        PipelineConfig(r_edge=-1).validate()
+    """Each bad config fails validate(), and fill_holes, which a library
+    caller may run on its own, validates it too."""
+    f = frames(8, 8)
+    for bad in (PipelineConfig(edge_threshold=0.0), PipelineConfig(hole_expand_radius=-1),
+                PipelineConfig(max_fill_passes=0), PipelineConfig(threads=-2),
+                PipelineConfig(r_edge=-1)):
+        with pytest.raises(ContractViolation):
+            bad.validate()
+        with pytest.raises(ContractViolation):
+            fill_holes(f["depth"], f["guide"], f["labels"], f["edges"], bad)
     PipelineConfig().validate()
 
 
@@ -270,10 +323,18 @@ def test_edge_threshold_must_be_a_real_number():
 
 
 def test_threads_must_be_a_plain_int():
-    for bad in (True, False, 2.0, "2", None):
+    """In the config and in filter_non_hole, where 0 runs one band."""
+    f = frames(8, 8)
+    for bad in (True, False, 2.0, 1.5, "2", None, -3):
         with pytest.raises(ContractViolation):
             PipelineConfig(threads=bad).validate()
+        with pytest.raises(ContractViolation):
+            filter_non_hole(f["depth"], f["guide"], f["labels"], f["edges"], KernelParams(),
+                            threads=bad)
     PipelineConfig(threads=3).validate()
+    for ok in (0, 1, np.int64(2)):
+        filter_non_hole(f["depth"], f["guide"], f["labels"], f["edges"], KernelParams(),
+                        threads=ok)
 
 
 def test_int_fields_reject_bools_and_floats():
@@ -291,10 +352,16 @@ def test_int_fields_reject_bools_and_floats():
 
 
 def test_isotropic_only_must_be_a_bool():
-    d = DepthMap(np.full((8, 8), 900.0))
-    for bad in ("false", "true", 0, 1, None):
+    f = frames(8, 8)
+    for bad in ("false", "true", "yes", 0, 1, None):
         with pytest.raises(ContractViolation):
-            restore(d, flat_guide((8, 8)), PipelineConfig(isotropic_only=bad))
+            restore(f["depth"], f["guide"], PipelineConfig(isotropic_only=bad))
+        with pytest.raises(ContractViolation):
+            filter_non_hole(f["depth"], f["guide"], f["labels"], f["edges"], KernelParams(),
+                            isotropic_only=bad)
+        with pytest.raises(ContractViolation):
+            fill_holes(f["depth"], f["guide"], f["labels"], f["edges"],
+                       PipelineConfig(isotropic_only=bad))
     PipelineConfig(isotropic_only=True).validate()
 
 
