@@ -91,14 +91,6 @@ class GrayImage:
 
     samples: np.ndarray
 
-    @property
-    def width(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.samples.shape[0]
-
 
 def to_grayscale(img: ColorImage) -> GrayImage:
     """Rec.601 luma: 0.299 R + 0.587 G + 0.114 B, kept real-valued."""

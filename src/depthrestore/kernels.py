@@ -29,13 +29,6 @@ import numpy as np
 
 from .errors import ContractViolation, require_int, require_real
 
-DEFAULT_SIGMA_S = 3.0
-DEFAULT_SIGMA_R_COLOR = 25.0
-DEFAULT_SIGMA_R_DEPTH = 30.0
-DEFAULT_SIGMA_X = 5.0
-DEFAULT_SIGMA_Y = 1.5
-DEFAULT_WINDOW_RADIUS = 5
-
 # A depth range sigma at or above this is treated as the "no depth
 # term" limit and yields weight exactly 1.0.
 SIGMA_DEPTH_INFINITE = 1e9
@@ -53,12 +46,12 @@ class KernelParams:
     window_radius  half-size of the square filter window, pixels
     """
 
-    sigma_s: float = DEFAULT_SIGMA_S
-    sigma_r_color: float = DEFAULT_SIGMA_R_COLOR
-    sigma_r_depth: float = DEFAULT_SIGMA_R_DEPTH
-    sigma_x: float = DEFAULT_SIGMA_X
-    sigma_y: float = DEFAULT_SIGMA_Y
-    window_radius: int = DEFAULT_WINDOW_RADIUS
+    sigma_s: float = 3.0
+    sigma_r_color: float = 25.0
+    sigma_r_depth: float = 30.0
+    sigma_x: float = 5.0
+    sigma_y: float = 1.5
+    window_radius: int = 5
 
     def validate(self) -> None:
         for name in ("sigma_s", "sigma_r_color", "sigma_r_depth", "sigma_x", "sigma_y"):

@@ -48,8 +48,6 @@ from .filters import (
 from .kernels import KernelParams
 
 DEFAULT_EDGE_THRESHOLD = 100.0
-DEFAULT_HOLE_EXPAND_RADIUS = 1
-DEFAULT_MAX_FILL_PASSES = 64
 
 
 @dataclass(frozen=True)
@@ -71,8 +69,8 @@ class PipelineConfig:
     se: StructuringElement = field(default_factory=StructuringElement)
     edge_threshold: float = DEFAULT_EDGE_THRESHOLD
     r_edge: int | None = None
-    hole_expand_radius: int = DEFAULT_HOLE_EXPAND_RADIUS
-    max_fill_passes: int = DEFAULT_MAX_FILL_PASSES
+    hole_expand_radius: int = 1
+    max_fill_passes: int = 64
     threads: int = 1
     isotropic_only: bool = False
 

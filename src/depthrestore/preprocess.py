@@ -85,7 +85,7 @@ def chebyshev_dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     return windowed_max(mask, radius)
 
 
-def expand_holes(holes: np.ndarray, edges: np.ndarray, radius: int = 1) -> np.ndarray:
+def expand_holes(holes: np.ndarray, edges: np.ndarray, radius: int) -> np.ndarray:
     """Extend the hole set across nearby edge pixels.
 
     A non-hole pixel becomes a hole iff it is an edge pixel and lies
