@@ -417,17 +417,28 @@ def test_effective_edge_radius_defaults_to_window_radius():
 
 # Byte anchors for paths the pinned step scene of criterion 4 never
 # reaches (it has no hole_nonedge pixels and fills in one pass). Each is
-# the SHA-256 of the restored PGM under PipelineConfig() defaults, on
-# the pinned degradation; any drift means the numerics changed.
+# the SHA-256 of the restored PGM under PipelineConfig() defaults (the
+# ablation anchor under isotropic_only=True), on the pinned degradation;
+# any drift means the numerics changed.
 ANCHOR_SPEC = DegradeSpec(20.0, 0.05, 2, seed=42)
 RAMP_HOLE_SHA256 = "a0a8bb9bc56536196804c79ff075b9948bba43d9b59f545a431d257ed17929d3"
 TILES_SHA256 = "2b488b17edcc4e5b4024c35d3140f8ef22e4c28eea7cfd172a48be2a2f6fb4ce"
 WEAK_STEP_SHA256 = "76b55dbb18213ef86dcbcd2171c947aa8d07069ce8bdee9d6e6e51d95ec21236"
+TILES_ISOTROPIC_SHA256 = "ac186235f2db2e214a30b4016539ba40fd3222cebf7681e9d40da2769669111c"
 
 
-def restored_sha256(depth, guide):
-    out, _, report = restore(depth, guide, PipelineConfig())
+def restored_sha256(depth, guide, cfg=PipelineConfig()):
+    out, _, report = restore(depth, guide, cfg)
     return hashlib.sha256(encode_depth_pgm(out)).hexdigest(), report
+
+
+def checkerboard_anchor_scene():
+    """10 px checkerboard (1000/1800 mm, colors 64/192), degraded."""
+    yy, xx = np.indices((120, 160))
+    odd = ((yy // 10) + (xx // 10)) % 2 == 1
+    clean = DepthMap(np.where(odd, 1800.0, 1000.0))
+    guide = ColorImage(np.repeat(np.where(odd, 192, 64).astype(np.uint8)[..., None], 3, axis=2))
+    return degrade(clean, ANCHOR_SPEC), guide
 
 
 def test_anchor_ramp_with_large_hole_multi_pass_fill():
@@ -447,14 +458,21 @@ def test_anchor_checkerboard_directional_everywhere():
     """10 px checkerboard (1000/1800 mm, colors 64/192): edges
     everywhere, directional denoise and hole_edge fill, and non-axis
     theta at the tile corners."""
-    yy, xx = np.indices((120, 160))
-    odd = ((yy // 10) + (xx // 10)) % 2 == 1
-    clean = DepthMap(np.where(odd, 1800.0, 1000.0))
-    guide = ColorImage(np.repeat(np.where(odd, 192, 64).astype(np.uint8)[..., None], 3, axis=2))
-    digest, report = restored_sha256(degrade(clean, ANCHOR_SPEC), guide)
+    digest, report = restored_sha256(*checkerboard_anchor_scene())
     assert report.region_counts["hole_edge"] == 15445
     assert report.holes_unfilled == 0
     assert digest == TILES_SHA256
+
+
+def test_anchor_checkerboard_isotropic_ablation():
+    """The checkerboard anchor under isotropic_only=True: the ablation
+    arm's isotropic denoise on both non-hole regions and its isotropic
+    hole_edge fill, over 3691 nonhole_edge pixels."""
+    digest, report = restored_sha256(*checkerboard_anchor_scene(),
+                                     PipelineConfig(isotropic_only=True))
+    assert report.region_counts["nonhole_edge"] == 3691
+    assert report.holes_unfilled == 0
+    assert digest == TILES_ISOTROPIC_SHA256
 
 
 def test_anchor_weak_color_step_reaches_color_range_kernel():
