@@ -49,10 +49,14 @@ class GradientField:
 
 @dataclass(frozen=True)
 class EdgeMap:
-    """Edge flags plus per-pixel contour orientation in (-pi/2, pi/2]."""
+    """Edge flags plus per-pixel contour orientation in (-pi/2, pi/2],
+    two frames of one size."""
 
     edge: np.ndarray
     theta: np.ndarray
+
+    def __post_init__(self):
+        require_same_shape(edge=self.edge, theta=self.theta)
 
 
 def sobel_gradients(g: GrayImage) -> GradientField:

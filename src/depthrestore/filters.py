@@ -40,12 +40,11 @@ offset needs to know where the image ends. One body weighs and
 accumulates, on arrays from one of two addressings:
 
 * Slice addressing, for every pixel of a row band: an offset is one
-  fixed-shape view of each padded frame. The dense trilateral pass and
-  the isotropic ablation use it; views are free, and gathers there
-  measured 2x slower.
+  fixed-shape view of each padded frame. The dense denoise pass uses
+  it; views are free, and gathers there measured 2x slower.
 
 * Gather addressing, for a sorted set of flat target indices: the
-  directional pass on nonhole_edge pixels, and each fill pass on the
+  denoise pass on nonhole_edge pixels, and each fill pass on the
   holes with a valid pixel in reach (the narrow band of Telea's 2004
   fast-marching inpainting). A block maps its targets to padded flat
   indices once and gathers each offset's sources at one fixed shift.
@@ -103,6 +102,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -117,6 +117,9 @@ from .kernels import (
     rotated_weight,
     spatial_weight,
 )
+
+if TYPE_CHECKING:  # pipeline imports this module
+    from .pipeline import PipelineConfig
 
 # Output pixels per block of one window_sums call: 256 KiB per float64
 # temporary, so a block's weight planes stay in L2 across its offsets.
@@ -142,19 +145,26 @@ class FilterOutcome:
     contributors: int
 
 
-def _check_non_hole(depth: DepthMap, y: int, x: int, op: str) -> None:
-    if depth.samples[y, x] == HOLE:
-        raise ContractViolation(f"{op} requires a non-hole center, pixel ({y}, {x}) is a hole")
-
-
-def _filter_at(p, depth: DepthMap, guide: ColorImage, params: KernelParams,
+def _filter_at(op, p, depth: DepthMap, guide: ColorImage, params: KernelParams,
                valid=None, theta=None, **flavor) -> FilterOutcome:
     """Run window_sums on p as a 1x1 frame padded by r: the (2r+1)**2
     crop of the padded frames around p, which reads the sources of a
     whole-image run and so gives its bits. The directional flavor takes
     theta's cos and sin as scalars; valid of None means every non-hole
-    pixel is a source. Each call pads the whole frame."""
+    pixel is a source and the center must be one, else the center must
+    not be valid. params is validated, every frame must have the
+    depth's size and p must be a pixel of it. Each call pads the whole
+    frame."""
+    params.validate()
+    require_same_shape(depth=depth, guide=guide, **({} if valid is None else {"valid": valid}))
     y, x = p
+    require_int("row", y, ge=0, lt=depth.samples.shape[0])
+    require_int("col", x, ge=0, lt=depth.samples.shape[1])
+    hole = depth.samples[y, x] == HOLE
+    if valid is None and hole:
+        raise ContractViolation(f"{op} requires a non-hole center, pixel ({y}, {x}) is a hole")
+    if valid is not None and not hole and valid[y, x]:
+        raise ContractViolation(f"{op} fills holes, pixel ({y}, {x}) is valid")
     r = params.window_radius
     win = (Ellipsis, slice(y, y + 2 * r + 1), slice(x, x + 2 * r + 1))
     usable = depth.samples != HOLE if valid is None else valid
@@ -170,8 +180,7 @@ def _filter_at(p, depth: DepthMap, guide: ColorImage, params: KernelParams,
 
 def jbf_pixel(p, depth: DepthMap, guide: ColorImage, params: KernelParams) -> FilterOutcome:
     """Joint bilateral filter at p = (row, col): spatial x color range."""
-    _check_non_hole(depth, *p, "jbf_pixel")
-    return _filter_at(p, depth, guide, params, iso_sigma=params.sigma_s)
+    return _filter_at("jbf_pixel", p, depth, guide, params, iso_sigma=params.sigma_s)
 
 
 def tjbf_pixel(p, depth: DepthMap, guide: ColorImage, params: KernelParams) -> FilterOutcome:
@@ -181,8 +190,7 @@ def tjbf_pixel(p, depth: DepthMap, guide: ColorImage, params: KernelParams) -> F
     neighbors across a depth discontinuity lose influence even when the
     guide colors agree.
     """
-    _check_non_hole(depth, *p, "tjbf_pixel")
-    return _filter_at(p, depth, guide, params, iso_sigma=params.sigma_s,
+    return _filter_at("tjbf_pixel", p, depth, guide, params, iso_sigma=params.sigma_s,
                       depth_sigma=params.sigma_r_depth)
 
 
@@ -194,8 +202,7 @@ def djbf_pixel(p, depth: DepthMap, guide: ColorImage, theta: float,
     the edge contour, so smoothing follows the edge instead of crossing
     it.
     """
-    _check_non_hole(depth, *p, "djbf_pixel")
-    return _filter_at(p, depth, guide, params, theta=theta)
+    return _filter_at("djbf_pixel", p, depth, guide, params, theta=theta)
 
 
 def pdjbf_pixel(p, depth: DepthMap, valid: np.ndarray, guide: ColorImage,
@@ -209,10 +216,7 @@ def pdjbf_pixel(p, depth: DepthMap, valid: np.ndarray, guide: ColorImage,
     caller retries the pixel on a later pass rather than treating this
     as an error.
     """
-    y, x = p
-    if depth.samples[y, x] != HOLE and valid[y, x]:
-        raise ContractViolation(f"pdjbf_pixel fills holes, pixel ({y}, {x}) is valid")
-    return _filter_at(p, depth, guide, params, valid, theta)
+    return _filter_at("pdjbf_pixel", p, depth, guide, params, valid, theta)
 
 
 class WindowSums:
@@ -406,9 +410,10 @@ def available_cpus() -> int:
 
 
 def run_banded(height: int, threads: int, job) -> None:
-    """Run job(row0, row1) over `threads` row bands, threaded when there
-    are several, on at most one OS thread per available CPU."""
-    bands = row_bands(height, threads)
+    """Run job(row0, row1) over `threads` row bands, or one per
+    available CPU when threads is 0, threaded when there are several,
+    on at most one OS thread per available CPU."""
+    bands = row_bands(height, threads or available_cpus())
     if len(bands) == 1:
         job(*bands[0])
         return
@@ -419,8 +424,7 @@ def run_banded(height: int, threads: int, job) -> None:
 
 
 def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
-                    edges: EdgeMap, params: KernelParams, *, threads: int = 1,
-                    isotropic_only: bool = False) -> DepthMap:
+                    edges: EdgeMap, cfg: PipelineConfig) -> DepthMap:
     """Denoise every non-hole pixel with its region's filter.
 
     Non-edge region pixels get the trilateral filter; edge region
@@ -430,36 +434,31 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
     neighbors, so results are independent of evaluation order and of
     the thread count.
 
-    With isotropic_only the region split is ignored and every non-hole
-    pixel gets the plain isotropic JBF (no depth term); this is the
-    ablation arm for measuring what the directional kernel buys.
+    With cfg.isotropic_only both regions get the plain isotropic JBF
+    (no depth term) instead; this is the ablation arm for measuring
+    what the directional kernel buys. Either way the stage makes the
+    same two passes, dense over the frame and gathered over the edge
+    region, and only their flavors differ.
 
-    params is validated; threads must be an int >= 0 (0 runs one band),
-    isotropic_only a bool, and every frame the depth's size.
+    cfg is validated (it supplies the kernel, the threads and
+    isotropic_only), and every frame must have the depth's size.
     """
-    params.validate()
-    require_int("threads", threads, ge=0)
-    if not isinstance(isotropic_only, bool):
-        raise ContractViolation(f"isotropic_only must be a bool, got {isotropic_only!r}")
+    cfg.validate()
     require_same_shape(depth=depth, guide=guide, labels=labels, theta=edges.theta)
+    params = cfg.kernel
     d = depth.samples
-    planes = guide_planes(guide, params.window_radius)
-
-    if isotropic_only:
-        kept = labels <= NONHOLE_EDGE
-        (vals,) = _denoise(d, planes, params, threads,
-                           [(None, kept, {"iso_sigma": params.sigma_s})])
-        return DepthMap(np.where(kept, vals, d))
-
     kept = labels == NONHOLE_NONEDGE
     edge_px = np.flatnonzero(labels == NONHOLE_EDGE)
-    theta = edges.theta.flat[edge_px]
-    tri, dire = _denoise(d, planes, params, threads, [
-        (None, kept, {"iso_sigma": params.sigma_s, "depth_sigma": params.sigma_r_depth}),
-        (edge_px, None, {"cos_t": np.cos(theta), "sin_t": np.sin(theta)}),
-    ])
-    out = np.where(kept, tri, d)
-    out.flat[edge_px] = dire
+    if cfg.isotropic_only:
+        nonedge = edge = {"iso_sigma": params.sigma_s}
+    else:
+        theta = edges.theta.flat[edge_px]
+        nonedge = {"iso_sigma": params.sigma_s, "depth_sigma": params.sigma_r_depth}
+        edge = {"cos_t": np.cos(theta), "sin_t": np.sin(theta)}
+    dense, gathered = _denoise(d, guide_planes(guide, params.window_radius), params,
+                               cfg.threads, [(None, kept, nonedge), (edge_px, None, edge)])
+    out = np.where(kept, dense, d)
+    out.flat[edge_px] = gathered
     return DepthMap(out)
 
 

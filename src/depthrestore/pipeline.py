@@ -43,8 +43,7 @@ from .edge_analysis import (
     sobel_gradients,
 )
 from .filters import (
-    WindowSums, available_cpus, filter_non_hole, guide_planes, interior, pad, run_banded,
-    window_sums)
+    WindowSums, filter_non_hole, guide_planes, interior, pad, run_banded, window_sums)
 from .kernels import KernelParams
 
 DEFAULT_EDGE_THRESHOLD = 100.0
@@ -52,17 +51,19 @@ DEFAULT_EDGE_THRESHOLD = 100.0
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything the restoration pipeline can be tuned with.
+    """Everything the restoration pipeline can be tuned with, and the
+    one settings object that restore and both stage functions,
+    filter_non_hole and fill_holes, take and validate.
 
     r_edge of None means "use the kernel window radius", so the edge
     region is exactly the set of pixels whose filter window straddles
     an edge. threads is the number of row bands, run on at most one OS
-    thread per available CPU; 0 picks that CPU count. Any thread count
-    produces bit-identical output. isotropic_only switches every filter
-    to the plain isotropic JBF (the ablation arm). validate() checks
-    each count and radius with errors.require_int and edge_threshold
-    and the kernel widths with errors.require_real, and wants
-    isotropic_only as a bool.
+    thread per available CPU; 0 picks that CPU count
+    (filters.run_banded). Any thread count produces bit-identical
+    output. isotropic_only switches every filter to the plain isotropic
+    JBF (the ablation arm). validate() checks each count and radius
+    with errors.require_int and edge_threshold and the kernel widths
+    with errors.require_real, and wants isotropic_only as a bool.
     """
 
     kernel: KernelParams = field(default_factory=KernelParams)
@@ -113,10 +114,6 @@ class RestorationReport:
         return out
 
 
-def _resolve_threads(threads: int) -> int:
-    return available_cpus() if threads == 0 else threads
-
-
 def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
                edges: EdgeMap, cfg: PipelineConfig) -> tuple[DepthMap, RestorationReport]:
     """Fill hole pixels by iterated partial filtering; see module doc.
@@ -137,7 +134,6 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
     work = pad(filtered.samples, r)
     validf = pad(valid, r, np.float64)
     planes = guide_planes(guide, r)
-    threads = _resolve_threads(cfg.threads)
 
     iso = (replace(params, sigma_x=params.sigma_s, sigma_y=params.sigma_s), None)
     steered = iso if cfg.isotropic_only else (
@@ -156,7 +152,7 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
             acc = WindowSums(targets.shape)
             at = None if theta is None else theta.flat[targets]
             cos_t, sin_t = (1.0, 0.0) if at is None else (np.cos(at), np.sin(at))
-            run_banded(h, threads, lambda r0, r1: window_sums(
+            run_banded(h, cfg.threads, lambda r0, r1: window_sums(
                 work, validf, planes, p_params, acc, r0, r1,
                 cos_t=cos_t, sin_t=sin_t, targets=targets))
             got = acc.cnt > 0
@@ -193,8 +189,6 @@ def restore(depth: DepthMap, guide: ColorImage,
     holes = expand_holes(holes0, edges.edge, cfg.hole_expand_radius)
     labels = classify_regions(holes, edges, cfg.effective_r_edge())
     work = DepthMap(np.where(holes, 0.0, closed.samples))
-    threads = _resolve_threads(cfg.threads)
-    filtered = filter_non_hole(work, guide, labels, edges, cfg.kernel,
-                               threads=threads, isotropic_only=cfg.isotropic_only)
+    filtered = filter_non_hole(work, guide, labels, edges, cfg)
     final, report = fill_holes(filtered, guide, labels, edges, cfg)
     return final, labels, report

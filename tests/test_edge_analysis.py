@@ -212,3 +212,12 @@ def test_theta_units_scale_and_invert():
     assert abs(units[0, 2] - 65535.0) < 1e-9
     back = units / 65535.0 * math.pi - math.pi / 2
     assert np.allclose(back, theta, atol=1e-9)
+
+
+def test_edge_map_frames_must_match_in_size():
+    """An edge map whose flags and angles differ in size fails at
+    construction, naming both sizes, instead of feeding a fill that
+    reads theta at the wrong pixels."""
+    with pytest.raises(ContractViolation) as e:
+        EdgeMap(np.zeros((8, 11), bool), np.zeros((8, 8)))
+    assert "11x8" in str(e.value) and "8x8" in str(e.value)

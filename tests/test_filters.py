@@ -13,6 +13,7 @@ from depthrestore import (
     DegradeSpec,
     DepthMap,
     KernelParams,
+    PipelineConfig,
     degrade,
     djbf_pixel,
     encode_depth_pgm,
@@ -140,6 +141,35 @@ def test_hole_centers_are_rejected():
         djbf_pixel((2, 2), depth, guide, 0.0, PARAMS)
     with pytest.raises(ContractViolation):
         pdjbf_pixel((1, 1), depth, a != 0, guide, 0.0, PARAMS)
+
+
+def call_pixel_filter(name, p, depth, guide, params, valid):
+    """Run the named per-pixel filter, at theta 0.3 where it takes one."""
+    return {"jbf_pixel": lambda: jbf_pixel(p, depth, guide, params),
+            "tjbf_pixel": lambda: tjbf_pixel(p, depth, guide, params),
+            "djbf_pixel": lambda: djbf_pixel(p, depth, guide, 0.3, params),
+            "pdjbf_pixel": lambda: pdjbf_pixel(p, depth, valid, guide, 0.3, params)}[name]()
+
+
+@pytest.mark.parametrize("name", ["jbf_pixel", "tjbf_pixel", "djbf_pixel", "pdjbf_pixel"])
+def test_per_pixel_filters_fail_closed(name):
+    """A guide or valid mask of another size, invalid params, and a
+    pixel that is off the frame or not an int pair each raise
+    ContractViolation, instead of returning a value or escaping as a
+    numpy error."""
+    rng = np.random.default_rng(54)
+    depth, guide, _ = random_instance(rng, shape=(8, 8), hole_fraction=0.0)
+    ok = {"p": (3, 2), "depth": depth, "guide": guide, "params": PARAMS,
+          "valid": np.zeros((8, 8), bool)}
+    call_pixel_filter(name, **ok)
+    bad = [{"guide": random_instance(rng, shape=s)[1]} for s in ((6, 6), (8, 11))]
+    bad.append({"params": KernelParams(sigma_s=-1.0)})
+    bad += [{"p": p} for p in ((-1, 3), (3.5, 2), (8, 0), (0, 8), (True, 0))]
+    if name == "pdjbf_pixel":
+        bad.append({"valid": np.zeros((5, 5), bool)})
+    for change in bad:
+        with pytest.raises(ContractViolation):
+            call_pixel_filter(name, **(ok | change))
 
 
 def test_constant_depth_returns_the_constant():
@@ -304,7 +334,7 @@ def test_filter_non_hole_composes_per_pixel_filters():
     labels[depth.samples == HOLE] = 2
     theta = rng.uniform(-np.pi / 2, np.pi / 2, (12, 12))
     edges = EdgeMap(labels == NONHOLE_EDGE, theta)
-    out = filter_non_hole(depth, guide, labels, edges, PARAMS)
+    out = filter_non_hole(depth, guide, labels, edges, PipelineConfig(kernel=PARAMS))
     for y in range(12):
         for x in range(12):
             if labels[y, x] == NONHOLE_NONEDGE:
@@ -321,8 +351,8 @@ def test_filter_non_hole_thread_count_is_invisible():
     depth, guide, _ = random_instance(rng, shape=(20, 20))
     labels = (depth.samples == HOLE).astype(np.uint8) * 2
     edges = EdgeMap(np.zeros((20, 20), bool), np.zeros((20, 20)))
-    one = filter_non_hole(depth, guide, labels, edges, PARAMS, threads=1)
-    eight = filter_non_hole(depth, guide, labels, edges, PARAMS, threads=8)
+    one = filter_non_hole(depth, guide, labels, edges, PipelineConfig(kernel=PARAMS, threads=1))
+    eight = filter_non_hole(depth, guide, labels, edges, PipelineConfig(kernel=PARAMS, threads=8))
     assert np.array_equal(one.samples, eight.samples)
 
 
@@ -339,13 +369,13 @@ def test_mirrored_inputs_give_exactly_mirrored_output():
     labels[rng.random((10, 10)) < 0.5] = NONHOLE_EDGE
     labels[depth.samples == HOLE] = 2
     edges = EdgeMap(labels == NONHOLE_EDGE, theta)
-    out = filter_non_hole(depth, guide, labels, edges, PARAMS)
+    out = filter_non_hole(depth, guide, labels, edges, PipelineConfig(kernel=PARAMS))
 
     m_depth = DepthMap(depth.samples[:, ::-1].copy())
     m_guide = ColorImage(guide.samples[:, ::-1].copy())
     m_labels = labels[:, ::-1].copy()
     m_edges = EdgeMap(m_labels == NONHOLE_EDGE, (-theta)[:, ::-1].copy())
-    m_out = filter_non_hole(m_depth, m_guide, m_labels, m_edges, PARAMS)
+    m_out = filter_non_hole(m_depth, m_guide, m_labels, m_edges, PipelineConfig(kernel=PARAMS))
     assert np.array_equal(m_out.samples, out.samples[:, ::-1])
 
 
@@ -656,8 +686,9 @@ def test_deferred_clamp_matches_the_tracked_engine(h, w, kind, base, radius, sig
     params = replace(PARAMS, window_radius=radius, sigma_r_depth=sigma_r_depth,
                      sigma_y=sigma_y)
     want, moved = tracked_filter_non_hole(depth, guide, labels, edges, params, isotropic_only)
-    got = filter_non_hole(depth, guide, labels, edges, params, threads=threads,
-                          isotropic_only=isotropic_only)
+    got = filter_non_hole(depth, guide, labels, edges,
+                          PipelineConfig(kernel=params, threads=threads,
+                                         isotropic_only=isotropic_only))
     assert np.array_equal(got.samples, want)
     if pinned:
         assert moved > 0
@@ -676,7 +707,8 @@ def test_non_integer_depth_keeps_the_tracked_bits(isotropic_only):
     depth = DepthMap(d)
     want, moved = tracked_filter_non_hole(depth, guide, labels, edges, PARAMS, isotropic_only)
     assert moved > 0
-    got = filter_non_hole(depth, guide, labels, edges, PARAMS, isotropic_only=isotropic_only)
+    got = filter_non_hole(depth, guide, labels, edges,
+                          PipelineConfig(kernel=PARAMS, isotropic_only=isotropic_only))
     assert np.array_equal(got.samples, want)
 
 

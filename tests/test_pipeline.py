@@ -33,8 +33,8 @@ from depthrestore import (
 )
 from depthrestore import pipeline
 from depthrestore.edge_analysis import EdgeMap
+from depthrestore.filters import run_banded
 from depthrestore.image_model import HOLE
-from depthrestore.pipeline import _resolve_threads
 
 
 def flat_guide(shape, value=120):
@@ -166,7 +166,7 @@ def test_restore_validates_config_before_touching_data():
             restore(d, flat_guide((16, 16)), bad)
         with pytest.raises(ContractViolation):
             filter_non_hole(d, flat_guide((16, 16)), np.zeros((16, 16), np.uint8),
-                            no_edges((16, 16)), bad.kernel)
+                            no_edges((16, 16)), bad)
 
 
 def frames(h, w):
@@ -184,7 +184,7 @@ def metric_call(fn):
 FRAME_CALLS = {
     "restore": (lambda f: restore(f["depth"], f["guide"], small_cfg()), ("depth", "guide")),
     "filter_non_hole": (lambda f: filter_non_hole(f["depth"], f["guide"], f["labels"],
-                                                  f["edges"], KernelParams()),
+                                                  f["edges"], PipelineConfig()),
                         ("depth", "guide", "labels", "edges")),
     "fill_holes": (lambda f: fill_holes(f["depth"], f["guide"], f["labels"], f["edges"],
                                         small_cfg()),
@@ -299,16 +299,17 @@ def test_report_lines_are_stable_and_complete():
 
 
 def test_config_validation_errors():
-    """Each bad config fails validate(), and fill_holes, which a library
-    caller may run on its own, validates it too."""
+    """Each bad config fails validate(), and each stage function, which
+    a library caller may run on its own, validates it too."""
     f = frames(8, 8)
     for bad in (PipelineConfig(edge_threshold=0.0), PipelineConfig(hole_expand_radius=-1),
                 PipelineConfig(max_fill_passes=0), PipelineConfig(threads=-2),
                 PipelineConfig(r_edge=-1)):
         with pytest.raises(ContractViolation):
             bad.validate()
-        with pytest.raises(ContractViolation):
-            fill_holes(f["depth"], f["guide"], f["labels"], f["edges"], bad)
+        for stage in (filter_non_hole, fill_holes):
+            with pytest.raises(ContractViolation):
+                stage(f["depth"], f["guide"], f["labels"], f["edges"], bad)
     PipelineConfig().validate()
 
 
@@ -323,18 +324,18 @@ def test_edge_threshold_must_be_a_real_number():
 
 
 def test_threads_must_be_a_plain_int():
-    """In the config and in filter_non_hole, where 0 runs one band."""
+    """In the config and in filter_non_hole, which validates its config."""
     f = frames(8, 8)
     for bad in (True, False, 2.0, 1.5, "2", None, -3):
         with pytest.raises(ContractViolation):
             PipelineConfig(threads=bad).validate()
         with pytest.raises(ContractViolation):
-            filter_non_hole(f["depth"], f["guide"], f["labels"], f["edges"], KernelParams(),
-                            threads=bad)
+            filter_non_hole(f["depth"], f["guide"], f["labels"], f["edges"],
+                            PipelineConfig(threads=bad))
     PipelineConfig(threads=3).validate()
     for ok in (0, 1, np.int64(2)):
-        filter_non_hole(f["depth"], f["guide"], f["labels"], f["edges"], KernelParams(),
-                        threads=ok)
+        filter_non_hole(f["depth"], f["guide"], f["labels"], f["edges"],
+                        PipelineConfig(threads=ok))
 
 
 def test_int_fields_reject_bools_and_floats():
@@ -356,12 +357,10 @@ def test_isotropic_only_must_be_a_bool():
     for bad in ("false", "true", "yes", 0, 1, None):
         with pytest.raises(ContractViolation):
             restore(f["depth"], f["guide"], PipelineConfig(isotropic_only=bad))
-        with pytest.raises(ContractViolation):
-            filter_non_hole(f["depth"], f["guide"], f["labels"], f["edges"], KernelParams(),
-                            isotropic_only=bad)
-        with pytest.raises(ContractViolation):
-            fill_holes(f["depth"], f["guide"], f["labels"], f["edges"],
-                       PipelineConfig(isotropic_only=bad))
+        for stage in (filter_non_hole, fill_holes):
+            with pytest.raises(ContractViolation):
+                stage(f["depth"], f["guide"], f["labels"], f["edges"],
+                      PipelineConfig(isotropic_only=bad))
     PipelineConfig(isotropic_only=True).validate()
 
 
@@ -398,15 +397,39 @@ def test_os_threads_capped_at_available_cpus_bands_kept(monkeypatch):
     assert got == want
     assert InlinePool.pools  # denoise and at least one fill pass
     assert all(p == {"max_workers": 2, "bands": 8} for p in InlinePool.pools)
-    assert _resolve_threads(0) == 2
+
+
+def test_zero_threads_is_one_band_per_cpu_in_the_stage_functions(monkeypatch):
+    """threads=0 means one band per available CPU in filter_non_hole
+    too, not only in restore, and keeps the threads=1 bytes."""
+    clean, guide = make_scene("step", 48, 40)
+    d = degrade(clean, DegradeSpec(20.0, 0.05, 2, seed=3)).samples.copy()
+    labels = np.where(d == HOLE, 2, 0).astype(np.uint8)
+    labels[:, 20:28][d[:, 20:28] != HOLE] = 1
+    edges = EdgeMap(labels == 1, np.full(d.shape, 0.25))
+
+    def run(threads):
+        cfg = PipelineConfig(threads=threads)
+        return encode_depth_pgm(filter_non_hole(DepthMap(d), guide, labels, edges, cfg))
+
+    want = run(1)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    InlinePool.pools = []
+    assert run(0) == want
+    assert InlinePool.pools == [{"max_workers": 2, "bands": 2}]
 
 
 def test_available_cpus_falls_back_to_cpu_count(monkeypatch):
+    """Without an affinity set, threads=0 runs one band per CPU the
+    machine reports, and one band when it reports none."""
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert _resolve_threads(0) == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _resolve_threads(0) == 1
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+    for cpus, want in ((3, [(0, 4), (4, 7), (7, 10)]), (None, [(0, 10)])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        bands = []
+        run_banded(10, 0, lambda r0, r1: bands.append((r0, r1)))
+        assert bands == want
 
 
 def test_effective_edge_radius_defaults_to_window_radius():
