@@ -8,6 +8,7 @@ instance counts are part of the contract and are stated inline.
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -286,7 +287,7 @@ def test_criterion_6_determinism(tmp_path):
             "--speckle", "0.05", "--edge-hole-radius", "2"]
     assert main(["degrade", a] + args) == 0
     assert main(["degrade", b] + args) == 0
-    degrade_same = open(a, "rb").read() == open(b, "rb").read()
+    degrade_same = Path(a).read_bytes() == Path(b).read_bytes()
 
     ok = threads_same and degrade_same
     assert report(6, "determinism", ok,
@@ -355,7 +356,7 @@ def test_criterion_9_raster_round_trips(tmp_path):
         save_depth_pgm(loaded, p2)
         if not np.array_equal(loaded.samples, samples):
             ok = False
-        if open(p1, "rb").read() != open(p2, "rb").read():
+        if Path(p1).read_bytes() != Path(p2).read_bytes():
             ok = False
     for i in range(20):
         h = int(rng.integers(1, 30))
@@ -368,7 +369,7 @@ def test_criterion_9_raster_round_trips(tmp_path):
         save_color_ppm(loaded, p2)
         if not np.array_equal(loaded.samples, img.samples):
             ok = False
-        if open(p1, "rb").read() != open(p2, "rb").read():
+        if Path(p1).read_bytes() != Path(p2).read_bytes():
             ok = False
     assert report(9, "raster round trips", ok,
                   "20 depth maps and 20 color images, byte-identical re-encode")

@@ -3,6 +3,7 @@
 import math
 import os
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,15 +45,15 @@ def test_degrade_scene_writes_clean_and_color_siblings(tmp_path):
 
 def test_degrade_runs_are_byte_identical(tmp_path):
     _, _, first = scene_files(tmp_path)
-    data1 = open(first, "rb").read()
+    data1 = Path(first).read_bytes()
     _, _, second = scene_files(tmp_path)
-    assert open(second, "rb").read() == data1
+    assert Path(second).read_bytes() == data1
 
 
 def test_degrade_zero_spec_reproduces_clean_bytes(tmp_path):
     out = str(tmp_path / "d.pgm")
     assert main(["degrade", out, "--scene", "ramp"]) == 0
-    assert open(out, "rb").read() == open(str(tmp_path / "d_clean.pgm"), "rb").read()
+    assert Path(out).read_bytes() == (tmp_path / "d_clean.pgm").read_bytes()
 
 
 def test_degrade_wants_exactly_one_input(tmp_path, capsys):
@@ -197,7 +198,7 @@ def test_edges_dumps_mask_and_theta(tmp_path):
     prefix = str(tmp_path / "dump")
     assert main(["edges", color, prefix]) == 0
     # the mask is 8-bit, so read its bytes directly
-    raw = open(prefix + "_edges.pgm", "rb").read()
+    raw = Path(prefix + "_edges.pgm").read_bytes()
     assert raw.startswith(b"P5\n160 120\n255\n")
     body = raw[len(b"P5\n160 120\n255\n"):]
     assert set(body) <= {0, 255}
@@ -214,7 +215,7 @@ def test_edges_constant_image_has_empty_mask(tmp_path):
     save_color_ppm(img, color)
     prefix = str(tmp_path / "flat")
     assert main(["edges", color, prefix]) == 0
-    raw = open(prefix + "_edges.pgm", "rb").read()
+    raw = Path(prefix + "_edges.pgm").read_bytes()
     body = raw[raw.index(b"255\n") + 4:]
     assert set(body) == {0}
 
@@ -228,14 +229,14 @@ def test_config_file_applies_and_flags_override(tmp_path):
     flag_run = str(tmp_path / "b.pgm")
     assert main(["restore", deg, color, flag_run,
                  "--sigma-s", "1.0", "--window-radius", "3"]) == 0
-    assert open(out_file, "rb").read() == open(flag_run, "rb").read()
+    assert Path(out_file).read_bytes() == Path(flag_run).read_bytes()
 
     override = str(tmp_path / "c.pgm")
     assert main(["restore", deg, color, override, "--config", str(cfg),
                  "--sigma-s", "3.0", "--window-radius", "5"]) == 0
     default_run = str(tmp_path / "d.pgm")
     assert main(["restore", deg, color, default_run]) == 0
-    assert open(override, "rb").read() == open(default_run, "rb").read()
+    assert Path(override).read_bytes() == Path(default_run).read_bytes()
 
 
 def test_no_flags_and_no_config_give_library_defaults():
@@ -307,7 +308,7 @@ def test_isotropic_flag_changes_output(tmp_path):
     iso = str(tmp_path / "i.pgm")
     assert main(["restore", deg, color, full]) == 0
     assert main(["restore", deg, color, iso, "--isotropic-only"]) == 0
-    assert open(full, "rb").read() != open(iso, "rb").read()
+    assert Path(full).read_bytes() != Path(iso).read_bytes()
 
 
 def test_threads_flag_does_not_change_bytes(tmp_path):
@@ -316,7 +317,7 @@ def test_threads_flag_does_not_change_bytes(tmp_path):
     b = str(tmp_path / "t8.pgm")
     assert main(["restore", deg, color, a, "--threads", "1"]) == 0
     assert main(["restore", deg, color, b, "--threads", "8"]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_help_lists_defaults(capsys, monkeypatch):

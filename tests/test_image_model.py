@@ -1,6 +1,7 @@
 """Raster types, grayscale conversion, and Netpbm byte-level I/O."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,16 +59,16 @@ def test_load_pgm_big_endian_order(tmp_path):
 def test_save_pgm_exact_bytes(tmp_path):
     p = str(tmp_path / "out.pgm")
     save_depth_pgm(DepthMap(np.array([[1.0, 2.0], [3.0, 4.0]])), p)
-    assert open(p, "rb").read() == PGM_2X2
+    assert Path(p).read_bytes() == PGM_2X2
     save_depth_pgm(DepthMap(np.array([[65535.0]])), p)
-    assert open(p, "rb").read() == PGM_1X1_MAX
+    assert Path(p).read_bytes() == PGM_1X1_MAX
 
 
 def test_encode_matches_save(tmp_path):
     d = DepthMap(np.array([[0.0, 500.5], [1000.0, 65535.0]]))
     p = str(tmp_path / "e.pgm")
     save_depth_pgm(d, p)
-    assert encode_depth_pgm(d) == open(p, "rb").read()
+    assert encode_depth_pgm(d) == Path(p).read_bytes()
 
 
 def test_header_comments_accepted(tmp_path):
@@ -85,7 +86,7 @@ def test_header_whitespace_variants(tmp_path):
 def test_writer_never_emits_comments(tmp_path):
     p = str(tmp_path / "n.pgm")
     save_depth_pgm(DepthMap(np.zeros((4, 5))), p)
-    assert b"#" not in open(p, "rb").read()
+    assert b"#" not in Path(p).read_bytes()
 
 
 def test_wrong_magic_rejected(tmp_path):
@@ -173,7 +174,7 @@ def test_ppm_round_trip(tmp_path):
     again = load_color_ppm(p)
     assert np.array_equal(img.samples, again.samples)
     save_color_ppm(again, str(tmp_path / "rt2.ppm"))
-    assert open(p, "rb").read() == open(str(tmp_path / "rt2.ppm"), "rb").read()
+    assert Path(p).read_bytes() == (tmp_path / "rt2.ppm").read_bytes()
 
 
 def test_pgm_round_trip_random(tmp_path):
@@ -185,7 +186,7 @@ def test_pgm_round_trip_random(tmp_path):
     assert np.array_equal(raw, again.samples)
     p2 = str(tmp_path / "r2.pgm")
     save_depth_pgm(again, p2)
-    assert open(p, "rb").read() == open(p2, "rb").read()
+    assert Path(p).read_bytes() == Path(p2).read_bytes()
 
 
 def test_failed_save_keeps_existing_file(tmp_path):
@@ -206,7 +207,7 @@ def test_failed_save_keeps_existing_file(tmp_path):
 def test_mask_pgm_bytes(tmp_path):
     p = str(tmp_path / "m.pgm")
     save_mask_pgm(np.array([[True, False]]), p)
-    assert open(p, "rb").read() == b"P5\n2 1\n255\n\xff\x00"
+    assert Path(p).read_bytes() == b"P5\n2 1\n255\n\xff\x00"
     with pytest.raises(ContractViolation):
         save_mask_pgm(np.array([[1, 0]]), p)
 
