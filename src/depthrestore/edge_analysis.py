@@ -49,8 +49,7 @@ class GradientField:
 
 @dataclass(frozen=True)
 class EdgeMap:
-    """Edge flags plus per-pixel contour orientation in (-pi/2, pi/2],
-    two frames of one size."""
+    """Edge flags plus per-pixel contour orientation in (-pi/2, pi/2]."""
 
     edge: np.ndarray
     theta: np.ndarray

@@ -99,6 +99,7 @@ deferred clamp moves no output bit either.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -106,7 +107,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ContractViolation, require_int, require_same_shape
+from .errors import ContractViolation, require_int, require_real, require_same_shape
 from .image_model import HOLE, ColorImage, DepthMap
 from .edge_analysis import EdgeMap, NONHOLE_EDGE, NONHOLE_NONEDGE
 from .kernels import (
@@ -151,10 +152,8 @@ def _filter_at(op, p, depth: DepthMap, guide: ColorImage, params: KernelParams,
     crop of the padded frames around p, which reads the sources of a
     whole-image run and so gives its bits. The directional flavor takes
     theta's cos and sin as scalars; valid of None means every non-hole
-    pixel is a source and the center must be one, else the center must
-    not be valid. params is validated, every frame must have the
-    depth's size and p must be a pixel of it. Each call pads the whole
-    frame."""
+    pixel is a source and p must be one, else p must not be valid.
+    Checks params, the frame sizes and p first; pads the whole frame."""
     params.validate()
     require_same_shape(depth=depth, guide=guide, **({} if valid is None else {"valid": valid}))
     y, x = p
@@ -202,6 +201,7 @@ def djbf_pixel(p, depth: DepthMap, guide: ColorImage, theta: float,
     the edge contour, so smoothing follows the edge instead of crossing
     it.
     """
+    require_real("theta", theta, gt=-math.inf, lt=math.inf)
     return _filter_at("djbf_pixel", p, depth, guide, params, theta=theta)
 
 
@@ -216,6 +216,7 @@ def pdjbf_pixel(p, depth: DepthMap, valid: np.ndarray, guide: ColorImage,
     caller retries the pixel on a later pass rather than treating this
     as an error.
     """
+    require_real("theta", theta, gt=-math.inf, lt=math.inf)
     return _filter_at("pdjbf_pixel", p, depth, guide, params, valid, theta)
 
 
@@ -436,12 +437,10 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
 
     With cfg.isotropic_only both regions get the plain isotropic JBF
     (no depth term) instead; this is the ablation arm for measuring
-    what the directional kernel buys. Either way the stage makes the
-    same two passes, dense over the frame and gathered over the edge
-    region, and only their flavors differ.
+    what the directional kernel buys. Either arm makes the same two
+    passes, dense and over the edge region; only their flavors differ.
 
-    cfg is validated (it supplies the kernel, the threads and
-    isotropic_only), and every frame must have the depth's size.
+    cfg is validated, and every frame must have the depth's size.
     """
     cfg.validate()
     require_same_shape(depth=depth, guide=guide, labels=labels, theta=edges.theta)

@@ -51,19 +51,18 @@ DEFAULT_EDGE_THRESHOLD = 100.0
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything the restoration pipeline can be tuned with, and the
-    one settings object that restore and both stage functions,
-    filter_non_hole and fill_holes, take and validate.
+    """Everything the restoration pipeline can be tuned with: restore,
+    filter_non_hole and fill_holes each take one and validate it.
 
     r_edge of None means "use the kernel window radius", so the edge
     region is exactly the set of pixels whose filter window straddles
     an edge. threads is the number of row bands, run on at most one OS
-    thread per available CPU; 0 picks that CPU count
-    (filters.run_banded). Any thread count produces bit-identical
-    output. isotropic_only switches every filter to the plain isotropic
-    JBF (the ablation arm). validate() checks each count and radius
-    with errors.require_int and edge_threshold and the kernel widths
-    with errors.require_real, and wants isotropic_only as a bool.
+    thread per available CPU; 0 picks that CPU count (run_banded). Any
+    thread count produces bit-identical output. isotropic_only switches
+    every filter to the plain isotropic JBF (the ablation arm).
+    validate() checks each count and radius with errors.require_int and
+    edge_threshold and the kernel widths with errors.require_real, and
+    wants isotropic_only as a bool.
     """
 
     kernel: KernelParams = field(default_factory=KernelParams)

@@ -143,30 +143,33 @@ def test_hole_centers_are_rejected():
         pdjbf_pixel((1, 1), depth, a != 0, guide, 0.0, PARAMS)
 
 
-def call_pixel_filter(name, p, depth, guide, params, valid):
-    """Run the named per-pixel filter, at theta 0.3 where it takes one."""
+def call_pixel_filter(name, p, depth, guide, params, valid, theta):
+    """Run the named per-pixel filter; valid and theta go only to the
+    filters that take them."""
     return {"jbf_pixel": lambda: jbf_pixel(p, depth, guide, params),
             "tjbf_pixel": lambda: tjbf_pixel(p, depth, guide, params),
-            "djbf_pixel": lambda: djbf_pixel(p, depth, guide, 0.3, params),
-            "pdjbf_pixel": lambda: pdjbf_pixel(p, depth, valid, guide, 0.3, params)}[name]()
+            "djbf_pixel": lambda: djbf_pixel(p, depth, guide, theta, params),
+            "pdjbf_pixel": lambda: pdjbf_pixel(p, depth, valid, guide, theta, params)}[name]()
 
 
 @pytest.mark.parametrize("name", ["jbf_pixel", "tjbf_pixel", "djbf_pixel", "pdjbf_pixel"])
 def test_per_pixel_filters_fail_closed(name):
-    """A guide or valid mask of another size, invalid params, and a
-    pixel that is off the frame or not an int pair each raise
-    ContractViolation, instead of returning a value or escaping as a
-    numpy error."""
+    """A guide or valid mask of another size, invalid params, a pixel
+    that is off the frame or not an int pair, and an angle that is not
+    a finite real each raise ContractViolation, instead of returning a
+    value or escaping as a numpy error."""
     rng = np.random.default_rng(54)
     depth, guide, _ = random_instance(rng, shape=(8, 8), hole_fraction=0.0)
     ok = {"p": (3, 2), "depth": depth, "guide": guide, "params": PARAMS,
-          "valid": np.zeros((8, 8), bool)}
+          "valid": np.zeros((8, 8), bool), "theta": 0.3}
     call_pixel_filter(name, **ok)
     bad = [{"guide": random_instance(rng, shape=s)[1]} for s in ((6, 6), (8, 11))]
     bad.append({"params": KernelParams(sigma_s=-1.0)})
     bad += [{"p": p} for p in ((-1, 3), (3.5, 2), (8, 0), (0, 8), (True, 0))]
     if name == "pdjbf_pixel":
         bad.append({"valid": np.zeros((5, 5), bool)})
+    if name in ("djbf_pixel", "pdjbf_pixel"):
+        bad += [{"theta": t} for t in (math.nan, math.inf, None, "0.3")]
     for change in bad:
         with pytest.raises(ContractViolation):
             call_pixel_filter(name, **(ok | change))
