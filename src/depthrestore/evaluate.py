@@ -10,19 +10,19 @@ contract and is documented on `degrade`.
 The stream is one serial sequence, but it is made in numpy blocks.
 xoshiro256++ advances its state by a linear map T over GF(2)
 (Blackman & Vigna, "Scrambled linear pseudorandom number generators"),
-so s advanced by k steps is T^k s. T is found by running the one
-xoshiro step on the 256 unit states, and J = T^LANE_DRAWS by
-squaring (cached per process). A block runs up to BLOCK_LANES lanes in
-lockstep: lane k starts at J^k s, the state LANE_DRAWS * k draws on
-(Haramoto et al., "Efficient jump ahead for F2-linear random number
-generators", 2008), and gets LANE_DRAWS consecutive outputs. The
-starts double: J^(2^d) times the first 2^d starts gives the next 2^d,
-so a block costs log2(lanes) matrix products. Laid end
-to end, the lanes are exactly the next draws of the serial stream, and
-the last lane's final state starts the next block. Draws sit in a
-buffer and each call consumes exactly the draws the one-at-a-time
-definitions would, so the scalar methods and the array methods
-interleave freely.
+so s advanced by k steps is T^k s. Every such map is held as (4, 256)
+uint64 words, column j the image of the unit state with bit j set: T is
+the one xoshiro step run on the 256 unit states, and J = T^LANE_DRAWS
+comes by squaring (cached per process). A block runs up to BLOCK_LANES
+lanes in lockstep: lane k starts at J^k s, the state LANE_DRAWS * k
+draws on (Haramoto et al., "Efficient jump ahead for F2-linear random
+number generators", 2008), and gets LANE_DRAWS consecutive outputs. The
+starts double: J^(2^d) applied to the first 2^d starts gives the next
+2^d, so a block costs log2(lanes) map applications. Laid end to end,
+the lanes are exactly the next draws of the serial stream, and the
+last lane's final state starts the next block. Draws sit in a buffer
+and each call consumes exactly the draws the one-at-a-time definitions
+would, so the scalar methods and the array methods interleave freely.
 
 Box-Muller keeps libm's `math.log` per accepted pair: `np.log` rounds
 differently on a fraction of a percent of inputs. `np.sqrt`, `floor`
@@ -84,51 +84,40 @@ def _to_unit(x: np.ndarray) -> np.ndarray:
     return (x >> np.uint64(11)) * 2.0 ** -53
 
 
-def _bits(states: np.ndarray) -> np.ndarray:
-    """(4, L) uint64 states as (256, L) 0/1 columns, bit i of word w at row 64w + i."""
-    return ((states[:, None, :] >> _BIT[:, None]) & np.uint64(1)).reshape(256, -1)
+# The unit states, column j with bit j set (bit i of word w at j = 64w + i):
+# the identity map in the form _apply takes.
+_UNIT = np.kron(np.eye(4, dtype=np.uint64), np.uint64(1) << _BIT)
+_UNIT.flags.writeable = False
 
 
-def _words(bits: np.ndarray) -> np.ndarray:
-    """Inverse of _bits."""
-    b = bits.astype(np.uint64).reshape(4, 64, -1)
-    return (b << _BIT[:, None]).sum(axis=1, dtype=np.uint64)
+def _apply(m: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The GF(2)-linear map m applied to (4, L) uint64 states.
 
-
-def _apply(a: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """The 256x256 0/1 matrix a times (4, L) states, over GF(2).
-
-    Bit i of a result is the parity of row i of a AND the state. Integer
-    ops only: a float matmul would be exact too, but BLAS leaves worker
+    m is (4, 256) uint64, column j the image of unit state j, so a
+    state's image is the XOR of the columns its set bits select, and
+    _apply(a, b) is the map b then a. Integer ops only, every operand
+    uint64: a float matmul would be exact too, but BLAS leaves worker
     threads spinning after each call, which slows the caller's next
     computation.
     """
-    rows = _words(a.T)  # column i is row i of a
-    x = np.bitwise_xor.reduce(rows[:, :, None] & states[:, None, :], axis=0)
-    for k in (32, 16, 8, 4, 2, 1):
-        x ^= x >> np.uint64(k)
-    return _words(x & np.uint64(1))
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _bits(_apply(a, _words(b)))
+    sel = ((states[:, None, :] >> _BIT[:, None]) & np.uint64(1)).reshape(256, -1)
+    return np.bitwise_xor.reduce(m[:, :, None] * sel, axis=1)
 
 
 @functools.cache
 def _jump(steps: int, doublings: int) -> np.ndarray:
-    """The 256x256 GF(2) matrix that advances a state by steps * 2**doublings draws."""
+    """The (4, 256) map that advances a state by steps * 2**doublings draws."""
     if doublings:
         half = _jump(steps, doublings - 1)
-        out = _product(half, half)
+        out = _apply(half, half)
     else:
-        units = _words(np.eye(256))
-        _xoshiro_step(units)
-        t = _bits(units)  # column j is the step applied to unit state j
-        out = np.eye(256, dtype=np.uint64)
+        t = _UNIT.copy()
+        _xoshiro_step(t)  # T: one step of each unit state
+        out = _UNIT
         while steps:
             if steps & 1:
-                out = _product(t, out)
-            t = _product(t, t)
+                out = _apply(t, out)
+            t = _apply(t, t)
             steps >>= 1
     out.flags.writeable = False
     return out
