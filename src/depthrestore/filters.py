@@ -156,7 +156,10 @@ def _filter_at(op, p, depth: DepthMap, guide: ColorImage, params: KernelParams,
     Checks params, the frame sizes and p first; pads the whole frame."""
     params.validate()
     require_same_shape(depth=depth, guide=guide, **({} if valid is None else {"valid": valid}))
-    y, x = p
+    try:
+        y, x = p
+    except (TypeError, ValueError):
+        raise ContractViolation(f"p must be a (row, col) pair, got {p!r}") from None
     require_int("row", y, ge=0, lt=depth.samples.shape[0])
     require_int("col", x, ge=0, lt=depth.samples.shape[1])
     hole = depth.samples[y, x] == HOLE

@@ -165,7 +165,8 @@ def test_per_pixel_filters_fail_closed(name):
     call_pixel_filter(name, **ok)
     bad = [{"guide": random_instance(rng, shape=s)[1]} for s in ((6, 6), (8, 11))]
     bad.append({"params": KernelParams(sigma_s=-1.0)})
-    bad += [{"p": p} for p in ((-1, 3), (3.5, 2), (8, 0), (0, 8), (True, 0))]
+    bad += [{"p": p} for p in ((-1, 3), (3.5, 2), (8, 0), (0, 8), (True, 0),
+                               5, None, (1, 2, 3), (1,))]
     if name == "pdjbf_pixel":
         bad.append({"valid": np.zeros((5, 5), bool)})
     if name in ("djbf_pixel", "pdjbf_pixel"):
