@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, require_int, require_real, require_same_shape
+from .errors import ContractViolation, require_int, require_mask, require_real, require_same_shape
 from .image_model import DEPTH_MAXVAL, GrayImage
 from .preprocess import chebyshev_dilate
 
@@ -55,6 +55,7 @@ class EdgeMap:
     theta: np.ndarray
 
     def __post_init__(self):
+        require_mask(edge=self.edge)
         require_same_shape(edge=self.edge, theta=self.theta)
 
 
@@ -112,6 +113,7 @@ def classify_regions(holes: np.ndarray, edges: EdgeMap, r_edge: int) -> np.ndarr
     radius r_edge, so a filter window of that radius centered there
     would straddle an edge.
     """
+    require_mask(holes=holes)
     require_same_shape(holes=holes, edges=edges.edge)
     require_int("r_edge", r_edge, ge=0)
     near_edge = chebyshev_dilate(edges.edge, r_edge)

@@ -16,10 +16,12 @@ helpers, which state its whole contract in one call:
   lt=math.inf asks for a finite value.
 
 A public function that takes two or more frames checks that they
-agree in height and width with a third, require_same_shape.
+agree in height and width with a third, require_same_shape; one that
+takes a mask checks that it is a bool array with require_mask.
 
-A string, None, a bool, a value out of bounds or a frame of another
-size raises ContractViolation, naming the parameter.
+A string, None, a bool, a value out of bounds, a frame of another
+size or a mask that is not bool raises ContractViolation, naming the
+parameter.
 """
 
 from numbers import Integral, Real
@@ -82,6 +84,15 @@ def require_same_shape(**frames) -> None:
     if len(set(sizes.values())) > 1 or any(len(s) != 2 for s in sizes.values()):
         raise ContractViolation("frame sizes differ: " + ", ".join(
             f"{name} {'x'.join(map(str, s[::-1]))}" for name, s in sizes.items()))
+
+
+def require_mask(**masks) -> None:
+    """Raise ContractViolation unless every mask is a bool array: numpy
+    reads a 0/1 int array as row indices and a float one as weights."""
+    for name, m in masks.items():
+        if getattr(m, "dtype", None) != np.bool_:
+            raise ContractViolation(f"{name} must be a bool array, got "
+                                    f"{getattr(m, 'dtype', type(m).__name__)}")
 
 
 def _require_bounds(name: str, value, gt, ge, lt) -> None:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, require_int, require_real, require_same_shape
+from .errors import ContractViolation, require_int, require_mask, require_real, require_same_shape
 from .image_model import DEPTH_MAXVAL, HOLE, ColorImage, DepthMap
 from .preprocess import chebyshev_dilate
 
@@ -344,6 +344,7 @@ def _mutual_valid(a: DepthMap, b: DepthMap, mask: np.ndarray | None) -> np.ndarr
     require_same_shape(a=a, b=b)
     m = (a.samples != HOLE) & (b.samples != HOLE)
     if mask is not None:
+        require_mask(mask=mask)
         require_same_shape(maps=m, mask=mask)
         m &= mask
     if not m.any():

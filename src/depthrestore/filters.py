@@ -107,7 +107,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ContractViolation, require_int, require_real, require_same_shape
+from .errors import ContractViolation, require_int, require_mask, require_real, require_same_shape
 from .image_model import HOLE, ColorImage, DepthMap
 from .edge_analysis import EdgeMap, NONHOLE_EDGE, NONHOLE_NONEDGE
 from .kernels import (
@@ -220,6 +220,7 @@ def pdjbf_pixel(p, depth: DepthMap, valid: np.ndarray, guide: ColorImage,
     as an error.
     """
     require_real("theta", theta, gt=-math.inf, lt=math.inf)
+    require_mask(valid=valid)
     return _filter_at("pdjbf_pixel", p, depth, guide, params, valid, theta)
 
 

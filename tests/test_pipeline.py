@@ -27,6 +27,7 @@ from depthrestore import (
     filter_non_hole,
     mae,
     make_scene,
+    pdjbf_pixel,
     psnr,
     quantize,
     restore,
@@ -209,6 +210,31 @@ def test_every_frame_must_match_in_size(name, frame, size):
     with pytest.raises(ContractViolation) as e:
         call(frames(8, 8) | {frame: frames(*size)[frame]})
     assert "8x8" in str(e.value) and f"{size[1]}x{size[0]}" in str(e.value)
+
+
+MASK_CALLS = {
+    "EdgeMap edge": lambda f, m: EdgeMap(m, np.zeros(m.shape)),
+    "expand_holes holes": lambda f, m: expand_holes(m, f["holes"], 1),
+    "expand_holes edges": lambda f, m: expand_holes(f["holes"], m, 1),
+    "classify_regions holes": lambda f, m: classify_regions(m, f["edges"], 1),
+    "pdjbf_pixel valid": lambda f, m: pdjbf_pixel((3, 3), f["depth"], m, f["guide"], 0.3,
+                                                  KernelParams()),
+    **{f"{fn.__name__} mask": lambda f, m, fn=fn: fn(f["depth"], f["truth"], mask=m)
+       for fn in (psnr, mae, bad_pixel_rate, compare)},
+}
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("name", list(MASK_CALLS))
+def test_masks_must_be_bool(name, dtype):
+    """A 0/1 int or float mask fails as a ContractViolation naming the
+    mask, instead of being read as row indices or as weights, or
+    escaping as a raw numpy error."""
+    mask = np.zeros((8, 8), bool)
+    mask[2, 2] = True
+    MASK_CALLS[name](frames(8, 8), mask)
+    with pytest.raises(ContractViolation, match=rf"^{name.split()[1]} must be a bool array"):
+        MASK_CALLS[name](frames(8, 8), mask.astype(dtype))
 
 
 def test_restore_output_has_no_new_holes_and_rounds_cleanly():
