@@ -247,10 +247,7 @@ def main(argv=None) -> int:
     except ContractViolation as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -34,6 +34,7 @@ from .preprocess import (
 from .edge_analysis import (
     HOLE_EDGE,
     HOLE_NONEDGE,
+    LABEL_NAMES,
     NONHOLE_EDGE,
     EdgeMap,
     classify_regions,
@@ -108,7 +109,7 @@ class RestorationReport:
             f"holes_unfilled: {self.holes_unfilled}",
             f"fill_passes_used: {self.fill_passes_used}",
         ]
-        for name in ("nonhole_nonedge", "nonhole_edge", "hole_nonedge", "hole_edge"):
+        for name in LABEL_NAMES.values():
             out.append(f"{name}: {self.region_counts[name]}")
         return out
 
