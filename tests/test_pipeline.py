@@ -213,13 +213,13 @@ def test_every_frame_must_match_in_size(name, frame, size):
 
 
 MASK_CALLS = {
-    "EdgeMap edge": lambda f, m: EdgeMap(m, np.zeros(m.shape)),
-    "expand_holes holes": lambda f, m: expand_holes(m, f["holes"], 1),
-    "expand_holes edges": lambda f, m: expand_holes(f["holes"], m, 1),
-    "classify_regions holes": lambda f, m: classify_regions(m, f["edges"], 1),
-    "pdjbf_pixel valid": lambda f, m: pdjbf_pixel((3, 3), f["depth"], m, f["guide"], 0.3,
+    "EdgeMap.edge": lambda f, m: EdgeMap(m, np.zeros(m.shape)),
+    "expand_holes.holes": lambda f, m: expand_holes(m, f["holes"], 1),
+    "expand_holes.edges": lambda f, m: expand_holes(f["holes"], m, 1),
+    "classify_regions.holes": lambda f, m: classify_regions(m, f["edges"], 1),
+    "pdjbf_pixel.valid": lambda f, m: pdjbf_pixel((3, 3), f["depth"], m, f["guide"], 0.3,
                                                   KernelParams()),
-    **{f"{fn.__name__} mask": lambda f, m, fn=fn: fn(f["depth"], f["truth"], mask=m)
+    **{f"{fn.__name__}.mask": lambda f, m, fn=fn: fn(f["depth"], f["truth"], mask=m)
        for fn in (psnr, mae, bad_pixel_rate, compare)},
 }
 
@@ -233,7 +233,7 @@ def test_masks_must_be_bool(name, dtype):
     mask = np.zeros((8, 8), bool)
     mask[2, 2] = True
     MASK_CALLS[name](frames(8, 8), mask)
-    with pytest.raises(ContractViolation, match=rf"^{name.split()[1]} must be a bool array"):
+    with pytest.raises(ContractViolation, match=rf"^{name.split('.')[1]} must be a bool array"):
         MASK_CALLS[name](frames(8, 8), mask.astype(dtype))
 
 
