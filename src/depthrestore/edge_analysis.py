@@ -132,41 +132,43 @@ def label_counts(labels: np.ndarray) -> dict:
     }
 
 
-def nearest_edge_theta(edges: EdgeMap, r_edge: int) -> np.ndarray:
-    """Per-pixel theta of the nearest edge pixel within r_edge.
+def nearest_edge_theta(edges: EdgeMap, r_edge: int, targets: np.ndarray) -> np.ndarray:
+    """Theta of the nearest edge pixel within r_edge, at each of the
+    flat indices targets (y * w + x), one angle per target.
 
     Hole pixels have no usable gradient of their own, so hole filling
     near an edge borrows the orientation of the closest edge pixel
     (Chebyshev distance). Ties at equal distance resolve to the first
-    candidate in row-major scan order. Pixels with no edge pixel in
-    range keep their own theta.
+    candidate in row-major scan order. An edge pixel keeps its own
+    theta, and so does a target with no edge pixel in range.
 
-    Offsets are visited in (distance, dy, dx) order; within one offset
-    every target sees at most one source, so "first assignment wins"
-    reproduces the scan-order tie rule exactly.
+    Offsets are visited in (distance, dy, dx) order, so the first hit
+    of a target is its answer. Each offset gathers the edge flags of
+    the targets still without one from the edge map padded by r_edge,
+    where every exterior flag is False, and the walk stops when none is
+    left: the cost follows the targets, not the frame.
     """
     require_int("r_edge", r_edge, ge=0)
-    theta = edges.theta
-    h, w = theta.shape
-    out = theta.copy()
-    assigned = edges.edge.copy()
-    offsets = sorted(
-        ((max(abs(dy), abs(dx)), dy, dx)
-         for dy in range(-r_edge, r_edge + 1)
-         for dx in range(-r_edge, r_edge + 1)),
-    )
-    for dist, dy, dx in offsets:
-        if dist == 0:
-            continue
-        ys0, ys1 = max(0, -dy), h - max(0, dy)
-        xs0, xs1 = max(0, -dx), w - max(0, dx)
-        if ys0 >= ys1 or xs0 >= xs1:
-            continue
-        dst = (slice(ys0, ys1), slice(xs0, xs1))
-        src = (slice(ys0 + dy, ys1 + dy), slice(xs0 + dx, xs1 + dx))
-        sel = ~assigned[dst] & edges.edge[src]
-        out[dst][sel] = theta[src][sel]
-        assigned[dst] |= sel
+    targets = np.asarray(targets, dtype=np.intp)
+    w = edges.edge.shape[1]
+    wp = w + 2 * r_edge
+    edge = np.pad(edges.edge, r_edge).reshape(-1)
+    out = edges.theta.flat[targets]
+    at = targets + (targets // w) * (2 * r_edge) + r_edge * (wp + 1)  # padded flat index
+    left = np.flatnonzero(~edge.take(at))  # positions in targets still without an edge
+    at = at[left]
+    offsets = sorted((max(abs(dy), abs(dx)), dy, dx)
+                     for dy in range(-r_edge, r_edge + 1)
+                     for dx in range(-r_edge, r_edge + 1))
+    for _, dy, dx in offsets[1:]:
+        if not left.size:
+            break
+        hit = edge.take(at + (dy * wp + dx))
+        if hit.any():
+            got = left[hit]
+            out[got] = edges.theta.flat[targets[got] + (dy * w + dx)]
+            left = left[~hit]
+            at = at[~hit]
     return out
 
 

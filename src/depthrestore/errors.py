@@ -17,11 +17,12 @@ helpers, which state its whole contract in one call:
 
 A public function that takes two or more frames checks that they
 agree in height and width with a third, require_same_shape; one that
-takes a mask checks that it is a bool array with require_mask.
+takes a mask checks that it is a bool array with require_mask, and one
+that takes region labels checks them with require_labels.
 
 A string, None, a bool, a value out of bounds, a frame of another
-size or a mask that is not bool raises ContractViolation, naming the
-parameter.
+size, a mask that is not bool or labels outside 0-3 raise
+ContractViolation, naming the parameter.
 """
 
 from numbers import Integral, Real
@@ -93,6 +94,17 @@ def require_mask(**masks) -> None:
         if getattr(m, "dtype", None) != np.bool_:
             raise ContractViolation(f"{name} must be a bool array, got "
                                     f"{getattr(m, 'dtype', type(m).__name__)}")
+
+
+def require_labels(labels) -> None:
+    """Raise ContractViolation unless labels is an integer array of
+    region labels, 0 to 3 (edge_analysis.LABEL_NAMES)."""
+    kind = getattr(labels, "dtype", np.dtype(object)).kind
+    if kind not in "iu":
+        raise ContractViolation(f"labels must be an integer array, got "
+                                f"{getattr(labels, 'dtype', type(labels).__name__)}")
+    if labels.size and not (labels.min() >= 0 and labels.max() <= 3):
+        raise ContractViolation(f"labels must lie in 0-3, got {labels.min()} to {labels.max()}")
 
 
 def _require_bounds(name: str, value, gt, ge, lt) -> None:

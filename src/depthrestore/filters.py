@@ -107,7 +107,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ContractViolation, require_int, require_mask, require_real, require_same_shape
+from .errors import (
+    ContractViolation, require_int, require_labels, require_mask, require_real, require_same_shape)
 from .image_model import HOLE, ColorImage, DepthMap
 from .edge_analysis import EdgeMap, NONHOLE_EDGE, NONHOLE_NONEDGE
 from .kernels import (
@@ -283,21 +284,25 @@ def window_sums(depth: np.ndarray, validf: np.ndarray, planes, params: KernelPar
     table = color_range_table(params.sigma_r_color)
     track = acc.cmin is not None
     dtable = None
-    if depth_sigma is not None and depth.dtype == np.uint16:
-        dtable = depth_range_table(depth_sigma, int(depth.max()) + 1)
-    for out, at in _blocks(r, row0, row1, (planes, depth, validf), targets):
-        cpl, cd, _ = at(0, 0)
+    if depth_sigma is not None and depth.dtype.kind == "u":
+        top = int(depth.max())
+        dtable = depth_range_table(depth_sigma, top + 1, top // 2 if validf is None else None)
+    frames = (planes, depth) if validf is None else (planes, depth, validf)
+    for out, at in _blocks(r, row0, row1, frames, targets):
+        cpl, cd, *_ = at(0, 0)
         cc, cs = (a if _scalar(a) else a[out] for a in (cos_t, sin_t))
         for dy in range(-r, r + 1):
             for adx in range(r + 1):
                 sides = []
                 for dx in (-adx, adx) if adx else (0,):
-                    spl, dq, gate = at(dy, dx)
-                    dist2 = np.subtract(cpl, spl, dtype=np.int32)
-                    dist2 *= dist2
-                    dist2[0] += dist2[1]
-                    dist2[0] += dist2[2]
-                    wgt = table.take(dist2[0])
+                    spl, dq, *gate = at(dy, dx)
+                    # 255**2 wraps in int16 but reads back exactly as uint16.
+                    sq = np.subtract(cpl, spl, dtype=np.int16)
+                    sq *= sq
+                    sq = sq.view(np.uint16)
+                    dist2 = np.add(sq[0], sq[1], dtype=np.int32)
+                    dist2 += sq[2]
+                    wgt = table.take(dist2)
                     if iso_sigma is not None:
                         wgt *= spatial_weight(dx, dy, iso_sigma)
                     else:
@@ -307,7 +312,8 @@ def window_sums(depth: np.ndarray, validf: np.ndarray, planes, params: KernelPar
                         wgt *= dtable.take(np.abs(diff, out=diff))
                     elif depth_sigma is not None:
                         wgt *= depth_range_weight(cd, dq, depth_sigma)
-                    wgt *= gate
+                    if gate:
+                        wgt *= gate[0]
                     if track:
                         contrib = wgt > 0
                         acc.cnt[out] += contrib
@@ -333,7 +339,7 @@ def _blocks(r, row0, row1, frames, targets):
     pixels: whole rows for slice addressing, consecutive targets for
     gather addressing. Yields each block's acc slice and at(dy, dx),
     which returns the frames at offset (dy, dx) of the block's outputs."""
-    w = frames[-1].shape[1] - 2 * r
+    w = frames[1].shape[1] - 2 * r
     if targets is None:
         step = max(1, BLOCK_PX // w)
         for b0 in range(row0, row1, step):
@@ -358,7 +364,8 @@ def _rows_at(frames, r, w, b0, b1, dy, dx):
 
 def _flat_at(flat, tp, wp, dy, dx):
     """Gather addressing: the flat frames at offset (dy, dx) of padded flat indices tp."""
-    return [a.take(tp + (dy * wp + dx), axis=-1) for a in flat]
+    at = tp + (dy * wp + dx)
+    return [a.take(at, axis=-1) for a in flat]
 
 
 def _scalar(a):
@@ -444,10 +451,12 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
     what the directional kernel buys. Either arm makes the same two
     passes, dense and over the edge region; only their flavors differ.
 
-    cfg is validated, and every frame must have the depth's size.
+    cfg is validated, every frame must have the depth's size, and labels
+    must be region labels (errors.require_labels).
     """
     cfg.validate()
     require_same_shape(depth=depth, guide=guide, labels=labels, theta=edges.theta)
+    require_labels(labels)
     params = cfg.kernel
     d = depth.samples
     kept = labels == NONHOLE_NONEDGE
@@ -472,26 +481,38 @@ def _denoise(d, planes, params, threads, passes):
     planes is the padded guide. A pass is (targets, kept, flavor): the
     window_sums target set (None for every pixel), the (h, w) mask of
     outputs the caller keeps (None for every target) and the flavor
-    keywords. On integer depth the passes run untracked on a uint16
-    copy, and only the suspects among the kept outputs (see the module
-    doc for the bound) run again, tracked, to be clamped; other depth
-    runs tracked throughout. Integrality is decided here, once per
-    frame, and each padded frame is built once for all the runs.
+    keywords. On integer depth the passes run untracked on an unsigned
+    sentinel frame, a trilateral pass with no validity gate, and only
+    the suspects among the kept outputs (see the module doc) run again,
+    tracked and gated, to be clamped; other depth runs tracked
+    throughout on a float copy whose holes read 0. Integrality is
+    decided here, once per frame, and each padded frame is built once
+    for all the runs.
     """
     h = d.shape[0]
     r = params.window_radius
-    validf = pad(d != HOLE, r, np.float64)
-    # DepthMap holds [0, 65535], so the copy is exact where d is integer.
-    src = pad(d, r, np.uint16)
-    integer = np.array_equal(interior(src, r), d)
-    if not integer:
+    hole = d == HOLE
+    validf = pad(~hole, r, np.float64)
+    # DepthMap holds [0, 65535], so the cast is exact where d is integer;
+    # every valid depth is below m, and the sentinel s = 2 * m fits in
+    # uint16 up to depth 32766.
+    m = int(d.max()) + 1
+    s = 2 * m
+    src = np.full((h + 2 * r, d.shape[1] + 2 * r), s, np.uint16 if s <= 65535 else np.uint32)
+    inner = interior(src, r)
+    inner[...] = d
+    integer = np.array_equal(inner, d)
+    if integer:
+        inner[hole] = s
+    else:
         src = pad(d, r)
     accs = [WindowSums(d.shape if t is None else t.shape, track=not integer)
             for t, _, _ in passes]
 
     def band(r0, r1):
         for acc, (targets, _, flavor) in zip(accs, passes):
-            window_sums(src, validf, planes, params, acc, r0, r1, targets=targets, **flavor)
+            gate = None if integer and "depth_sigma" in flavor else validf
+            window_sums(src, gate, planes, params, acc, r0, r1, targets=targets, **flavor)
 
     run_banded(h, threads, band)
     results = [acc.normalized() for acc in accs]
@@ -499,21 +520,29 @@ def _denoise(d, planes, params, threads, passes):
     if not integer:
         return results
     tol = 4 * (2 * r + 1) ** 2 * EPS
+    zeroed = None
     for q, (targets, kept, flavor) in zip(results, passes):
         q = q.reshape(-1)
         off = np.rint(q)
         off -= q
         np.abs(off, out=off)
         suspect = off <= q * tol
-        suspect |= (d.reshape(-1) if targets is None else d.flat[targets]) == HOLE
+        on_hole = hole.reshape(-1) if targets is None else hole.flat[targets]
+        suspect |= on_hole
         if kept is not None:
             suspect &= kept.reshape(-1)
         at = np.flatnonzero(suspect)
         if at.size:
+            frame = src
+            if on_hole[at].any():
+                # A hole center reads the sentinel; its re-run reads 0 there.
+                if zeroed is None:
+                    zeroed = np.where(src == s, 0, src)
+                frame = zeroed
             fix = WindowSums(at.shape)
             # A per-output angle follows its outputs into the re-run.
             flavor = {k: v if _scalar(v) else v.reshape(-1)[at] for k, v in flavor.items()}
-            window_sums(src, validf, planes, params, fix, 0, h,
+            window_sums(frame, validf, planes, params, fix, 0, h,
                         targets=at if targets is None else targets[at], **flavor)
             q[at] = fix.normalized()
     return results

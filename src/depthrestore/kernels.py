@@ -110,16 +110,21 @@ def color_range_table(sigma_r):
 
 
 @lru_cache(maxsize=4)
-def depth_range_table(sigma_r, n):
+def depth_range_table(sigma_r, n, m=None):
     """depth_range_weight(k, 0, sigma_r) for every integer depth
-    difference k in 0..n-1. (-k) / sigma_r is exactly -(k / sigma_r),
-    so a lookup by |dp - dq| gives the kernel's bits for either sign;
-    a sigma_r of 1e9 or more gives a table of the kernel's exact 1.0.
-    Read-only and cached per (sigma_r, n); the engine sizes it
-    max(depth) + 1, at most 65536 entries.
+    difference k in 0..m-1, then exactly 0.0 for k in m..n-1 (m of None
+    is n: no zero tail). (-k) / sigma_r is exactly -(k / sigma_r), so a
+    lookup by |dp - dq| gives the kernel's bits for either sign; a
+    sigma_r of 1e9 or more gives the kernel's exact 1.0 before the
+    tail. Read-only and cached per (sigma_r, n, m). The engine sizes it
+    max(depth) + 1: at most 65536 entries with no tail on a frame whose
+    holes read 0, and S + 1 entries, at most 131073, with the tail from
+    m = S // 2 on a frame whose holes read the sentinel S (see
+    filters._denoise), so a hole source weighs +0.0 with no gate.
     """
-    table = np.ones(n)
-    table *= depth_range_weight(np.arange(n, dtype=np.float64), 0.0, sigma_r)
+    m = n if m is None else m
+    table = np.zeros(n)
+    table[:m] = depth_range_weight(np.arange(m, dtype=np.float64), 0.0, sigma_r)
     table.flags.writeable = False
     return table
 

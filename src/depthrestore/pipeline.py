@@ -27,7 +27,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ContractViolation, require_int, require_real, require_same_shape
+from .errors import (
+    ContractViolation, require_int, require_labels, require_real, require_same_shape)
 from .image_model import ColorImage, DepthMap, to_grayscale
 from .preprocess import (
     StructuringElement, chebyshev_dilate, close_depth, expand_holes, hole_mask)
@@ -122,11 +123,14 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
     the seed values the fill grows from. Returns the completed map and
     the run report. Passes are counted across both phases against
     cfg.max_fill_passes. The padded depth and validity frames are built
-    once, and each pass writes its fills into their interiors. cfg is
-    validated, and every frame must have the depth's size.
+    once, and each pass writes its fills into their interiors; the edge
+    phase's angles are taken once, at the hole_edge pixels only. cfg is
+    validated, every frame must have the depth's size, and labels must
+    be region labels (errors.require_labels).
     """
     cfg.validate()
     require_same_shape(depth=filtered, guide=guide, labels=labels, theta=edges.theta)
+    require_labels(labels)
     h = labels.shape[0]
     params = cfg.kernel
     r = params.window_radius
@@ -136,22 +140,29 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
     planes = guide_planes(guide, r)
 
     iso = (replace(params, sigma_x=params.sigma_s, sigma_y=params.sigma_s), None)
-    steered = iso if cfg.isotropic_only else (
-        params, nearest_edge_theta(edges, cfg.effective_r_edge()))
+    steered = iso
+    if not cfg.isotropic_only:
+        # The edge phase reads one angle per hole_edge pixel, in flat order.
+        edge_holes = np.flatnonzero(labels == HOLE_EDGE)
+        theta = nearest_edge_theta(edges, cfg.effective_r_edge(), edge_holes)
+        steered = (params, (edge_holes, theta))
     phases = [(HOLE_NONEDGE, *iso), (HOLE_EDGE, *steered)]
 
     holes_initial = int(np.count_nonzero(labels >= HOLE_NONEDGE))
     passes = 0
     filled = 0
-    for label, p_params, theta in phases:
+    for label, p_params, angles in phases:
         remaining = (labels == label) & ~valid
         while remaining.any() and passes < cfg.max_fill_passes:
             passes += 1
             # Only a pixel with a valid pixel in its window can fill.
             targets = np.flatnonzero(remaining & chebyshev_dilate(valid, r))
             acc = WindowSums(targets.shape)
-            at = None if theta is None else theta.flat[targets]
-            cos_t, sin_t = (1.0, 0.0) if at is None else (np.cos(at), np.sin(at))
+            cos_t, sin_t = 1.0, 0.0
+            if angles is not None:
+                px, theta = angles
+                at = theta[np.searchsorted(px, targets)]
+                cos_t, sin_t = np.cos(at), np.sin(at)
             run_banded(h, cfg.threads, lambda r0, r1: window_sums(
                 work, validf, planes, p_params, acc, r0, r1,
                 cos_t=cos_t, sin_t=sin_t, targets=targets))

@@ -13,7 +13,9 @@ engine's float64 weight body as it stood before the guide became a
 uint8 stack and the color weight a table lookup, frozen as a dense,
 unblocked numpy loop. The package must keep matching it bit for bit,
 so it repeats the package's expressions and accumulation order
-exactly instead of restating the definitions.
+exactly instead of restating the definitions. ref_nearest_edge_theta
+is the other: the full-grid nearest-edge angle, frozen the same way
+when the package's version came to take a target set.
 """
 
 import math
@@ -136,6 +138,35 @@ def ref_window_sums(depth, validf, colors, params, *, iso_sigma=None, cos_t=None
             num[a0:a1] += pair_num
             den[a0:a1] += pair_den
     return {"num": num, "den": den, "cnt": cnt, "cmin": cmin, "cmax": cmax}
+
+
+def ref_nearest_edge_theta(edge, theta, r_edge):
+    """Per-pixel theta of the nearest edge pixel within r_edge, over the
+    whole frame: edge_analysis.nearest_edge_theta as it stood before it
+    took a target set, frozen. Offsets in (distance, dy, dx) order, one
+    slice pass each, and the first assignment of a pixel wins; edge
+    pixels and pixels with no edge in range keep their own theta."""
+    h, w = theta.shape
+    out = theta.copy()
+    assigned = edge.copy()
+    offsets = sorted(
+        ((max(abs(dy), abs(dx)), dy, dx)
+         for dy in range(-r_edge, r_edge + 1)
+         for dx in range(-r_edge, r_edge + 1)),
+    )
+    for dist, dy, dx in offsets:
+        if dist == 0:
+            continue
+        ys0, ys1 = max(0, -dy), h - max(0, dy)
+        xs0, xs1 = max(0, -dx), w - max(0, dx)
+        if ys0 >= ys1 or xs0 >= xs1:
+            continue
+        dst = (slice(ys0, ys1), slice(xs0, xs1))
+        src = (slice(ys0 + dy, ys1 + dy), slice(xs0 + dx, xs1 + dx))
+        sel = ~assigned[dst] & edge[src]
+        out[dst][sel] = theta[src][sel]
+        assigned[dst] |= sel
+    return out
 
 
 def splitmix64_stream(seed, count):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from depthrestore import (
     ContractViolation,
@@ -22,7 +22,7 @@ from depthrestore import (
 from depthrestore.edge_analysis import EdgeMap, theta_to_units
 from depthrestore.image_model import GrayImage
 
-from oracles import sobel_at
+from oracles import ref_nearest_edge_theta, sobel_at
 
 
 def test_constant_image_has_zero_gradient():
@@ -167,6 +167,10 @@ def test_classification_shape_mismatch():
                              EdgeMap(np.zeros((3, 3), bool), np.zeros((3, 3))), bad)
 
 
+def every_pixel(shape):
+    return np.arange(shape[0] * shape[1])
+
+
 def test_nearest_edge_theta_takes_closest_source():
     theta = np.zeros((5, 5))
     edge = np.zeros((5, 5), dtype=bool)
@@ -174,12 +178,14 @@ def test_nearest_edge_theta_takes_closest_source():
     theta[1, 1] = 0.3
     edge[1, 3] = True
     theta[1, 3] = 0.7
-    out = nearest_edge_theta(EdgeMap(edge, theta), 2)
-    assert out[1, 2] == 0.3          # tie at distance 1, row-major first
-    assert out[3, 3] == 0.3          # tie at distance 2, row-major first
-    assert out[1, 4] == 0.7          # unambiguous
-    assert out[1, 1] == 0.3          # edge pixels keep their own angle
-    assert out[4, 0] == 0.0          # nothing in range keeps own theta
+    at = {(1, 2): 0.3,                # tie at distance 1, row-major first
+          (3, 3): 0.3,                # tie at distance 2, row-major first
+          (1, 4): 0.7,                # unambiguous
+          (1, 1): 0.3,                # edge pixels keep their own angle
+          (4, 0): 0.0}                # nothing in range keeps own theta
+    targets = np.array(sorted(y * 5 + x for y, x in at))
+    out = nearest_edge_theta(EdgeMap(edge, theta), 2, targets)
+    assert out.tolist() == [at[divmod(int(t), 5)] for t in targets]
 
 
 def test_nearest_edge_theta_distance_beats_scan_order():
@@ -189,20 +195,53 @@ def test_nearest_edge_theta_distance_beats_scan_order():
     theta[0, 0] = 0.2
     edge[4, 4] = True
     theta[4, 4] = -0.9
-    out = nearest_edge_theta(EdgeMap(edge, theta), 4)
-    assert out[3, 4] == -0.9
+    out = nearest_edge_theta(EdgeMap(edge, theta), 4, np.array([3 * 9 + 4]))
+    assert out.tolist() == [-0.9]
 
 
 def test_nearest_edge_theta_radius_zero_is_identity():
     rng = np.random.default_rng(35)
     theta = rng.uniform(-1.5, 1.5, (6, 6))
     edge = rng.random((6, 6)) < 0.3
-    out = nearest_edge_theta(EdgeMap(edge, theta), 0)
-    assert np.array_equal(out, theta)
-    assert np.array_equal(nearest_edge_theta(EdgeMap(edge, theta), np.int64(0)), theta)
+    targets = every_pixel((6, 6))
+    out = nearest_edge_theta(EdgeMap(edge, theta), 0, targets)
+    assert np.array_equal(out, theta.reshape(-1))
+    assert np.array_equal(nearest_edge_theta(EdgeMap(edge, theta), np.int64(0), targets[7:9]),
+                          theta.flat[7:9])
     for bad in (-1, 1.5, True):
         with pytest.raises(ContractViolation):
-            nearest_edge_theta(EdgeMap(edge, theta), bad)
+            nearest_edge_theta(EdgeMap(edge, theta), bad, targets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=st.integers(1, 12), w=st.integers(1, 12), r_edge=st.integers(0, 5),
+       density=st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]),
+       targets=st.sampled_from(["all", "none", "border", "random"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(h=9, w=9, r_edge=5, density=0.02, targets="border", seed=0)
+@example(h=1, w=12, r_edge=3, density=0.1, targets="all", seed=1)
+@example(h=7, w=7, r_edge=2, density=0.1, targets="none", seed=2)
+def test_nearest_edge_theta_matches_the_full_grid_reference(h, w, r_edge, density, targets,
+                                                            seed):
+    """At every target, in any set of them (every pixel, none, the
+    border ring, a random half), the angle is the frozen full-grid
+    version's, bit for bit: nearest edge by (distance, dy, dx), first
+    hit wins, edge pixels and pixels with no edge in range keep their
+    own theta, for r_edge 0-5 on frames smaller than the radius too."""
+    rng = np.random.default_rng(seed)
+    edge = rng.random((h, w)) < density
+    theta = rng.uniform(-np.pi / 2, np.pi / 2, (h, w))
+    mask = np.ones((h, w), bool)
+    if targets == "none":
+        mask[:] = False
+    elif targets == "border":
+        mask[1:-1, 1:-1] = False
+    elif targets == "random":
+        mask = rng.random((h, w)) < 0.5
+    at = np.flatnonzero(mask)
+    got = nearest_edge_theta(EdgeMap(edge, theta), r_edge, at)
+    assert got.shape == at.shape and got.dtype == np.float64
+    assert np.array_equal(got, ref_nearest_edge_theta(edge, theta, r_edge).flat[at])
 
 
 def test_theta_units_scale_and_invert():

@@ -673,6 +673,12 @@ STRAYS = [None, NONHOLE_NONEDGE, NONHOLE_EDGE]
 @example(h=9, w=9, kind="constant", base=1140, radius=2, sigma_r_depth=30.0,
          sigma_y=1.5, isotropic_only=False, threads=1, stray=NONHOLE_NONEDGE, seed=0,
          pinned=True)
+@example(h=12, w=12, kind="fine_noise", base=65535, radius=2, sigma_r_depth=0.3,
+         sigma_y=1.5, isotropic_only=False, threads=2, stray=NONHOLE_NONEDGE, seed=0,
+         pinned=True)
+@example(h=2, w=12, kind="two_levels", base=700, radius=3, sigma_r_depth=0.3,
+         sigma_y=1.5, isotropic_only=False, threads=1, stray=NONHOLE_NONEDGE, seed=2,
+         pinned=True)
 def test_deferred_clamp_matches_the_tracked_engine(h, w, kind, base, radius, sigma_r_depth,
                                                    sigma_y, isotropic_only, threads, stray,
                                                    seed, pinned):
@@ -684,7 +690,10 @@ def test_deferred_clamp_matches_the_tracked_engine(h, w, kind, base, radius, sig
     frames where the clamp does move some kept quotient. In the last
     one a trilateral label sits on a hole amid depth 1140, 38 depth
     sigmas from the hole's 0, so every weight that hole gets is
-    subnormal."""
+    subnormal. The two after it are the sentinel's edge cases: depth
+    up to 65535, where the sentinel 2 * 65536 needs a uint32 frame, and
+    a 2-row frame, where every hole is on the border next to the pad
+    ring and a trilateral label sits on the corner hole."""
     rng = np.random.default_rng(seed)
     depth, guide, labels, edges = clamp_prone_case(rng, h, w, kind, base, stray)
     params = replace(PARAMS, window_radius=radius, sigma_r_depth=sigma_r_depth,

@@ -237,6 +237,27 @@ def test_masks_must_be_bool(name, dtype):
         MASK_CALLS[name](frames(8, 8), mask.astype(dtype))
 
 
+@pytest.mark.parametrize("labels,match", [
+    (np.full((8, 8), 7, np.uint8), r"^labels must lie in 0-3, got 7 to 7"),
+    (np.full((8, 8), -1, np.int64), r"^labels must lie in 0-3, got -1 to -1"),
+    (np.full((8, 8), 0.5), r"^labels must be an integer array, got float64"),
+    (np.zeros((8, 8), bool), r"^labels must be an integer array, got bool"),
+], ids=["seven", "negative", "float", "bool"])
+@pytest.mark.parametrize("stage", [filter_non_hole, fill_holes], ids=lambda f: f.__name__)
+def test_labels_must_be_region_labels(stage, labels, match):
+    """Labels outside 0-3 or not integers fail as a ContractViolation.
+    Unchecked, an all-7 grid made filter_non_hole denoise nothing and
+    fill_holes report 64 unfilled holes on a frame with one, and an
+    all-0.5 grid made fill_holes report none while the hole stayed 0."""
+    d = np.full((8, 8), 900.0)
+    d[3, 3] = HOLE
+    good = np.zeros((8, 8), np.uint8)
+    good[3, 3] = 2
+    stage(DepthMap(d), flat_guide((8, 8)), good, no_edges((8, 8)), small_cfg())
+    with pytest.raises(ContractViolation, match=match):
+        stage(DepthMap(d), flat_guide((8, 8)), labels, no_edges((8, 8)), small_cfg())
+
+
 def test_restore_output_has_no_new_holes_and_rounds_cleanly():
     rng = np.random.default_rng(63)
     a = rng.uniform(400, 4000, (24, 24))
@@ -310,6 +331,24 @@ def test_denoise_and_fill_peaks_stay_under_six_frames(monkeypatch):
         tracemalloc.stop()
     assert set(peaks) == {"filter_non_hole", "fill_holes"}
     assert max(peaks.values()) <= 6, peaks
+
+
+def test_restore_peak_stays_under_fourteen_frames():
+    """On the same degraded 640x480 occluder the traced peak of the
+    whole restore, above the memory live when it starts, is at most 14
+    float64 frames: 13.3 once the nearest-edge angles were taken at the
+    hole_edge pixels only, where the full-grid angles read 14.1."""
+    clean, guide = make_scene("occluder", 640, 480)
+    depth = degrade(clean, DegradeSpec(20, 0.05, 2, seed=1))
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        restore(depth, guide)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert peak / (640 * 480 * 8) <= 14
 
 
 def test_report_lines_are_stable_and_complete():
