@@ -15,24 +15,28 @@ functions run the engine on their pixel as a 1x1 frame.
 
 The color term is a lookup, not an evaluation. The guide reaches the
 engine as a uint8 stack (guide_planes), so the squared RGB distance is
-an integer from 0 to 3 * 255**2; the engine takes it in int32, exactly,
-and reads kernels.color_range_table, whose entries are
+an integer from 0 to 3 * 255**2. The engine subtracts the planes in
+int16 and squares in place; 255**2 = 65025 wraps there but reads back
+exactly as uint16, and the three squares sum into int32. It reads the
+weight from kernels.color_range_table, whose entries are
 color_range_weight's own float64 expression. The float64 distance it
 replaces was exact too (a sum of three integer squares), so a lookup
 returns the very bits the kernel would. The other weight factors are
 multiplied into the looked-up plane in place, in the order ws * wc *
 wd * gate that the kernels define; a product of two doubles is exactly
 commutative, so doing it in place moves no bit. The depth term is a
-lookup too when the depth reaches the engine as uint16, which
-filter_non_hole does whenever every sample is an integer (always, for
-a depth read from a PGM: closing only takes windowed max/min of
-samples): kernels.depth_range_table holds depth_range_weight's bits
-for every |dp - dq|. Float depth still runs depth_range_weight.
+lookup too when the depth reaches the engine unsigned (uint16, or
+uint32 for the sentinel of depth above 32766), which filter_non_hole
+does whenever every sample is an integer (always, for a depth read
+from a PGM: closing only takes windowed max/min of samples):
+kernels.depth_range_table holds depth_range_weight's bits for every
+|dp - dq|. Float depth still runs depth_range_weight.
 tests/oracles.py holds the float64 body as ref_window_sums, and a
 hypothesis test pins the engine to it.
 
 Every frame the engine reads comes padded by r = window_radius on
-every side (pad, guide_planes): depth 0, color 0 and validity 0.0, the
+every side (pad, guide_planes): color 0, validity 0.0 and depth 0 (or
+the sentinel, below), the
 constant_exterior boundary of Halide (Ragan-Kelley et al., PLDI 2013).
 Every weight is finite, so an exterior source weighs exactly +0.0, and
 adding +0.0 to sums that are never below +0.0 leaves their bits: no
@@ -58,6 +62,20 @@ tile-at-a-time schedule Halide applies to stencils. It cannot change a
 bit: each output pixel's sums run over its own window in the same
 offset order whatever block holds it, which is also why row banding
 cannot.
+
+The gate lives in the depth table on integer depth. _denoise hands
+the engine one unsigned frame in which every hole and the whole pad
+ring hold the sentinel S = 2 * M, M = max depth + 1, and no validity
+frame for the trilateral pass. Every valid depth is below M, so a
+valid center and a hole source differ by at least M, and
+depth_range_table is exactly 0.0 from S // 2 = M on: the hole source
+weighs +0.0 with no gate multiply, as the gate made it weigh before.
+Its num term is then 0 * S = +0.0 where it was 0 * 0 = +0.0, so no
+bit of num or den moves. The edge pass and the suspect re-runs keep
+the validity gate on the same frame, and 0.0 * S is +0.0 there too.
+A hole center reads the sentinel, so a kept pixel there (only a
+library caller's labels put one there) re-runs against a copy whose
+holes read 0, built only when such a pixel exists.
 
 Two accumulation details are deliberate and load-bearing:
 
@@ -92,7 +110,8 @@ q < cmin or q > cmax needs the integer cmin or cmax within that
 distance of q, and |q - rint(q)| <= 4 * n * eps * q catches every
 such pixel with room to spare. A kept pixel whose center is a hole
 (only a library caller's labels put one there) lacks the den >= 1
-floor of this argument, so it is a suspect too. The re-run addresses
+floor of this argument, so it is a suspect too, and its re-run reads
+0 at the holes (above). The re-run addresses
 the suspects by gather, which gives the dense run's bits, so the
 deferred clamp moves no output bit either.
 """
@@ -260,15 +279,18 @@ def window_sums(depth: np.ndarray, validf: np.ndarray, planes, params: KernelPar
     frame, whose depth, validf (1.0 where the source is usable, else
     0.0) and uint8 guide planes come padded by r = params.window_radius
     (pad, guide_planes). The pad's validity must be 0.0; its depth and
-    color may be any finite values, for uint16 depth up to the interior
-    maximum. One call covers one kernel flavor:
+    color may be any finite values. validf of None skips the gate: the
+    depth must then be a sentinel frame (module doc), unsigned, whose
+    holes and pad hold its maximum S and whose valid depths are all
+    below S // 2, and the call must carry depth_sigma, whose table then
+    weighs every hole source +0.0. One call covers one kernel flavor:
       iso_sigma set           isotropic spatial term
       cos_t/sin_t set         directional term, widths params.sigma_x /
                               params.sigma_y, at one scalar angle or
                               one per output: (h, w) for a dense call,
                               one per target for a target-set call
       depth_sigma set         additional depth range term
-    A uint16 depth reads the depth term from depth_range_table, a float
+    An unsigned depth reads the depth term from depth_range_table, a float
     one evaluates depth_range_weight; both give the same bits on
     integer values. An untracked acc gets num and den only.
 
@@ -393,7 +415,7 @@ def guide_planes(guide: ColorImage, r: int) -> np.ndarray:
     planes padded by r (pad), so each plane's rows are contiguous.
 
     It stays uint8 because window_sums takes the squared color
-    distance in int32, which is exact, and looks the weight up in
+    distance exactly in int16 and int32 and looks the weight up in
     kernels.color_range_table; a float64 stack would be 8x the memory
     and every distance a float pass."""
     return pad(np.moveaxis(guide.samples, -1, 0), r)
@@ -491,8 +513,7 @@ def _denoise(d, planes, params, threads, passes):
     """
     h = d.shape[0]
     r = params.window_radius
-    hole = d == HOLE
-    validf = pad(~hole, r, np.float64)
+    validf = pad(d != HOLE, r, np.float64)
     # DepthMap holds [0, 65535], so the cast is exact where d is integer;
     # every valid depth is below m, and the sentinel s = 2 * m fits in
     # uint16 up to depth 32766.
@@ -503,7 +524,7 @@ def _denoise(d, planes, params, threads, passes):
     inner[...] = d
     integer = np.array_equal(inner, d)
     if integer:
-        inner[hole] = s
+        inner[d == HOLE] = s
     else:
         src = pad(d, r)
     accs = [WindowSums(d.shape if t is None else t.shape, track=not integer)
@@ -527,7 +548,7 @@ def _denoise(d, planes, params, threads, passes):
         off -= q
         np.abs(off, out=off)
         suspect = off <= q * tol
-        on_hole = hole.reshape(-1) if targets is None else hole.flat[targets]
+        on_hole = (d.reshape(-1) if targets is None else d.flat[targets]) == HOLE
         suspect |= on_hole
         if kept is not None:
             suspect &= kept.reshape(-1)
