@@ -36,12 +36,12 @@ hypothesis test pins the engine to it.
 
 Every frame the engine reads comes padded by r = window_radius on
 every side (pad, guide_planes): color 0, validity 0.0 and depth 0 (or
-the sentinel, below), the
-constant_exterior boundary of Halide (Ragan-Kelley et al., PLDI 2013).
-Every weight is finite, so an exterior source weighs exactly +0.0, and
-adding +0.0 to sums that are never below +0.0 leaves their bits: no
-offset needs to know where the image ends. One body weighs and
-accumulates, on arrays from one of two addressings:
+the sentinel, below), the constant_exterior boundary of Halide
+(Ragan-Kelley et al., PLDI 2013). Every weight is finite, so an
+exterior source weighs exactly +0.0, and adding +0.0 to sums that are
+never below +0.0 leaves their bits: no offset needs to know where the
+image ends. One body weighs and accumulates, on arrays from one of two
+addressings:
 
 * Slice addressing, for every pixel of a row band: an offset is one
   fixed-shape view of each padded frame. The dense denoise pass uses
