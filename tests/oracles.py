@@ -14,8 +14,12 @@ uint8 stack and the color weight a table lookup, frozen as a dense,
 unblocked numpy loop. The package must keep matching it bit for bit,
 so it repeats the package's expressions and accumulation order
 exactly instead of restating the definitions. ref_nearest_edge_theta
-is the other: the full-grid nearest-edge angle, frozen the same way
-when the package's version came to take a target set.
+is another: the full-grid nearest-edge angle, frozen the same way
+when the package's version came to take a target set. The front end's
+expressions are frozen too, before they came to build their results in
+place: ref_to_grayscale, ref_sobel_gradients, ref_edge_theta and
+ref_rotated_weight (its array-angle form) repeat the package's
+expressions as they stood, each a chain of whole-array temporaries.
 """
 
 import math
@@ -167,6 +171,42 @@ def ref_nearest_edge_theta(edge, theta, r_edge):
         out[dst][sel] = theta[src][sel]
         assigned[dst] |= sel
     return out
+
+
+def ref_to_grayscale(rgb):
+    """Rec.601 luma of an (h, w, 3) uint8 array, as to_grayscale
+    computed it through a float64 copy of the channels."""
+    rgb = rgb.astype(np.float64)
+    return 0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2]
+
+
+def ref_sobel_gradients(a):
+    """(gx, gy, magnitude) of a 2-D array, as sobel_gradients computed
+    them with one temporary per operation: edge-replicated padding,
+    each tap triple summed as a + 2.0 * b + c."""
+    p = np.pad(a, 1, mode="edge")
+    right = p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:]
+    left = p[:-2, :-2] + 2.0 * p[1:-1, :-2] + p[2:, :-2]
+    gx = right - left
+    down = p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:]
+    up = p[:-2, :-2] + 2.0 * p[:-2, 1:-1] + p[:-2, 2:]
+    gy = down - up
+    return gx, gy, np.sqrt(gx * gx + gy * gy)
+
+
+def ref_edge_theta(gx, gy):
+    """atan(-gx / gy) over arrays, pi/2 where gy is 0 and gx is not, 0
+    where both are: edge_theta's array form with its nested wheres."""
+    flat = gy == 0.0
+    t = np.arctan(-gx / np.where(flat, 1.0, gy))
+    return np.where(flat, np.where(gx == 0.0, 0.0, np.pi / 2), t)
+
+
+def ref_rotated_weight(dx, dy, cos_t, sin_t, sigma_x, sigma_y):
+    """kernels.rotated_weight's expression, one temporary per operation."""
+    xt = dx * cos_t + dy * sin_t
+    yt = -dx * sin_t + dy * cos_t
+    return np.exp(-0.5 * (xt * xt / (sigma_x * sigma_x) + yt * yt / (sigma_y * sigma_y)))
 
 
 def splitmix64_stream(seed, count):

@@ -22,7 +22,8 @@ from depthrestore import (
 from depthrestore.edge_analysis import EdgeMap, theta_to_units
 from depthrestore.image_model import GrayImage
 
-from oracles import ref_nearest_edge_theta, sobel_at
+from oracles import (
+    ref_edge_theta, ref_nearest_edge_theta, ref_sobel_gradients, ref_to_grayscale, sobel_at)
 
 
 def test_constant_image_has_zero_gradient():
@@ -62,6 +63,63 @@ def test_gradient_transpose_swaps_axes():
 def test_gradients_need_three_by_three():
     with pytest.raises(ContractViolation):
         sobel_gradients(GrayImage(np.zeros((2, 5))))
+
+
+def gradient_source(h, w, kind, rng):
+    """An h x w image of one kind: a uint8 array, reals in [0, 255] or
+    of either sign and large, the luma of a random guide, or constant."""
+    if kind == "uint8":
+        return rng.integers(0, 256, (h, w), dtype=np.uint8)
+    if kind == "float":
+        return rng.uniform(0, 255, (h, w))
+    if kind == "wide":
+        return rng.normal(0, 1e4, (h, w))
+    if kind == "luma":
+        return ref_to_grayscale(rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
+    return np.full((h, w), rng.uniform(0, 255))
+
+
+GRADIENT_KINDS = ["uint8", "float", "wide", "luma", "constant"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=st.integers(3, 33), w=st.integers(3, 40), kind=st.sampled_from(GRADIENT_KINDS),
+       seed=st.integers(0, 2**32 - 1))
+@example(h=3, w=3, kind="luma", seed=0)
+@example(h=33, w=40, kind="constant", seed=1)
+def test_gradients_match_the_frozen_expression(h, w, kind, seed):
+    """On uint8 and real images from 3x3 to 40x33, constant ones too,
+    gx, gy and the magnitude are the frozen one-temporary-per-operation
+    expression's, bit for bit, and the input is left as it was."""
+    a = gradient_source(h, w, kind, np.random.default_rng(seed))
+    before = a.copy()
+    g = sobel_gradients(GrayImage(a))
+    for got, want in zip((g.gx, g.gy, g.magnitude), ref_sobel_gradients(a)):
+        assert got.dtype == np.float64 and got.shape == (h, w)
+        assert np.array_equal(got, want)
+    assert np.array_equal(a, before)
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=st.integers(3, 33), w=st.integers(3, 40),
+       kind=st.sampled_from(GRADIENT_KINDS + ["small ints"]), seed=st.integers(0, 2**32 - 1))
+@example(h=3, w=3, kind="constant", seed=0)
+def test_edge_theta_grid_matches_the_frozen_expression(h, w, kind, seed):
+    """On the gradients of those images, and on small integer gradients
+    where gy and gx are often 0, the angle grid is the frozen nested
+    where expression's, bit for bit, and the gradients are left as
+    they were."""
+    rng = np.random.default_rng(seed)
+    if kind == "small ints":
+        gx, gy = (rng.integers(-2, 3, (h, w)).astype(np.float64) for _ in range(2))
+    else:
+        g = sobel_gradients(GrayImage(gradient_source(h, w, kind, rng)))
+        gx, gy = g.gx, g.gy
+    before = gx.copy(), gy.copy()
+    got = edge_theta(gx, gy)
+    assert got.dtype == np.float64 and got.shape == (h, w)
+    assert np.array_equal(got, ref_edge_theta(gx, gy))
+    assert np.array_equal(gx, before[0]) and np.array_equal(gy, before[1])
 
 
 def test_edge_theta_special_and_generic_values():

@@ -25,6 +25,8 @@ from depthrestore import (
     to_grayscale,
 )
 
+from oracles import ref_to_grayscale
+
 PGM_1X1_ZERO = b"P5\n1 1\n65535\n\x00\x00"
 PGM_1X1_MAX = b"P5\n1 1\n65535\n\xff\xff"
 PGM_2X2 = b"P5\n2 2\n65535\n\x00\x01\x00\x02\x00\x03\x00\x04"
@@ -248,6 +250,30 @@ def test_grayscale_stays_in_range():
     img = ColorImage(rng.integers(0, 256, (20, 20, 3), dtype=np.uint8))
     g = to_grayscale(img)
     assert g.samples.min() >= 0.0 and g.samples.max() <= 255.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=st.integers(3, 33), w=st.integers(3, 40),
+       kind=st.sampled_from(["random", "constant", "strided"]), seed=st.integers(0, 2**32 - 1))
+@example(h=3, w=3, kind="constant", seed=0)
+@example(h=33, w=40, kind="random", seed=1)
+def test_grayscale_matches_the_frozen_expression(h, w, kind, seed):
+    """On random, constant and strided uint8 guides from 3x3 to 40x33,
+    the luma is the frozen float64-copy expression's, bit for bit:
+    (0.299 R + 0.587 G) + 0.114 B, each channel exactly as a double."""
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        rgb = np.empty((h, w, 3), np.uint8)
+        rgb[...] = rng.integers(0, 256, 3, dtype=np.uint8)
+    elif kind == "strided":
+        rgb = rng.integers(0, 256, (2 * h, w + 3, 3), dtype=np.uint8)[::2, 3:][:, ::-1]
+    else:
+        rgb = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+    before = rgb.copy()
+    got = to_grayscale(ColorImage(rgb)).samples
+    assert got.dtype == np.float64 and got.shape == (h, w)
+    assert np.array_equal(got, ref_to_grayscale(rgb))
+    assert np.array_equal(rgb, before)
 
 
 def test_quantize_rounds_half_up():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from depthrestore import (
     ContractViolation,
@@ -13,7 +14,9 @@ from depthrestore import (
     dgf_weight,
     spatial_weight,
 )
-from depthrestore.kernels import color_range_table, depth_range_table
+from depthrestore.kernels import color_range_table, depth_range_table, rotated_weight
+
+from oracles import ref_rotated_weight
 
 MAX_DIST2 = 3 * 255 * 255
 
@@ -235,3 +238,29 @@ def test_default_params_are_the_published_ones():
     p = KernelParams()
     assert (p.sigma_s, p.sigma_r_color, p.sigma_r_depth) == (3.0, 25.0, 30.0)
     assert (p.sigma_x, p.sigma_y, p.window_radius) == (5.0, 1.5, 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from([(1,), (7,), (300,), (3, 5), (17, 40)]),
+       dx=st.integers(-7, 7), dy=st.integers(-7, 7),
+       sigma_x=st.floats(0.3, 12.0), sigma_y=st.floats(0.3, 12.0),
+       exact=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(shape=(7,), dx=0, dy=0, sigma_x=5.0, sigma_y=1.5, exact=True, seed=0)
+@example(shape=(3, 5), dx=-7, dy=7, sigma_x=0.3, sigma_y=0.3, exact=False, seed=1)
+def test_rotated_weight_array_angles_match_the_frozen_expression(shape, dx, dy, sigma_x,
+                                                                 sigma_y, exact, seed):
+    """With one angle per output (random angles in (-pi, pi], or the
+    axis and diagonal angles), the weights are the frozen
+    one-temporary-per-operation expression's, bit for bit, and the
+    cos and sin arrays are left as they were."""
+    rng = np.random.default_rng(seed)
+    if exact:
+        theta = rng.choice([0.0, np.pi / 2, -np.pi / 2, np.pi / 4, -np.pi / 4, np.pi], shape)
+    else:
+        theta = rng.uniform(-np.pi, np.pi, shape)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    before = cos_t.copy(), sin_t.copy()
+    got = rotated_weight(dx, dy, cos_t, sin_t, sigma_x, sigma_y)
+    assert got.dtype == np.float64 and got.shape == shape
+    assert np.array_equal(got, ref_rotated_weight(dx, dy, cos_t, sin_t, sigma_x, sigma_y))
+    assert np.array_equal(cos_t, before[0]) and np.array_equal(sin_t, before[1])
