@@ -64,18 +64,36 @@ def sobel_gradients(g: GrayImage) -> GradientField:
 
     gx uses [[-1,0,1],[-2,0,2],[-1,0,1]] (positive rightward), gy its
     transpose (positive downward).
+
+    Every frame is built in place: each tap triple a + 2b + c as
+    t = 2b, t += a, t += c (the same association, since 2b + a is
+    a + 2b exactly), the differences and the magnitude
+    sqrt(gx * gx + gy * gy) in those buffers, and the padded image is
+    freed before the magnitude is built. Besides the three results,
+    one scratch frame is live at a time. As in kernels, do not
+    reassociate any of these sums: they feed every edge decision.
     """
     a = g.samples
     if a.shape[0] < 3 or a.shape[1] < 3:
         raise ContractViolation(f"gradients need at least 3x3, got {a.shape}")
     p = np.pad(a, 1, mode="edge")
-    right = p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:]
-    left = p[:-2, :-2] + 2.0 * p[1:-1, :-2] + p[2:, :-2]
-    gx = right - left
-    down = p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:]
-    up = p[:-2, :-2] + 2.0 * p[:-2, 1:-1] + p[:-2, 2:]
-    gy = down - up
-    return GradientField(gx, gy, np.sqrt(gx * gx + gy * gy))
+    gx = _taps(p[:-2, 2:], p[1:-1, 2:], p[2:, 2:])
+    gx -= _taps(p[:-2, :-2], p[1:-1, :-2], p[2:, :-2])
+    gy = _taps(p[2:, :-2], p[2:, 1:-1], p[2:, 2:])
+    scratch = _taps(p[:-2, :-2], p[:-2, 1:-1], p[:-2, 2:])
+    gy -= scratch
+    del p
+    magnitude = np.multiply(gx, gx)
+    magnitude += np.multiply(gy, gy, out=scratch)
+    return GradientField(gx, gy, np.sqrt(magnitude, out=magnitude))
+
+
+def _taps(a, b, c):
+    """a + 2.0 * b + c as one new array: 2b, then + a, then + c."""
+    t = np.multiply(b, 2.0)
+    t += a
+    t += c
+    return t
 
 
 def edge_theta(gx, gy):
@@ -86,12 +104,19 @@ def edge_theta(gx, gy):
     gives -pi/4, a contour running up and to the right. A purely
     horizontal gradient (gy == 0, gx != 0) means a vertical contour, so
     pi/2; a zero gradient has no direction and maps to 0.
+
+    The angles are built in one new array: -gx, divided by gy in place
+    where gy is not 0 ((-gx) / gy, the quotient's bits), the arctan in
+    place, then the flat pixels set; besides it only bool masks are made.
     """
     gx = np.asarray(gx, dtype=np.float64)
     gy = np.asarray(gy, dtype=np.float64)
     flat = gy == 0.0
-    t = np.arctan(-gx / np.where(flat, 1.0, gy))
-    t = np.where(flat, np.where(gx == 0.0, 0.0, np.pi / 2), t)
+    t = np.negative(gx, out=np.empty_like(gx))
+    np.divide(t, gy, out=t, where=~flat)
+    np.arctan(t, out=t)
+    np.copyto(t, np.pi / 2, where=flat)
+    np.copyto(t, 0.0, where=flat & (gx == 0.0))
     return float(t) if t.ndim == 0 else t
 
 

@@ -261,14 +261,15 @@ class WindowSums:
 
     def normalized(self) -> np.ndarray:
         """Weighted averages, clamped to the contributor range when
-        tracked; 0.0 where nothing contributed."""
+        tracked; 0.0 where nothing contributed. They are written into
+        num and num is returned, so no new frame is built, and num holds
+        the averages, not the sums, from then on: call this once."""
         some = self.den > 0
-        vals = np.zeros_like(self.num)
-        np.divide(self.num, self.den, out=vals, where=some)
+        vals = np.divide(self.num, self.den, out=self.num, where=some)
         if self.cmin is not None:
             np.maximum(self.cmin, vals, out=vals)
             np.minimum(self.cmax, vals, out=vals)
-            vals[~some] = 0.0
+        vals[~some] = 0.0
         return vals
 
 
@@ -497,8 +498,8 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
 
 
 def _denoise(d, planes, params, threads, passes):
-    """Run filter_non_hole's passes over depth d in one set of row bands
-    and return each pass's clamped weighted averages.
+    """Run filter_non_hole's passes over depth d, one after another, each
+    in row bands, and return each pass's clamped weighted averages.
 
     planes is the padded guide. A pass is (targets, kept, flavor): the
     window_sums target set (None for every pixel), the (h, w) mask of
@@ -509,11 +510,13 @@ def _denoise(d, planes, params, threads, passes):
     tracked and gated, to be clamped; other depth runs tracked
     throughout on a float copy whose holes read 0. Integrality is
     decided here, once per frame, and each padded frame is built once
-    for all the runs.
+    for all the runs. A pass's averages are written into its num, and
+    its den dies with it; the padded validity frame is built at its
+    first use, so on integer depth it is never live beside the dense
+    trilateral pass's num and den.
     """
     h = d.shape[0]
     r = params.window_radius
-    validf = pad(d != HOLE, r, np.float64)
     # DepthMap holds [0, 65535], so the cast is exact where d is integer;
     # every valid depth is below m, and the sentinel s = 2 * m fits in
     # uint16 up to depth 32766.
@@ -527,27 +530,29 @@ def _denoise(d, planes, params, threads, passes):
         inner[d == HOLE] = s
     else:
         src = pad(d, r)
-    accs = [WindowSums(d.shape if t is None else t.shape, track=not integer)
-            for t, _, _ in passes]
+    validf = None
 
-    def band(r0, r1):
-        for acc, (targets, _, flavor) in zip(accs, passes):
-            gate = None if integer and "depth_sigma" in flavor else validf
-            window_sums(src, gate, planes, params, acc, r0, r1, targets=targets, **flavor)
+    def gate():
+        nonlocal validf
+        if validf is None:
+            validf = pad(d != HOLE, r, np.float64)
+        return validf
 
-    run_banded(h, threads, band)
-    results = [acc.normalized() for acc in accs]
-    accs.clear()  # free num and den before the suspect test's temporaries
+    results = []
+    for targets, _, flavor in passes:
+        acc = WindowSums(d.shape if targets is None else targets.shape, track=not integer)
+        frame = None if integer and "depth_sigma" in flavor else gate()
+        run_banded(h, threads, partial(window_sums, src, frame, planes, params, acc,
+                                       targets=targets, **flavor))
+        results.append(acc.normalized())
+    del acc  # free the last pass's den before the suspect test
     if not integer:
         return results
     tol = 4 * (2 * r + 1) ** 2 * EPS
     zeroed = None
     for q, (targets, kept, flavor) in zip(results, passes):
         q = q.reshape(-1)
-        off = np.rint(q)
-        off -= q
-        np.abs(off, out=off)
-        suspect = off <= q * tol
+        suspect = _near_integer(q, tol)
         on_hole = (d.reshape(-1) if targets is None else d.flat[targets]) == HOLE
         suspect |= on_hole
         if kept is not None:
@@ -563,7 +568,21 @@ def _denoise(d, planes, params, threads, passes):
             fix = WindowSums(at.shape)
             # A per-output angle follows its outputs into the re-run.
             flavor = {k: v if _scalar(v) else v.reshape(-1)[at] for k, v in flavor.items()}
-            window_sums(frame, validf, planes, params, fix, 0, h,
+            window_sums(frame, gate(), planes, params, fix, 0, h,
                         targets=at if targets is None else targets[at], **flavor)
             q[at] = fix.normalized()
     return results
+
+
+def _near_integer(q, tol):
+    """|rint(q) - q| <= q * tol for the flat array q, as a bool array,
+    taken BLOCK_PX entries at a time so its temporaries stay
+    block-sized."""
+    out = np.empty(q.shape, bool)
+    for j in range(0, q.size, BLOCK_PX):
+        qb = q[j:j + BLOCK_PX]
+        off = np.rint(qb)
+        off -= qb
+        np.abs(off, out=off)
+        np.less_equal(off, qb * tol, out=out[j:j + BLOCK_PX])
+    return out

@@ -93,9 +93,19 @@ class GrayImage:
 
 
 def to_grayscale(img: ColorImage) -> GrayImage:
-    """Rec.601 luma: 0.299 R + 0.587 G + 0.114 B, kept real-valued."""
-    rgb = img.samples.astype(np.float64)
-    lum = 0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2]
+    """Rec.601 luma: 0.299 R + 0.587 G + 0.114 B, kept real-valued.
+
+    Each uint8 channel is weighed directly (it reads as the exact
+    double) and summed in place, in the order (0.299 R + 0.587 G) +
+    0.114 B, so only the result and one scratch frame are built, never
+    a float64 copy of the image. Do not reassociate the sum: it would
+    move low-order bits of the gray, and so of every edge decision.
+    """
+    rgb = img.samples
+    lum = np.multiply(rgb[..., 0], 0.299)
+    term = np.multiply(rgb[..., 1], 0.587)
+    lum += term
+    lum += np.multiply(rgb[..., 2], 0.114, out=term)
     return GrayImage(lum)
 
 

@@ -183,23 +183,31 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
         fill_passes_used=passes,
         region_counts=label_counts(labels),
     )
+    del validf, planes  # free before the output copy
     return DepthMap(np.ascontiguousarray(interior(work, r))), report
 
 
 def restore(depth: DepthMap, guide: ColorImage,
             cfg: PipelineConfig = PipelineConfig()
             ) -> tuple[DepthMap, np.ndarray, RestorationReport]:
-    """Run the whole restoration; returns (map, labels, report)."""
+    """Run the whole restoration; returns (map, labels, report).
+
+    Each intermediate frame dies at its last use. The gray image lives
+    through the gradients only, and the three gradient frames through
+    detect_edges only; the closed map and the hole masks die once the
+    labels and the hole-zeroed work map exist. So only edges, labels
+    and the current depth frame reach filter_non_hole, and only edges,
+    labels and the denoised map reach fill_holes.
+    """
     cfg.validate()
     require_same_shape(depth=depth, guide=guide)
+    edges = detect_edges(sobel_gradients(to_grayscale(guide)), cfg.edge_threshold)
     closed = close_depth(depth, cfg.se)
-    holes0 = hole_mask(closed)
-    gray = to_grayscale(guide)
-    grad = sobel_gradients(gray)
-    edges = detect_edges(grad, cfg.edge_threshold)
-    holes = expand_holes(holes0, edges.edge, cfg.hole_expand_radius)
+    holes = expand_holes(hole_mask(closed), edges.edge, cfg.hole_expand_radius)
     labels = classify_regions(holes, edges, cfg.effective_r_edge())
     work = DepthMap(np.where(holes, 0.0, closed.samples))
+    del closed, holes
     filtered = filter_non_hole(work, guide, labels, edges, cfg)
+    del work
     final, report = fill_holes(filtered, guide, labels, edges, cfg)
     return final, labels, report
