@@ -106,8 +106,8 @@ def edge_theta(gx, gy):
     pi/2; a zero gradient has no direction and maps to 0.
 
     The angles are built in one new array: -gx, divided by gy in place
-    where gy is not 0 ((-gx) / gy, the quotient's bits), the arctan in
-    place, then the flat pixels set; besides it only bool masks are made.
+    where gy is not 0, the arctan in place, then the flat pixels set;
+    besides it only bool masks are made.
     """
     gx = np.asarray(gx, dtype=np.float64)
     gy = np.asarray(gy, dtype=np.float64)

@@ -1,7 +1,7 @@
 """Full restoration pipeline: preprocess, classify, filter, fill, blend.
 
-Stage order: close small holes, take the hole mask, compute guide
-gradients and edges, expand holes across edge pixels, classify regions,
+Stage order: compute guide gradients and edges, close small holes,
+take the hole mask, expand holes across edge pixels, classify regions,
 denoise non-hole pixels, then fill the remaining holes from the
 outside in.
 
@@ -192,10 +192,11 @@ def restore(depth: DepthMap, guide: ColorImage,
             ) -> tuple[DepthMap, np.ndarray, RestorationReport]:
     """Run the whole restoration; returns (map, labels, report).
 
-    Each intermediate frame dies at its last use. The gray image lives
-    through the gradients only, and the three gradient frames through
-    detect_edges only; the closed map and the hole masks die once the
-    labels and the hole-zeroed work map exist. So only edges, labels
+    Each intermediate frame dies at its last use. The edges come first:
+    the gray image lives through the gradients only, and the three
+    gradient frames through detect_edges only, so both are gone before
+    the closing builds its frames. The closed map and the hole masks
+    die once the labels and the hole-zeroed work map exist. So only edges, labels
     and the current depth frame reach filter_non_hole, and only edges,
     labels and the denoised map reach fill_holes.
     """
