@@ -112,7 +112,7 @@ def edge_theta(gx, gy):
     gx = np.asarray(gx, dtype=np.float64)
     gy = np.asarray(gy, dtype=np.float64)
     flat = gy == 0.0
-    t = np.negative(gx, out=np.empty_like(gx))
+    t = np.asarray(-gx)  # a 0-d gx negates to a scalar; keep an array
     np.divide(t, gy, out=t, where=~flat)
     np.arctan(t, out=t)
     np.copyto(t, np.pi / 2, where=flat)

@@ -196,7 +196,7 @@ def _filter_at(op, p, depth: DepthMap, guide: ColorImage, params: KernelParams,
     acc = WindowSums((1, 1))
     window_sums(pad(depth.samples, r)[win], pad(usable, r, np.float64)[win],
                 guide_planes(guide, r)[win], params, acc, 0, 1, **flavor)
-    return FilterOutcome(float(acc.normalized()[0, 0]), float(acc.den[0, 0]),
+    return FilterOutcome(float(acc.finish()[0, 0]), float(acc.den[0, 0]),
                          int(acc.cnt[0, 0]))
 
 
@@ -254,16 +254,21 @@ class WindowSums:
         self.num = np.zeros(shape)
         self.den = np.zeros(shape)
         self.cnt = self.cmin = self.cmax = None
+        self.finished = False
         if track:
             self.cnt = np.zeros(shape, dtype=np.int32)
             self.cmin = np.full(shape, np.inf)
             self.cmax = np.full(shape, -np.inf)
 
-    def normalized(self) -> np.ndarray:
+    def finish(self) -> np.ndarray:
         """Weighted averages, clamped to the contributor range when
         tracked; 0.0 where nothing contributed. They are written into
-        num and num is returned, so no new frame is built, and num holds
-        the averages, not the sums, from then on: call this once."""
+        num and num is returned, so no new frame is built. This consumes
+        the sums: num holds the averages from then on, and a second call
+        raises ContractViolation."""
+        if self.finished:
+            raise ContractViolation("WindowSums.finish called twice")
+        self.finished = True
         some = self.den > 0
         vals = np.divide(self.num, self.den, out=self.num, where=some)
         if self.cmin is not None:
@@ -544,7 +549,7 @@ def _denoise(d, planes, params, threads, passes):
         frame = None if integer and "depth_sigma" in flavor else gate()
         run_banded(h, threads, partial(window_sums, src, frame, planes, params, acc,
                                        targets=targets, **flavor))
-        results.append(acc.normalized())
+        results.append(acc.finish())
     del acc  # free the last pass's den before the suspect test
     if not integer:
         return results
@@ -570,7 +575,7 @@ def _denoise(d, planes, params, threads, passes):
             flavor = {k: v if _scalar(v) else v.reshape(-1)[at] for k, v in flavor.items()}
             window_sums(frame, gate(), planes, params, fix, 0, h,
                         targets=at if targets is None else targets[at], **flavor)
-            q[at] = fix.normalized()
+            q[at] = fix.finish()
     return results
 
 

@@ -170,7 +170,7 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
             if not got.any():
                 break
             fillable = targets[got]
-            interior(work, r).flat[fillable] = acc.normalized()[got]
+            interior(work, r).flat[fillable] = acc.finish()[got]
             interior(validf, r).flat[fillable] = 1.0
             valid.flat[fillable] = True
             remaining.flat[fillable] = False

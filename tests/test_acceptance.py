@@ -97,7 +97,7 @@ def engine_maps(depth, guide, theta, params):
     ):
         acc = WindowSums(d.shape)
         window_sums(padded, validf, planes, params, acc, 0, d.shape[0], **kwargs)
-        out[key] = acc.normalized()
+        out[key] = acc.finish()
     return out
 
 

@@ -289,7 +289,7 @@ def test_engine_reproduces_scalar_filters_bit_for_bit():
     valid = depth.samples != HOLE
 
     acc = engine_values(depth, guide, PARAMS, iso=True, depth_term=True)
-    vals = acc.normalized()
+    vals = acc.finish()
     for y, x in zip(*np.nonzero(valid)):
         got = tjbf_pixel((y, x), depth, guide, PARAMS)
         assert got.value == vals[y, x]
@@ -297,7 +297,7 @@ def test_engine_reproduces_scalar_filters_bit_for_bit():
         assert got.contributors == acc.cnt[y, x]
 
     acc = engine_values(depth, guide, PARAMS, theta=theta)
-    vals = acc.normalized()
+    vals = acc.finish()
     for y, x in zip(*np.nonzero(valid)):
         got = djbf_pixel((y, x), depth, guide, float(theta[y, x]), PARAMS)
         assert got.value == vals[y, x]
@@ -324,7 +324,7 @@ def test_banded_run_is_bit_identical_to_whole_image():
     for r0, r1 in ((0, 1), (1, 6), (6, 13), (13, 16)):
         window_sums(d, validf, planes, PARAMS, split, r0, r1,
                     iso_sigma=PARAMS.sigma_s, depth_sigma=PARAMS.sigma_r_depth)
-    assert np.array_equal(whole.normalized(), split.normalized())
+    assert np.array_equal(whole.finish(), split.finish())
     assert np.array_equal(whole.den, split.den)
     assert np.array_equal(whole.cnt, split.cnt)
 
@@ -348,6 +348,20 @@ def test_filter_non_hole_composes_per_pixel_filters():
             else:
                 want = depth.samples[y, x]
             assert out.samples[y, x] == want
+
+def test_finish_consumes_the_sums():
+    """finish writes the averages into num; a second call would divide
+    them by den again, so it raises instead."""
+    acc = WindowSums((2, 2))
+    acc.num[:] = 6.0
+    acc.den[:] = 2.0
+    acc.cmin[:] = 0.0
+    acc.cmax[:] = 9.0
+    vals = acc.finish()
+    assert vals is acc.num and np.array_equal(vals, np.full((2, 2), 3.0))
+    with pytest.raises(ContractViolation, match="finish"):
+        acc.finish()
+    assert np.array_equal(acc.num, np.full((2, 2), 3.0))
 
 
 def test_filter_non_hole_thread_count_is_invisible():
@@ -634,7 +648,7 @@ def tracked_filter_non_hole(depth, guide, labels, edges, params, isotropic_only)
         window_sums(padded, validf, planes, params, acc, 0, h, targets=targets,
                     **at_targets(flavor, targets))
         raw = np.divide(acc.num, acc.den, out=np.zeros_like(acc.num), where=acc.den > 0)
-        return acc.normalized(), raw
+        return acc.finish(), raw
 
     if isotropic_only:
         kept = labels <= NONHOLE_EDGE
