@@ -55,6 +55,8 @@ DEFAULT_TAU = 10.0
 # lanes, so small requests make small blocks.
 BLOCK_LANES = 1024
 LANE_DRAWS = 512
+# Box-Muller takes candidate pairs from a block this many at a time.
+PAIR_CHUNK = 8192
 
 # Under numpy 1.x rules a uint64 mixed with a signed integer becomes
 # float64; uint64 shift counts keep every step in uint64 on 1.x and 2.x.
@@ -198,29 +200,35 @@ class Rng:
             out[0] = self._spare
             self._spare = None
             k = 1
-        pairs = []
         want = -(-(n - k) // 2)
         while want:
-            # About pi/4 of the pairs are accepted; draws peeked past the
-            # last needed pair stay buffered for the next call. A round
-            # peeks at two blocks' worth at most.
+            # About pi/4 of the pairs are accepted. A round peeks at its
+            # draws in one wide block (two blocks' worth at most) and takes
+            # them PAIR_CHUNK pairs at a time, so its temporaries stay
+            # chunk-sized; draws past the last needed pair stay buffered.
             cand = min(want + want // 2 + 8, BLOCK_LANES * LANE_DRAWS)
-            uv = _to_unit(self._peek(2 * cand)).reshape(cand, 2)
-            u = 2.0 * uv[:, 0] - 1.0
-            v = 2.0 * uv[:, 1] - 1.0
-            s = u * u + v * v
-            hit = np.flatnonzero((s > 0.0) & (s < 1.0))[:want]
-            self._pos += 2 * (int(hit[-1]) + 1 if hit.size == want else cand)
-            s = s[hit]
-            log_s = np.fromiter(map(math.log, s.tolist()), dtype=np.float64, count=s.size)
-            m = np.sqrt(-2.0 * log_s / s)
-            pairs.append(np.stack([u[hit] * m, v[hit] * m], axis=1).reshape(-1))
-            want -= hit.size
-        if pairs:
-            g = np.concatenate(pairs)
-            out[k:] = g[:n - k]
-            if g.size > n - k:
-                self._spare = float(g[-1])
+            draws = self._peek(2 * cand)
+            for j in range(0, cand, PAIR_CHUNK):
+                uv = _to_unit(draws[2 * j:2 * min(j + PAIR_CHUNK, cand)]).reshape(-1, 2)
+                u = 2.0 * uv[:, 0] - 1.0
+                v = 2.0 * uv[:, 1] - 1.0
+                s = u * u + v * v
+                hit = np.flatnonzero((s > 0.0) & (s < 1.0))[:want]
+                s = s[hit]
+                log_s = np.fromiter(map(math.log, s.tolist()), dtype=np.float64, count=s.size)
+                m = np.sqrt(-2.0 * log_s / s)
+                g = np.stack([u[hit] * m, v[hit] * m], axis=1).reshape(-1)
+                take = min(g.size, n - k)
+                out[k:k + take] = g[:take]
+                if take < g.size:
+                    self._spare = float(g[-1])
+                k += take
+                want -= hit.size
+                if not want:
+                    self._pos += 2 * (j + int(hit[-1]) + 1)
+                    break
+            else:
+                self._pos += 2 * cand
         return out
 
     def next_u64(self) -> int:
@@ -328,10 +336,16 @@ def degrade(clean: DepthMap, spec: DegradeSpec) -> DepthMap:
     if spec.noise_sigma > 0:
         valid = d != HOLE
         g = rng.normals(int(np.count_nonzero(valid)))
-        # A finite sigma can still overflow the product to +-inf, which
-        # the clamp maps to 65535 or 1.
+        # floor((d + sigma * g) + 0.5), clamped, each step in place. A
+        # finite sigma can still overflow the product to +-inf, which the
+        # clamp maps to 65535 or 1.
         with np.errstate(over="ignore"):
-            d[valid] = np.clip(np.floor(d[valid] + spec.noise_sigma * g + 0.5), 1.0, DEPTH_MAXVAL)
+            g *= spec.noise_sigma
+            t = d[valid]
+            t += g
+            del g
+            t += 0.5
+            d[valid] = np.clip(np.floor(t, out=t), 1.0, DEPTH_MAXVAL, out=t)
     if spec.speckle_hole_fraction > 0:
         d[rng.uniforms(d.size).reshape(d.shape) < spec.speckle_hole_fraction] = HOLE
     if spec.edge_hole_radius > 0:

@@ -72,18 +72,24 @@ SCALAR_OF = {"u64s": "next_u64", "uniforms": "uniform", "normals": "gauss"}
 @given(ops=st.lists(st.tuples(st.sampled_from(sorted(SCALAR_OF) + sorted(SCALAR_OF.values())),
                               st.integers(0, 25)), max_size=12),
        seed=st.integers(0, 2**64 - 1), lanes=st.sampled_from([1, 2]),
-       lane_draws=st.sampled_from([1, 3, 16, 512]))
+       lane_draws=st.sampled_from([1, 3, 16, 512]),
+       pair_chunk=st.sampled_from([1, 2, 3, 8192]))
 @example(ops=[("gauss", 0), ("normals", 3), ("normals", 0), ("gauss", 0)], seed=42, lanes=1,
-         lane_draws=1)
-def test_array_and_scalar_draws_interleave_like_the_serial_stream(ops, seed, lanes, lane_draws):
+         lane_draws=1, pair_chunk=8192)
+@example(ops=[("normals", 25), ("gauss", 0), ("normals", 7)], seed=11, lanes=2,
+         lane_draws=16, pair_chunk=3)
+def test_array_and_scalar_draws_interleave_like_the_serial_stream(ops, seed, lanes, lane_draws,
+                                                                 pair_chunk):
     """Array calls return what the scalar calls would and consume the
     same draws, with the gauss spare carried across both kinds, even
-    when a block runs out in the middle of a rejection."""
+    when a block runs out in the middle of a rejection or a round ends
+    inside a chunk of pairs."""
     ours = Rng(seed)
     ref = RefXoshiro(seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluate, "BLOCK_LANES", lanes)
         mp.setattr(evaluate, "LANE_DRAWS", lane_draws)
+        mp.setattr(evaluate, "PAIR_CHUNK", pair_chunk)
         for name, n in ops:
             if name in SCALAR_OF:
                 want = [getattr(ref, SCALAR_OF[name])() for _ in range(n)]
