@@ -161,22 +161,7 @@ def rotated_weight(dx, dy, cos_t, sin_t, sigma_x, sigma_y):
 
     Rotation is the proper orthonormal one: x' = dx cos t + dy sin t,
     y' = -dx sin t + dy cos t.
-
-    The weights are built in place, in two buffers and one temporary,
-    as exp(-0.5 * (x'^2 / sigma_x^2 + y'^2 / sigma_y^2)) with y' summed
-    as dy cos t + -dx sin t (the same two addends, so the same bits);
-    see the module doc on reassociating. Arrays in give one new array;
-    scalars in give a float.
     """
-    xt = np.multiply(cos_t, dx)
-    yt = np.multiply(sin_t, dy)
-    xt += yt
-    xt *= xt
-    xt /= sigma_x * sigma_x
-    yt = np.multiply(cos_t, dy, out=yt if np.ndim(yt) else None)
-    yt += np.multiply(sin_t, -dx)
-    yt *= yt
-    yt /= sigma_y * sigma_y
-    xt += yt
-    xt *= -0.5
-    return np.exp(xt, out=xt if np.ndim(xt) else None)
+    xt = dx * cos_t + dy * sin_t
+    yt = -dx * sin_t + dy * cos_t
+    return np.exp(-0.5 * (xt * xt / (sigma_x * sigma_x) + yt * yt / (sigma_y * sigma_y)))

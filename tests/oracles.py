@@ -17,9 +17,11 @@ exactly instead of restating the definitions. ref_nearest_edge_theta
 is another: the full-grid nearest-edge angle, frozen the same way
 when the package's version came to take a target set. The front end's
 expressions are frozen too, before they came to build their results in
-place: ref_to_grayscale, ref_sobel_gradients, ref_edge_theta and
-ref_rotated_weight (its array-angle form) repeat the package's
-expressions as they stood, each a chain of whole-array temporaries.
+place: ref_to_grayscale, ref_sobel_gradients and ref_edge_theta repeat
+the package's expressions as they stood, each a chain of whole-array
+temporaries. ref_rotated_weight freezes the array-angle form of
+kernels.rotated_weight the same way; the package keeps that expression,
+and the oracle pins any rewrite of it.
 """
 
 import math
