@@ -18,11 +18,14 @@ helpers, which state its whole contract in one call:
 A public function that takes two or more frames checks that they
 agree in height and width with a third, require_same_shape; one that
 takes a mask checks that it is a bool array with require_mask, and one
-that takes region labels checks them with require_labels.
+that takes region labels checks them against its depth with
+require_labels: the hole labels must mark exactly the depth's holes,
+so "hole" means one thing in every stage.
 
 A string, None, a bool, a value out of bounds, a frame of another
-size, a mask that is not bool or labels outside 0-3 raise
-ContractViolation, naming the parameter.
+size, a mask that is not bool, labels outside 0-3 or labels that
+disagree with the depth about a hole raise ContractViolation, naming
+the parameter.
 """
 
 from numbers import Integral, Real
@@ -96,15 +99,23 @@ def require_mask(**masks) -> None:
                                     f"{getattr(m, 'dtype', type(m).__name__)}")
 
 
-def require_labels(labels) -> None:
+def require_labels(labels, depth) -> None:
     """Raise ContractViolation unless labels is an integer array of
-    region labels, 0 to 3 (edge_analysis.LABEL_NAMES)."""
+    region labels, 0 to 3 (edge_analysis.LABEL_NAMES), whose hole
+    labels 2 and 3 sit exactly where depth (a DepthMap of the labels'
+    size) holds image_model.HOLE."""
+    from .image_model import HOLE  # image_model imports this module
+
     kind = getattr(labels, "dtype", np.dtype(object)).kind
     if kind not in "iu":
         raise ContractViolation(f"labels must be an integer array, got "
                                 f"{getattr(labels, 'dtype', type(labels).__name__)}")
     if labels.size and not (labels.min() >= 0 and labels.max() <= 3):
         raise ContractViolation(f"labels must lie in 0-3, got {labels.min()} to {labels.max()}")
+    off = np.count_nonzero((labels >= 2) != (depth.samples == HOLE))
+    if off:
+        raise ContractViolation(f"labels 2-3 must mark exactly the depth's holes, "
+                                f"{off} of {labels.size} pixels disagree")
 
 
 def _require_bounds(name: str, value, gt, ge, lt) -> None:

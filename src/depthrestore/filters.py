@@ -71,11 +71,8 @@ valid center and a hole source differ by at least M, and
 depth_range_table is exactly 0.0 from S // 2 = M on: the hole source
 weighs +0.0 with no gate multiply, as the gate made it weigh before.
 Its num term is then 0 * S = +0.0 where it was 0 * 0 = +0.0, so no
-bit of num or den moves. The edge pass and the suspect re-runs keep
-the validity gate on the same frame, and 0.0 * S is +0.0 there too.
-A hole center reads the sentinel, so a kept pixel there (only a
-library caller's labels put one there) re-runs against a copy whose
-holes read 0, built only when such a pixel exists.
+bit of num or den moves. The edge pass keeps the validity gate on the
+same frame, and 0.0 * S is +0.0 there too.
 
 Two accumulation details are deliberate and load-bearing:
 
@@ -108,12 +105,12 @@ computed weights, which is inside [cmin, cmax]. Terms that underflow
 add at most n * 2**-1075 more, nothing against num, den >= 1. So
 q < cmin or q > cmax needs the integer cmin or cmax within that
 distance of q, and |q - rint(q)| <= 4 * n * eps * q catches every
-such pixel with room to spare. A kept pixel whose center is a hole
-(only a library caller's labels put one there) lacks the den >= 1
-floor of this argument, so it is a suspect too, and its re-run reads
-0 at the holes (above). The re-run addresses
-the suspects by gather, which gives the dense run's bits, so the
-deferred clamp moves no output bit either.
+such pixel with room to spare. The labels contract
+(errors.require_labels) puts no kept output on a hole, so the floor
+holds for every one. A pass's re-run is its own call, tracked, with
+the suspects as targets: the same frame, gate and tables, addressed by
+gather, which gives the dense run's bits, so the deferred clamp moves
+no output bit either.
 """
 
 from __future__ import annotations
@@ -480,11 +477,12 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
     passes, dense and over the edge region; only their flavors differ.
 
     cfg is validated, every frame must have the depth's size, and labels
-    must be region labels (errors.require_labels).
+    must be region labels whose hole labels mark exactly the depth's
+    holes (errors.require_labels), so no output is centred on a hole.
     """
     cfg.validate()
     require_same_shape(depth=depth, guide=guide, labels=labels, theta=edges.theta)
-    require_labels(labels)
+    require_labels(labels, depth)
     params = cfg.kernel
     d = depth.samples
     kept = labels == NONHOLE_NONEDGE
@@ -509,16 +507,16 @@ def _denoise(d, planes, params, threads, passes):
     planes is the padded guide. A pass is (targets, kept, flavor): the
     window_sums target set (None for every pixel), the (h, w) mask of
     outputs the caller keeps (None for every target) and the flavor
-    keywords. On integer depth the passes run untracked on an unsigned
-    sentinel frame, a trilateral pass with no validity gate, and only
-    the suspects among the kept outputs (see the module doc) run again,
-    tracked and gated, to be clamped; other depth runs tracked
-    throughout on a float copy whose holes read 0. Integrality is
-    decided here, once per frame, and each padded frame is built once
-    for all the runs. A pass's averages are written into its num, and
-    its den dies with it; the padded validity frame is built at its
-    first use, so on integer depth it is never live beside the dense
-    trilateral pass's num and den.
+    keywords; no kept output is centred on a hole. On integer depth a
+    pass runs untracked on an unsigned sentinel frame, a trilateral pass
+    with no validity gate, and then only the suspects among its kept
+    outputs (module doc) run again: the pass's own call, tracked, on the
+    suspects as targets. Other depth runs tracked on a float copy whose
+    holes read 0. Integrality is decided here, once per frame, and each
+    padded frame is built once for all the runs. A pass's averages are
+    written into its num, and its den dies before the suspect test; the
+    padded validity frame is built at its first use, so on integer depth
+    it is never live beside the dense trilateral pass's num and den.
     """
     h = d.shape[0]
     r = params.window_radius
@@ -536,45 +534,30 @@ def _denoise(d, planes, params, threads, passes):
     else:
         src = pad(d, r)
     validf = None
-
-    def gate():
-        nonlocal validf
-        if validf is None:
-            validf = pad(d != HOLE, r, np.float64)
-        return validf
-
-    results = []
-    for targets, _, flavor in passes:
-        acc = WindowSums(d.shape if targets is None else targets.shape, track=not integer)
-        frame = None if integer and "depth_sigma" in flavor else gate()
-        run_banded(h, threads, partial(window_sums, src, frame, planes, params, acc,
-                                       targets=targets, **flavor))
-        results.append(acc.finish())
-    del acc  # free the last pass's den before the suspect test
-    if not integer:
-        return results
     tol = 4 * (2 * r + 1) ** 2 * EPS
-    zeroed = None
-    for q, (targets, kept, flavor) in zip(results, passes):
+    results = []
+    for targets, kept, flavor in passes:
+        gated = not (integer and "depth_sigma" in flavor)
+        if gated and validf is None:
+            validf = pad(d != HOLE, r, np.float64)
+        run = partial(window_sums, src, validf if gated else None, planes, params)
+        acc = WindowSums(d.shape if targets is None else targets.shape, track=not integer)
+        run_banded(h, threads, partial(run, acc, targets=targets, **flavor))
+        q = acc.finish()
+        del acc  # free den before the suspect test
+        results.append(q)
+        if not integer:
+            continue
         q = q.reshape(-1)
         suspect = _near_integer(q, tol)
-        on_hole = (d.reshape(-1) if targets is None else d.flat[targets]) == HOLE
-        suspect |= on_hole
         if kept is not None:
             suspect &= kept.reshape(-1)
         at = np.flatnonzero(suspect)
         if at.size:
-            frame = src
-            if on_hole[at].any():
-                # A hole center reads the sentinel; its re-run reads 0 there.
-                if zeroed is None:
-                    zeroed = np.where(src == s, 0, src)
-                frame = zeroed
             fix = WindowSums(at.shape)
             # A per-output angle follows its outputs into the re-run.
             flavor = {k: v if _scalar(v) else v.reshape(-1)[at] for k, v in flavor.items()}
-            window_sums(frame, gate(), planes, params, fix, 0, h,
-                        targets=at if targets is None else targets[at], **flavor)
+            run(fix, 0, h, targets=at if targets is None else targets[at], **flavor)
             q[at] = fix.finish()
     return results
 

@@ -126,11 +126,13 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
     once, and each pass writes its fills into their interiors; the edge
     phase's angles are taken once, at the hole_edge pixels only. cfg is
     validated, every frame must have the depth's size, and labels must
-    be region labels (errors.require_labels).
+    be region labels whose hole labels mark exactly filtered's holes
+    (errors.require_labels): a hole labelled valid would be read as a
+    0 mm seed.
     """
     cfg.validate()
     require_same_shape(depth=filtered, guide=guide, labels=labels, theta=edges.theta)
-    require_labels(labels)
+    require_labels(labels, filtered)
     h = labels.shape[0]
     params = cfg.kernel
     r = params.window_radius

@@ -602,14 +602,13 @@ def test_the_exterior_is_inert(h, w, flavor, radius, sparse, track, integer, see
         assert np.array_equal(getattr(zero, name), getattr(noisy, name)), name
 
 
-def clamp_prone_case(rng, h, w, kind, base, stray):
+def clamp_prone_case(rng, h, w, kind, base):
     """An integer-valued h x w frame whose quotients land within ulps of
     an integer, its guide, labels and edges. kind "constant" is the one
     depth base, "patches" 3x3 constant tiles, "two_levels" a random mix
     of base and a depth up to 300 above, "fine_noise" base plus sub-mm
     noise rounded to the integer grid. About 15% holes; the other
-    pixels get a random kept label, and a stray label other than None
-    goes to one more hole."""
+    pixels get a random kept label."""
     if kind == "constant":
         d = np.full((h, w), float(base))
     elif kind == "patches":
@@ -623,10 +622,6 @@ def clamp_prone_case(rng, h, w, kind, base, stray):
     d[rng.random((h, w)) < 0.15] = HOLE
     labels = np.where(rng.random((h, w)) < 0.4, NONHOLE_EDGE, NONHOLE_NONEDGE).astype(np.uint8)
     labels[d == HOLE] = 2
-    if stray is not None:
-        y, x = int(rng.integers(0, h)), int(rng.integers(0, w))
-        d[y, x] = HOLE
-        labels[y, x] = stray
     guide = ColorImage(rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
     theta = rng.uniform(-np.pi / 2, np.pi / 2, (h, w))
     return DepthMap(d), guide, labels, EdgeMap(labels == NONHOLE_EDGE, theta)
@@ -666,50 +661,38 @@ def tracked_filter_non_hole(depth, guide, labels, edges, params, isotropic_only)
 CLAMP_KINDS = ["constant", "patches", "two_levels", "fine_noise"]
 
 
-STRAYS = [None, NONHOLE_NONEDGE, NONHOLE_EDGE]
-
-
 @settings(max_examples=150, deadline=None)
 @given(h=st.integers(1, 12), w=st.integers(1, 12), kind=st.sampled_from(CLAMP_KINDS),
        base=st.integers(1, 65235), radius=st.integers(1, 3),
        sigma_r_depth=st.sampled_from([0.05, 0.3, 30.0]), sigma_y=st.sampled_from([0.05, 1.5]),
        isotropic_only=st.booleans(), threads=st.integers(1, 3),
-       stray=st.sampled_from(STRAYS), seed=st.integers(0, 2**32 - 1), pinned=st.just(False))
+       seed=st.integers(0, 2**32 - 1), pinned=st.just(False))
 @example(h=12, w=12, kind="constant", base=1500, radius=2, sigma_r_depth=30.0,
-         sigma_y=1.5, isotropic_only=False, threads=1, stray=None, seed=0, pinned=True)
+         sigma_y=1.5, isotropic_only=False, threads=1, seed=0, pinned=True)
 @example(h=12, w=11, kind="patches", base=1, radius=1, sigma_r_depth=0.05,
-         sigma_y=0.05, isotropic_only=False, threads=2, stray=None, seed=0, pinned=True)
+         sigma_y=0.05, isotropic_only=False, threads=2, seed=0, pinned=True)
 @example(h=10, w=12, kind="fine_noise", base=65000, radius=3, sigma_r_depth=0.3,
-         sigma_y=1.5, isotropic_only=True, threads=3, stray=None, seed=1, pinned=True)
+         sigma_y=1.5, isotropic_only=True, threads=3, seed=1, pinned=True)
 @example(h=12, w=12, kind="two_levels", base=700, radius=2, sigma_r_depth=0.3,
-         sigma_y=0.05, isotropic_only=False, threads=2, stray=NONHOLE_EDGE, seed=0,
-         pinned=True)
-@example(h=9, w=9, kind="constant", base=1140, radius=2, sigma_r_depth=30.0,
-         sigma_y=1.5, isotropic_only=False, threads=1, stray=NONHOLE_NONEDGE, seed=0,
-         pinned=True)
+         sigma_y=0.05, isotropic_only=False, threads=2, seed=0, pinned=True)
 @example(h=12, w=12, kind="fine_noise", base=65535, radius=2, sigma_r_depth=0.3,
-         sigma_y=1.5, isotropic_only=False, threads=2, stray=NONHOLE_NONEDGE, seed=0,
-         pinned=True)
+         sigma_y=1.5, isotropic_only=False, threads=2, seed=0, pinned=True)
 @example(h=2, w=12, kind="two_levels", base=700, radius=3, sigma_r_depth=0.3,
-         sigma_y=1.5, isotropic_only=False, threads=1, stray=NONHOLE_NONEDGE, seed=2,
-         pinned=True)
+         sigma_y=1.5, isotropic_only=False, threads=1, seed=2, pinned=True)
 def test_deferred_clamp_matches_the_tracked_engine(h, w, kind, base, radius, sigma_r_depth,
-                                                   sigma_y, isotropic_only, threads, stray,
-                                                   seed, pinned):
+                                                   sigma_y, isotropic_only, threads, seed,
+                                                   pinned):
     """On integer frames built to provoke the clamp, filter_non_hole
     (untracked passes on uint16 depth, then a tracked re-run of the
     suspects) gives the bits of tracked runs on float depth, for the
-    trilateral, directional and isotropic-only passes at 1-3 threads,
-    also when a kept label sits on a hole. The pinned examples are
-    frames where the clamp does move some kept quotient. In the last
-    one a trilateral label sits on a hole amid depth 1140, 38 depth
-    sigmas from the hole's 0, so every weight that hole gets is
-    subnormal. The two after it are the sentinel's edge cases: depth
-    up to 65535, where the sentinel 2 * 65536 needs a uint32 frame, and
-    a 2-row frame, where every hole is on the border next to the pad
-    ring and a trilateral label sits on the corner hole."""
+    trilateral, directional and isotropic-only passes at 1-3 threads.
+    The pinned examples are frames where the clamp does move some kept
+    quotient. The last two are the sentinel's edge cases: depth up to
+    65535, where the sentinel 2 * 65536 needs a uint32 frame, and a
+    2-row frame, where every hole is on the border next to the pad
+    ring."""
     rng = np.random.default_rng(seed)
-    depth, guide, labels, edges = clamp_prone_case(rng, h, w, kind, base, stray)
+    depth, guide, labels, edges = clamp_prone_case(rng, h, w, kind, base)
     params = replace(PARAMS, window_radius=radius, sigma_r_depth=sigma_r_depth,
                      sigma_y=sigma_y)
     want, moved = tracked_filter_non_hole(depth, guide, labels, edges, params, isotropic_only)
@@ -719,7 +702,6 @@ def test_deferred_clamp_matches_the_tracked_engine(h, w, kind, base, radius, sig
     assert np.array_equal(got.samples, want)
     if pinned:
         assert moved > 0
-        assert stray is None or np.any((depth.samples == HOLE) & (labels <= NONHOLE_EDGE))
 
 
 @pytest.mark.parametrize("isotropic_only", [False, True])
@@ -728,7 +710,7 @@ def test_non_integer_depth_keeps_the_tracked_bits(isotropic_only):
     before the deferred clamp: the same bits, on a frame where the
     clamp moves some quotient."""
     rng = np.random.default_rng(0)
-    depth, guide, labels, edges = clamp_prone_case(rng, 12, 12, "constant", 1500, None)
+    depth, guide, labels, edges = clamp_prone_case(rng, 12, 12, "constant", 1500)
     d = depth.samples.copy()
     d[d != HOLE] += 0.25
     depth = DepthMap(d)

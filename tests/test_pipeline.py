@@ -238,23 +238,38 @@ def test_masks_must_be_bool(name, dtype):
         MASK_CALLS[name](frames(8, 8), mask.astype(dtype))
 
 
+def hole_labels(*holes):
+    """8x8 labels: HOLE_NONEDGE (2) at each of holes, else NONHOLE_NONEDGE."""
+    labels = np.zeros((8, 8), np.uint8)
+    for p in holes:
+        labels[p] = 2
+    return labels
+
+
 @pytest.mark.parametrize("labels,match", [
     (np.full((8, 8), 7, np.uint8), r"^labels must lie in 0-3, got 7 to 7"),
     (np.full((8, 8), -1, np.int64), r"^labels must lie in 0-3, got -1 to -1"),
     (np.full((8, 8), 0.5), r"^labels must be an integer array, got float64"),
     (np.zeros((8, 8), bool), r"^labels must be an integer array, got bool"),
-], ids=["seven", "negative", "float", "bool"])
+    (hole_labels(), r"^labels 2-3 must mark exactly the depth's holes, 1 of 64 pixels"),
+    (hole_labels((3, 3), (0, 5)),
+     r"^labels 2-3 must mark exactly the depth's holes, 1 of 64 pixels"),
+], ids=["seven", "negative", "float", "bool", "hole-labelled-valid", "valid-labelled-hole"])
 @pytest.mark.parametrize("stage", [filter_non_hole, fill_holes], ids=lambda f: f.__name__)
 def test_labels_must_be_region_labels(stage, labels, match):
-    """Labels outside 0-3 or not integers fail as a ContractViolation.
-    Unchecked, an all-7 grid made filter_non_hole denoise nothing and
-    fill_holes report 64 unfilled holes on a frame with one, and an
-    all-0.5 grid made fill_holes report none while the hole stayed 0."""
+    """Labels outside 0-3, not integers, or whose hole labels 2-3 do
+    not mark exactly the depth's holes fail as a ContractViolation that
+    says how many pixels disagree. Unchecked, an all-7 grid made
+    filter_non_hole denoise nothing and fill_holes report 64 unfilled
+    holes on a frame with one, and an all-0.5 grid made fill_holes
+    report none while the hole stayed 0. A hole labelled valid was read
+    as a 0 mm seed: on a flat 1000 mm 12x12 frame with a 4x4 hole whose
+    corner was labelled 0, at r = 2, fill_holes filled the other hole
+    pixels with 880-926 mm, left the corner at 0 and reported no
+    unfilled hole."""
     d = np.full((8, 8), 900.0)
     d[3, 3] = HOLE
-    good = np.zeros((8, 8), np.uint8)
-    good[3, 3] = 2
-    stage(DepthMap(d), flat_guide((8, 8)), good, no_edges((8, 8)), small_cfg())
+    stage(DepthMap(d), flat_guide((8, 8)), hole_labels((3, 3)), no_edges((8, 8)), small_cfg())
     with pytest.raises(ContractViolation, match=match):
         stage(DepthMap(d), flat_guide((8, 8)), labels, no_edges((8, 8)), small_cfg())
 
