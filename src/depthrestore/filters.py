@@ -478,7 +478,7 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
 
     cfg is validated, every frame must have the depth's size, and labels
     must be region labels whose hole labels mark exactly the depth's
-    holes (errors.require_labels), so no output is centred on a hole.
+    holes (errors.require_labels), so no kept output is centred on a hole.
     """
     cfg.validate()
     require_same_shape(depth=depth, guide=guide, labels=labels, theta=edges.theta)

@@ -118,12 +118,12 @@ def depth_range_table(sigma_r, n, m=None):
     lookup by |dp - dq| gives the kernel's bits for either sign; a
     sigma_r of 1e9 or more gives the kernel's exact 1.0 before the
     tail. Read-only and cached per (sigma_r, n, m). The engine sizes it
-    max(depth) + 1. The package's one caller, filters._denoise, hands it
-    a frame whose holes read the sentinel S and no validity gate, so the
-    table has S + 1 entries, at most 131073, with the tail from
-    m = S // 2 on, and a hole source weighs +0.0 with no gate. Only a
-    direct engine call with a gate and unsigned depth (tests make them)
-    builds one with no tail, of at most 65536 entries.
+    max(depth) + 1. In the package only filters._denoise's trilateral
+    pass reaches it, with no gate on a frame whose holes read the
+    sentinel S: S + 1 entries, at most 131073, with the tail from
+    m = S // 2 on, so a hole source weighs +0.0. Only a direct engine
+    call with a gate and unsigned depth (tests make them) builds one
+    with no tail, of at most 65536 entries.
     """
     m = n if m is None else m
     table = np.zeros(n)
