@@ -35,8 +35,8 @@ tests/oracles.py holds the float64 body as ref_window_sums, and a
 hypothesis test pins the engine to it.
 
 Every frame the engine reads comes padded by r = window_radius on
-every side (pad, guide_planes): color 0, validity 0.0 and depth 0 (or
-the sentinel, below), the constant_exterior boundary of Halide
+every side (pad, guide_planes): color 0, validity False and depth 0
+(or the sentinel, below), the constant_exterior boundary of Halide
 (Ragan-Kelley et al., PLDI 2013). Every weight is finite, so an
 exterior source weighs exactly +0.0, and adding +0.0 to sums that are
 never below +0.0 leaves their bits: no offset needs to know where the
@@ -72,7 +72,7 @@ depth_range_table is exactly 0.0 from S // 2 = M on: the hole source
 weighs +0.0 with no gate multiply, as the gate made it weigh before.
 Its num term is then 0 * S = +0.0 where it was 0 * 0 = +0.0, so no
 bit of num or den moves. The edge pass keeps the validity gate on the
-same frame, and 0.0 * S is +0.0 there too.
+same frame: an invalid source weighs +0.0, and 0.0 * S is +0.0 too.
 
 Two accumulation details are deliberate and load-bearing:
 
@@ -191,7 +191,7 @@ def _filter_at(op, p, depth: DepthMap, guide: ColorImage, params: KernelParams,
         flavor["cos_t"] = np.cos(theta)
         flavor["sin_t"] = np.sin(theta)
     acc = WindowSums((1, 1))
-    window_sums(pad(depth.samples, r)[win], pad(usable, r, np.float64)[win],
+    window_sums(pad(depth.samples, r)[win], pad(usable, r)[win],
                 guide_planes(guide, r)[win], params, acc, 0, 1, **flavor)
     return FilterOutcome(float(acc.finish()[0, 0]), float(acc.den[0, 0]),
                          int(acc.cnt[0, 0]))
@@ -275,14 +275,14 @@ class WindowSums:
         return vals
 
 
-def window_sums(depth: np.ndarray, validf: np.ndarray, planes, params: KernelParams,
+def window_sums(depth: np.ndarray, valid: np.ndarray, planes, params: KernelParams,
                 acc: WindowSums, row0: int, row1: int, *, iso_sigma=None,
                 cos_t=None, sin_t=None, depth_sigma=None, targets=None) -> None:
     """Accumulate filter sums for output rows [row0, row1) of an h x w
-    frame, whose depth, validf (1.0 where the source is usable, else
-    0.0) and uint8 guide planes come padded by r = params.window_radius
-    (pad, guide_planes). The pad's validity must be 0.0; its depth and
-    color may be any finite values. validf of None skips the gate: the
+    frame, whose depth, bool validity valid (True where the source is
+    usable) and uint8 guide planes come padded by r = params.window_radius
+    (pad, guide_planes). The pad's validity must be False; its depth and
+    color may be any finite values. valid of None skips the gate: the
     depth must then be a sentinel frame (module doc), unsigned, whose
     holes and pad hold its maximum S and whose valid depths are all
     below S // 2, and the call must carry depth_sigma, whose table then
@@ -311,8 +311,8 @@ def window_sums(depth: np.ndarray, validf: np.ndarray, planes, params: KernelPar
     dtable = None
     if depth_sigma is not None and depth.dtype.kind == "u":
         top = int(depth.max())
-        dtable = depth_range_table(depth_sigma, top + 1, top // 2 if validf is None else None)
-    frames = (planes, depth) if validf is None else (planes, depth, validf)
+        dtable = depth_range_table(depth_sigma, top + 1, top // 2 if valid is None else None)
+    frames = (planes, depth) if valid is None else (planes, depth, valid)
     for out, at in _blocks(r, row0, row1, frames, targets):
         cpl, cd, *_ = at(0, 0)
         cc, cs = (a if _scalar(a) else a[out] for a in (cos_t, sin_t))
@@ -398,12 +398,12 @@ def _scalar(a):
     return a is None or np.ndim(a) == 0
 
 
-def pad(a, r, dtype=None):
-    """a with r zeros on every side of its last two axes, as a new
-    C-contiguous array of dtype (default a's): the frame layout
+def pad(a, r):
+    """a with r zeros (False for a mask) on every side of its last two
+    axes, as a new C-contiguous array of a's dtype: the frame layout
     window_sums reads, in which every exterior source weighs +0.0."""
     h, w = a.shape[-2:]
-    out = np.zeros(a.shape[:-2] + (h + 2 * r, w + 2 * r), dtype or a.dtype)
+    out = np.zeros(a.shape[:-2] + (h + 2 * r, w + 2 * r), a.dtype)
     out[..., r:r + h, r:r + w] = a
     return out
 
@@ -515,7 +515,7 @@ def _denoise(d, planes, params, threads, passes):
     holes read 0. Integrality is decided here, once per frame, and each
     padded frame is built once for all the runs. A pass's averages are
     written into its num, and its den dies before the suspect test; the
-    padded validity frame is built at its first use, so on integer depth
+    bool validity frame is built at its first use, so on integer depth
     it is never live beside the dense trilateral pass's num and den.
     """
     h = d.shape[0]
@@ -533,14 +533,14 @@ def _denoise(d, planes, params, threads, passes):
         inner[d == HOLE] = s
     else:
         src = pad(d, r)
-    validf = None
+    valid = None
     tol = 4 * (2 * r + 1) ** 2 * EPS
     results = []
     for targets, kept, flavor in passes:
         gated = not (integer and "depth_sigma" in flavor)
-        if gated and validf is None:
-            validf = pad(d != HOLE, r, np.float64)
-        run = partial(window_sums, src, validf if gated else None, planes, params)
+        if gated and valid is None:
+            valid = pad(d != HOLE, r)
+        run = partial(window_sums, src, valid if gated else None, planes, params)
         acc = WindowSums(d.shape if targets is None else targets.shape, track=not integer)
         run_banded(h, threads, partial(run, acc, targets=targets, **flavor))
         q = acc.finish()

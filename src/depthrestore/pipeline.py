@@ -122,13 +122,13 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
     `filtered` must already have its non-hole pixels denoised; they are
     the seed values the fill grows from. Returns the completed map and
     the run report. Passes are counted across both phases against
-    cfg.max_fill_passes. The padded depth and validity frames are built
-    once, and each pass writes its fills into their interiors; the edge
-    phase's angles are taken once, at the hole_edge pixels only. cfg is
-    validated, every frame must have the depth's size, and labels must
-    be region labels whose hole labels mark exactly filtered's holes
-    (errors.require_labels): a hole labelled valid would be read as a
-    0 mm seed.
+    cfg.max_fill_passes. The padded depth and bool validity frames are
+    built once, and each pass writes its fills into their interiors; the
+    edge phase's angles are taken once, at the hole_edge pixels only.
+    cfg is validated, every frame must have the depth's size, and labels
+    must be region labels whose hole labels mark exactly filtered's
+    holes (errors.require_labels): a hole labelled valid would be read
+    as a 0 mm seed.
     """
     cfg.validate()
     require_same_shape(depth=filtered, guide=guide, labels=labels, theta=edges.theta)
@@ -136,9 +136,9 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
     h = labels.shape[0]
     params = cfg.kernel
     r = params.window_radius
-    valid = labels <= NONHOLE_EDGE
     work = pad(filtered.samples, r)
-    validf = pad(valid, r, np.float64)
+    validp = pad(labels <= NONHOLE_EDGE, r)
+    valid = interior(validp, r)
     planes = guide_planes(guide, r)
 
     iso = (replace(params, sigma_x=params.sigma_s, sigma_y=params.sigma_s), None)
@@ -166,14 +166,13 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
                 at = theta[np.searchsorted(px, targets)]
                 cos_t, sin_t = np.cos(at), np.sin(at)
             run_banded(h, cfg.threads, lambda r0, r1: window_sums(
-                work, validf, planes, p_params, acc, r0, r1,
+                work, validp, planes, p_params, acc, r0, r1,
                 cos_t=cos_t, sin_t=sin_t, targets=targets))
-            got = acc.cnt > 0
+            got = acc.den > 0
             if not got.any():
                 break
             fillable = targets[got]
             interior(work, r).flat[fillable] = acc.finish()[got]
-            interior(validf, r).flat[fillable] = 1.0
             valid.flat[fillable] = True
             remaining.flat[fillable] = False
             filled += fillable.size
@@ -185,7 +184,7 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
         fill_passes_used=passes,
         region_counts=label_counts(labels),
     )
-    del validf, planes  # free before the output copy
+    del validp, valid, planes  # free before the output copy
     return DepthMap(np.ascontiguousarray(interior(work, r))), report
 
 

@@ -56,6 +56,16 @@ def test_degrade_zero_spec_reproduces_clean_bytes(tmp_path):
     assert Path(out).read_bytes() == (tmp_path / "d_clean.pgm").read_bytes()
 
 
+def test_degrade_reads_a_clean_pgm(tmp_path):
+    """degrade CLEAN.pgm OUT.pgm degrades the map it reads: the bytes of
+    a --scene run with the same spec, whose clean sibling it reads."""
+    clean, _, deg = scene_files(tmp_path, seed=5)
+    out = str(tmp_path / "from_file.pgm")
+    assert main(["degrade", clean, out, "--seed", "5", "--noise-sigma", "12",
+                 "--speckle", "0.05", "--edge-hole-radius", "1"]) == 0
+    assert Path(out).read_bytes() == Path(deg).read_bytes()
+
+
 def test_degrade_wants_exactly_one_input(tmp_path, capsys):
     out = str(tmp_path / "x.pgm")
     assert main(["degrade", out]) == 2
@@ -300,6 +310,19 @@ def test_config_parser_details(tmp_path):
     with pytest.raises(ContractViolation) as e:
         parse_config_file(str(cfg))
     assert "threads" in str(e.value)
+    cfg.write_text("isotropic_only = false\n")
+    assert parse_config_file(str(cfg)) == {"isotropic_only": False}
+    cfg.write_text("isotropic_only = maybe\n")
+    with pytest.raises(ContractViolation, match="isotropic_only wants true/false"):
+        parse_config_file(str(cfg))
+
+
+def test_unreadable_config_is_io_error(tmp_path, capsys):
+    clean, color, deg = scene_files(tmp_path)
+    out = str(tmp_path / "o.pgm")
+    assert main(["restore", deg, color, out, "--config", str(tmp_path / "none.conf")]) == 1
+    assert "cannot read config file" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_isotropic_flag_changes_output(tmp_path):

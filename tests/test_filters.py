@@ -276,7 +276,7 @@ def engine_values(depth, guide, params, *, theta=None, iso=False, depth_term=Fal
         kwargs["sin_t"] = np.sin(theta)
     if depth_term:
         kwargs["depth_sigma"] = params.sigma_r_depth
-    window_sums(pad(d, r), pad(usable, r, np.float64), guide_planes(guide, r), params, acc,
+    window_sums(pad(d, r), pad(usable, r), guide_planes(guide, r), params, acc,
                 0, h, **kwargs)
     return acc
 
@@ -315,14 +315,14 @@ def test_banded_run_is_bit_identical_to_whole_image():
     depth, guide, theta = random_instance(rng, shape=(16, 16))
     r = PARAMS.window_radius
     d = pad(depth.samples, r)
-    validf = pad(depth.samples != HOLE, r, np.float64)
+    valid = pad(depth.samples != HOLE, r)
     planes = guide_planes(guide, r)
     whole = WindowSums(depth.samples.shape)
-    window_sums(d, validf, planes, PARAMS, whole, 0, 16,
+    window_sums(d, valid, planes, PARAMS, whole, 0, 16,
                 iso_sigma=PARAMS.sigma_s, depth_sigma=PARAMS.sigma_r_depth)
     split = WindowSums(depth.samples.shape)
     for r0, r1 in ((0, 1), (1, 6), (6, 13), (13, 16)):
-        window_sums(d, validf, planes, PARAMS, split, r0, r1,
+        window_sums(d, valid, planes, PARAMS, split, r0, r1,
                     iso_sigma=PARAMS.sigma_s, depth_sigma=PARAMS.sigma_r_depth)
     assert np.array_equal(whole.finish(), split.finish())
     assert np.array_equal(whole.den, split.den)
@@ -410,13 +410,13 @@ def engine_case(rng, h, w, flavor, radius, integer=False):
     d = depth.samples
     if integer:
         d = np.rint(d).astype(np.uint16)
-    validf = ((d != HOLE) & (rng.random((h, w)) < 0.8)).astype(np.float64)
+    valid = (d != HOLE) & (rng.random((h, w)) < 0.8)
     kwargs = {"cos_t": np.cos(theta), "sin_t": np.sin(theta)}
     if flavor != "directional":
         kwargs = {"iso_sigma": params.sigma_s}
     if flavor == "trilateral":
         kwargs["depth_sigma"] = params.sigma_r_depth
-    return pad(d, radius), pad(validf, radius), guide_planes(guide, radius), params, kwargs
+    return pad(d, radius), pad(valid, radius), guide_planes(guide, radius), params, kwargs
 
 
 def at_targets(kwargs, targets):
@@ -452,17 +452,17 @@ def test_gather_addressing_matches_slice_addressing(h, w, flavor, radius, densit
     and Nx1 and narrower than the window, with targets on the borders
     and the targets split over several row bands."""
     rng = np.random.default_rng(seed)
-    d, validf, planes, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
+    d, valid, planes, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
     mask = rng.random((h, w)) < density
     if border:
         mask[[0, -1], :] = True
         mask[:, [0, -1]] = True
     targets = np.flatnonzero(mask)
     dense = WindowSums((h, w), track)
-    window_sums(d, validf, planes, params, dense, 0, h, **kwargs)
+    window_sums(d, valid, planes, params, dense, 0, h, **kwargs)
     sparse = WindowSums(targets.shape, track)
     for r0, r1 in row_bands(h, bands):
-        window_sums(d, validf, planes, params, sparse, r0, r1, targets=targets,
+        window_sums(d, valid, planes, params, sparse, r0, r1, targets=targets,
                     **at_targets(kwargs, targets))
     names = ("num", "den", "cnt", "cmin", "cmax") if track else ("num", "den")
     for name in names:
@@ -488,7 +488,7 @@ def test_block_size_never_changes_a_bit(h, w, flavor, radius, sparse, bands, tra
     leaves them, including blocks of 1 px, blocks that end mid-row and
     a short last block; an untracked run leaves num and den so."""
     rng = np.random.default_rng(seed)
-    d, validf, planes, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
+    d, valid, planes, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
     targets = np.flatnonzero(rng.random((h, w)) < 0.5) if sparse else None
     kwargs = at_targets(kwargs, targets)
 
@@ -497,7 +497,7 @@ def test_block_size_never_changes_a_bit(h, w, flavor, radius, sparse, bands, tra
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(filters, "BLOCK_PX", block_px)
             for r0, r1 in row_bands(h, bands):
-                window_sums(d, validf, planes, params, acc, r0, r1, targets=targets, **kwargs)
+                window_sums(d, valid, planes, params, acc, r0, r1, targets=targets, **kwargs)
         return acc
 
     whole = run(h * w, True)
@@ -534,7 +534,7 @@ def test_engine_matches_float64_reference_body(h, w, flavor, radius, sparse, ban
     255, and an all-0 pixel sits next to an all-255 one, so the squared
     color distance reaches 3 * 255**2 = 195075."""
     rng = np.random.default_rng(seed)
-    d, validf, _, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
+    d, valid, _, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
     params = replace(params, sigma_r_color=sigma_r_color, sigma_r_depth=sigma_r_depth)
     if "depth_sigma" in kwargs:
         kwargs["depth_sigma"] = sigma_r_depth
@@ -547,13 +547,13 @@ def test_engine_matches_float64_reference_body(h, w, flavor, radius, sparse, ban
         x = int(rng.integers(0, max(1, w - 1)))
         colors[y, x] = 0
         colors[y + (w == 1), x + (w > 1)] = 255
-    want = ref_window_sums(interior(d, radius).astype(np.float64), interior(validf, radius),
+    want = ref_window_sums(interior(d, radius).astype(np.float64), interior(valid, radius),
                            colors, params, **kwargs)
     targets = np.flatnonzero(rng.random((h, w)) < 0.5) if sparse else None
     acc = WindowSums((h, w) if targets is None else targets.shape)
     planes = guide_planes(ColorImage(colors), radius)
     for r0, r1 in row_bands(h, bands):
-        window_sums(d, validf, planes, params, acc, r0, r1, targets=targets,
+        window_sums(d, valid, planes, params, acc, r0, r1, targets=targets,
                     **at_targets(kwargs, targets))
     for name in ("num", "den", "cnt", "cmin", "cmax"):
         ref = want[name] if targets is None else want[name].flat[targets]
@@ -578,7 +578,7 @@ def test_the_exterior_is_inert(h, w, flavor, radius, sparse, track, integer, see
     the zero pad's (num and den untracked), dense and on a target set,
     for each flavor."""
     rng = np.random.default_rng(seed)
-    d, validf, planes, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
+    d, valid, planes, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
     ring = ~pad(np.ones((h, w), bool), radius)
     n = int(np.count_nonzero(ring))
     noisy_d = d.copy()
@@ -593,7 +593,7 @@ def test_the_exterior_is_inert(h, w, flavor, radius, sparse, track, integer, see
 
     def run(depth, planes):
         acc = WindowSums((h, w) if targets is None else targets.shape, track)
-        window_sums(depth, validf, planes, params, acc, 0, h, targets=targets, **kwargs)
+        window_sums(depth, valid, planes, params, acc, 0, h, targets=targets, **kwargs)
         return acc
 
     zero, noisy = run(d, planes), run(noisy_d, noisy_planes)
@@ -635,12 +635,12 @@ def tracked_filter_non_hole(depth, guide, labels, edges, params, isotropic_only)
     h = d.shape[0]
     r = params.window_radius
     padded = pad(d, r)
-    validf = pad(d != HOLE, r, np.float64)
+    valid = pad(d != HOLE, r)
     planes = guide_planes(guide, r)
 
     def run(targets, **flavor):
         acc = WindowSums(d.shape if targets is None else targets.shape)
-        window_sums(padded, validf, planes, params, acc, 0, h, targets=targets,
+        window_sums(padded, valid, planes, params, acc, 0, h, targets=targets,
                     **at_targets(flavor, targets))
         raw = np.divide(acc.num, acc.den, out=np.zeros_like(acc.num), where=acc.den > 0)
         return acc.finish(), raw

@@ -206,6 +206,25 @@ def test_failed_save_keeps_existing_file(tmp_path):
     assert os.listdir(tmp_path) == ["keep.ppm"]
 
 
+def test_failed_rename_removes_the_temporary_file(tmp_path, monkeypatch):
+    """A save that fails at the rename, after its temporary sibling is
+    written, keeps the old file and leaves no temporary file behind."""
+    seen = []
+
+    def refuse(src, dst):
+        seen.append(os.path.exists(src))
+        raise OSError("rename refused")
+
+    p = tmp_path / "keep.pgm"
+    p.write_bytes(PGM_1X1_ZERO)
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        save_depth_pgm(DepthMap(np.full((2, 2), 1000.0)), str(p))
+    assert seen == [True]
+    assert p.read_bytes() == PGM_1X1_ZERO
+    assert os.listdir(tmp_path) == ["keep.pgm"]
+
+
 def test_mask_pgm_bytes(tmp_path):
     p = str(tmp_path / "m.pgm")
     save_mask_pgm(np.array([[True, False]]), p)
@@ -215,6 +234,9 @@ def test_mask_pgm_bytes(tmp_path):
 
 
 def test_depth_map_validation():
+    raw = np.array([[0, 1, 65535]], dtype=np.uint16)
+    cast = DepthMap(raw).samples
+    assert cast.dtype == np.float64 and np.array_equal(cast, raw)
     with pytest.raises(ContractViolation):
         DepthMap(np.array([[-1.0]]))
     with pytest.raises(ContractViolation):

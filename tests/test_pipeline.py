@@ -117,6 +117,26 @@ def test_all_hole_image_terminates_unfilled():
     assert (out.samples == HOLE).all()
 
 
+@pytest.mark.parametrize("kernel,value,unfilled", [
+    (KernelParams(sigma_r_color=0.01, window_radius=1), HOLE, 1),
+    (KernelParams(window_radius=1), 1000.0, 0),
+], ids=["underflow", "default_sigma"])
+def test_a_hole_fills_only_where_its_weights_sum_above_zero(kernel, value, unfilled):
+    """A hole whose guide differs from all its neighbors by 255 per
+    channel. At sigma_r_color 0.01 every weight underflows to +0.0: the
+    pass finds no support, leaves the pixel a hole and ends the fill. At
+    the default sigma the weights are tiny but positive, and it fills."""
+    a = np.full((7, 7), 1000.0)
+    a[3, 3] = HOLE
+    color = np.zeros((7, 7, 3), dtype=np.uint8)
+    color[3, 3] = 255
+    out, report = fill_holes(DepthMap(a), ColorImage(color), labels_from_holes(a == HOLE),
+                             no_edges((7, 7)), PipelineConfig(kernel=kernel))
+    assert out.samples[3, 3] == value
+    assert report.holes_unfilled == unfilled
+    assert report.fill_passes_used == 1
+
+
 def test_filled_values_respect_global_range():
     rng = np.random.default_rng(61)
     a = rng.uniform(900, 1100, (14, 14))
@@ -321,11 +341,18 @@ def test_restore_thread_count_never_changes_pixels():
 # Traced peak of each stage above the memory live when it starts, in
 # float64 frames of the degraded 640x480 occluder with cold weight
 # tables, as measured once every stage built its frames in place: 2.03,
-# 4.03, 1.38, 3.00, 4.23 and 3.30. Before, sobel_gradients read 9.0,
-# to_grayscale 5.0, detect_edges 3.25 and filter_non_hole 5.7, under a
-# bound of 6.
+# 4.03, 1.38, 3.00, 4.23 and 3.30; fill_holes read 2.42 once validity
+# was one bool frame. Before, sobel_gradients read 9.0, to_grayscale
+# 5.0, detect_edges 3.25 and filter_non_hole 5.7, under a bound of 6.
 STAGE_PEAK_FRAMES = {"to_grayscale": 2.25, "sobel_gradients": 4.25, "detect_edges": 1.5,
-                     "close_depth": 3.25, "filter_non_hole": 4.5, "fill_holes": 3.5}
+                     "close_depth": 3.25, "filter_non_hole": 4.5, "fill_holes": 2.75}
+
+# The same peaks on the degraded 640x480 checkerboard of 40 px tiles at
+# 2 threads, where edges are everywhere and the one fill pass has 79539
+# hole_edge targets: 6.65 and 7.69 with bool validity frames, 7.93 and
+# 9.10 with float64 ones. On one CPU the bands share one worker, and the
+# peaks are lower.
+TILES_PEAK_FRAMES = {"filter_non_hole": 7.0, "fill_holes": 8.0}
 
 
 def clear_table_caches():
@@ -336,17 +363,11 @@ def clear_table_caches():
     depth_range_table.cache_clear()
 
 
-def test_stage_peaks_stay_under_their_frame_bounds(monkeypatch):
-    """On a degraded 640x480 occluder, the traced peak of each stage,
-    above the memory live when it starts, stays under its bound in
-    STAGE_PEAK_FRAMES: the front end builds no throwaway frames, each
-    stage pads its frames once, the fill takes the angles' cos and sin
-    only at the outputs that read them, and the denoise writes its
-    averages into num and builds the validity frame after the dense
-    pass."""
-    clean, guide = make_scene("occluder", 640, 480)
-    depth = degrade(clean, DegradeSpec(20, 0.05, 2, seed=1))
-    frame = 640 * 480 * 8
+def traced_stage_peaks(monkeypatch, names, depth, guide, cfg=PipelineConfig()):
+    """The traced peak of each named stage of restore(depth, guide, cfg)
+    above the memory live when it starts, in float64 frames of the
+    depth, with cold weight tables."""
+    frame = depth.samples.size * 8
     peaks = {}
 
     def measured(fn):
@@ -358,16 +379,40 @@ def test_stage_peaks_stay_under_their_frame_bounds(monkeypatch):
             return out
         return run
 
-    for name in STAGE_PEAK_FRAMES:
+    for name in names:
         monkeypatch.setattr(pipeline, name, measured(getattr(pipeline, name)))
     clear_table_caches()
     tracemalloc.start()
     try:
-        restore(depth, guide)
+        restore(depth, guide, cfg)
     finally:
         tracemalloc.stop()
-    assert set(peaks) == set(STAGE_PEAK_FRAMES)
+    assert set(peaks) == set(names)
+    return peaks
+
+
+def test_stage_peaks_stay_under_their_frame_bounds(monkeypatch):
+    """On a degraded 640x480 occluder each stage's traced peak stays
+    under its bound in STAGE_PEAK_FRAMES: the front end builds no
+    throwaway frames, each stage pads its frames once, the fill keeps
+    one bool validity frame and takes the angles' cos and sin only at
+    the outputs that read them, and the denoise writes its averages
+    into num and builds the validity frame after the dense pass."""
+    clean, guide = make_scene("occluder", 640, 480)
+    depth = degrade(clean, DegradeSpec(20, 0.05, 2, seed=1))
+    peaks = traced_stage_peaks(monkeypatch, STAGE_PEAK_FRAMES, depth, guide)
     assert all(peaks[name] <= bound for name, bound in STAGE_PEAK_FRAMES.items()), peaks
+
+
+def test_threaded_checkerboard_peaks_stay_under_their_frame_bounds(monkeypatch):
+    """On a degraded 640x480 checkerboard at 2 threads the denoise and
+    fill peaks stay under TILES_PEAK_FRAMES: each gated pass gathers a
+    bool validity frame, and the fill writes one."""
+    clean, guide = checkerboard(640, 480, 40)
+    depth = degrade(clean, DegradeSpec(20, 0.05, 2, seed=1))
+    peaks = traced_stage_peaks(monkeypatch, TILES_PEAK_FRAMES, depth, guide,
+                               PipelineConfig(threads=2))
+    assert all(peaks[name] <= bound for name, bound in TILES_PEAK_FRAMES.items()), peaks
 
 
 def test_restore_peak_stays_under_seven_frames():
@@ -561,12 +606,19 @@ def restored_sha256(depth, guide, cfg=PipelineConfig()):
     return hashlib.sha256(encode_depth_pgm(out)).hexdigest(), report
 
 
-def checkerboard_anchor_scene():
-    """10 px checkerboard (1000/1800 mm, colors 64/192), degraded."""
-    yy, xx = np.indices((120, 160))
-    odd = ((yy // 10) + (xx // 10)) % 2 == 1
+def checkerboard(w, h, tile):
+    """A clean w x h checkerboard of tile px squares at 1000/1800 mm,
+    and its 64/192 guide."""
+    yy, xx = np.indices((h, w))
+    odd = ((yy // tile) + (xx // tile)) % 2 == 1
     clean = DepthMap(np.where(odd, 1800.0, 1000.0))
     guide = ColorImage(np.repeat(np.where(odd, 192, 64).astype(np.uint8)[..., None], 3, axis=2))
+    return clean, guide
+
+
+def checkerboard_anchor_scene():
+    """10 px checkerboard (1000/1800 mm, colors 64/192), degraded."""
+    clean, guide = checkerboard(160, 120, 10)
     return degrade(clean, ANCHOR_SPEC), guide
 
 
