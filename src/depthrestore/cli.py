@@ -139,10 +139,11 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_restore(args) -> int:
+    """Restore args.depth guided by args.color into args.out and print
+    the report. The loaded maps go straight into restore, which drops the
+    depth once the closing has read it (pipeline.restore)."""
     cfg = assemble_pipeline_config(args)
-    depth = load_depth_pgm(args.depth)
-    guide = load_color_ppm(args.color)
-    restored, _, report = restore(depth, guide, cfg)
+    restored, _, report = restore(load_depth_pgm(args.depth), load_color_ppm(args.color), cfg)
     save_depth_pgm(restored, args.out)
     for line in report.lines():
         print(line)

@@ -61,7 +61,12 @@ band-wide temporary is 2.4 MB, a block's is 256 KiB. This is the
 tile-at-a-time schedule Halide applies to stencils. It cannot change a
 bit: each output pixel's sums run over its own window in the same
 offset order whatever block holds it, which is also why row banding
-cannot.
+cannot. Each block temporary dies at its last reader: one side of an
+offset is weighed in its own function, so its gathers, distances and
+tracking masks die when it returns, and only its weights and source
+depths wait for the pair sum; the pair's die once num has read them.
+So a block holds one side's temporaries at a time, not both sides' and
+the previous offset's too.
 
 The gate lives in the depth table on integer depth. _denoise hands
 the engine one unsigned frame in which every hole and the whole pad
@@ -191,6 +196,7 @@ def _filter_at(op, p, depth: DepthMap, guide: ColorImage, params: KernelParams,
         flavor["cos_t"] = np.cos(theta)
         flavor["sin_t"] = np.sin(theta)
     acc = WindowSums((1, 1))
+    acc.cnt = np.zeros((1, 1), np.int32)
     window_sums(pad(depth.samples, r)[win], pad(usable, r)[win],
                 guide_planes(guide, r)[win], params, acc, 0, 1, **flavor)
     return FilterOutcome(float(acc.finish()[0, 0]), float(acc.den[0, 0]),
@@ -243,9 +249,12 @@ def pdjbf_pixel(p, depth: DepthMap, valid: np.ndarray, guide: ColorImage,
 
 class WindowSums:
     """Accumulator grids for one engine run: num and den, and, when
-    tracked, the contributor count cnt and range cmin, cmax. An
-    untracked run (track=False) keeps num and den only; cnt, cmin and
-    cmax are None, and the engine skips their four passes per offset."""
+    tracked, the contributor range cmin, cmax. An untracked run
+    (track=False) keeps num and den only; cmin and cmax are None, and
+    the engine skips their passes per offset. cnt, the contributor
+    count, is None too: only the per-pixel wrappers read it, so only
+    _filter_at gives its accumulator one (an int32 grid of zeros), and
+    the engine adds into cnt only where it exists."""
 
     def __init__(self, shape, track=True):
         self.num = np.zeros(shape)
@@ -253,7 +262,6 @@ class WindowSums:
         self.cnt = self.cmin = self.cmax = None
         self.finished = False
         if track:
-            self.cnt = np.zeros(shape, dtype=np.int32)
             self.cmin = np.full(shape, np.inf)
             self.cmax = np.full(shape, -np.inf)
 
@@ -295,7 +303,8 @@ def window_sums(depth: np.ndarray, valid: np.ndarray, planes, params: KernelPara
       depth_sigma set         additional depth range term
     An unsigned depth reads the depth term from depth_range_table, a float
     one evaluates depth_range_weight; both give the same bits on
-    integer values. An untracked acc gets num and den only.
+    integer values. An untracked acc gets num and den only; a tracked
+    one also gets cmin and cmax, and cnt where it has one (WindowSums).
 
     targets of None evaluates every pixel of the band into (h, w)
     grids; else only the band's pixels among the sorted flat indices
@@ -316,47 +325,53 @@ def window_sums(depth: np.ndarray, valid: np.ndarray, planes, params: KernelPara
     for out, at in _blocks(r, row0, row1, frames, targets):
         cpl, cd, *_ = at(0, 0)
         cc, cs = (a if _scalar(a) else a[out] for a in (cos_t, sin_t))
+
+        def weigh(dy, dx):
+            """The weights and source depths of one side at offset (dy, dx),
+            tracked into acc; every other temporary of the side dies here."""
+            spl, dq, *gate = at(dy, dx)
+            # 255**2 wraps in int16 but reads back exactly as uint16.
+            sq = np.subtract(cpl, spl, dtype=np.int16)
+            sq *= sq
+            sq = sq.view(np.uint16)
+            dist2 = np.add(sq[0], sq[1], dtype=np.int32)
+            dist2 += sq[2]
+            wgt = table.take(dist2)
+            if iso_sigma is not None:
+                wgt *= spatial_weight(dx, dy, iso_sigma)
+            else:
+                wgt *= rotated_weight(dx, dy, cc, cs, params.sigma_x, params.sigma_y)
+            if dtable is not None:
+                diff = np.subtract(cd, dq, dtype=np.int32)
+                wgt *= dtable.take(np.abs(diff, out=diff))
+            elif depth_sigma is not None:
+                wgt *= depth_range_weight(cd, dq, depth_sigma)
+            if gate:
+                wgt *= gate[0]
+            if track:
+                contrib = wgt > 0
+                if acc.cnt is not None:
+                    acc.cnt[out] += contrib
+                tracked = np.where(contrib, dq, np.nan)
+                np.fmin(acc.cmin[out], tracked, out=acc.cmin[out])
+                np.fmax(acc.cmax[out], tracked, out=acc.cmax[out])
+            return wgt, dq
+
         for dy in range(-r, r + 1):
             for adx in range(r + 1):
-                sides = []
-                for dx in (-adx, adx) if adx else (0,):
-                    spl, dq, *gate = at(dy, dx)
-                    # 255**2 wraps in int16 but reads back exactly as uint16.
-                    sq = np.subtract(cpl, spl, dtype=np.int16)
-                    sq *= sq
-                    sq = sq.view(np.uint16)
-                    dist2 = np.add(sq[0], sq[1], dtype=np.int32)
-                    dist2 += sq[2]
-                    wgt = table.take(dist2)
-                    if iso_sigma is not None:
-                        wgt *= spatial_weight(dx, dy, iso_sigma)
-                    else:
-                        wgt *= rotated_weight(dx, dy, cc, cs, params.sigma_x, params.sigma_y)
-                    if dtable is not None:
-                        diff = np.subtract(cd, dq, dtype=np.int32)
-                        wgt *= dtable.take(np.abs(diff, out=diff))
-                    elif depth_sigma is not None:
-                        wgt *= depth_range_weight(cd, dq, depth_sigma)
-                    if gate:
-                        wgt *= gate[0]
-                    if track:
-                        contrib = wgt > 0
-                        acc.cnt[out] += contrib
-                        tracked = np.where(contrib, dq, np.nan)
-                        np.fmin(acc.cmin[out], tracked, out=acc.cmin[out])
-                        np.fmax(acc.cmax[out], tracked, out=acc.cmax[out])
-                    sides.append((wgt, dq))
-                wgt, dq = sides[0]
+                wgt, dq = weigh(dy, -adx)
                 if adx:
-                    w2, d2 = sides[1]
+                    w2, d2 = weigh(dy, adx)
                     acc.den[out] += wgt + w2
                     wgt *= dq
                     w2 *= d2
                     wgt += w2
+                    del w2, d2
                 else:
                     acc.den[out] += wgt
                     wgt *= dq
                 acc.num[out] += wgt
+                del wgt, dq
 
 
 def _blocks(r, row0, row1, frames, targets):

@@ -124,7 +124,11 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
     the run report. Passes are counted across both phases against
     cfg.max_fill_passes. The padded depth and bool validity frames are
     built once, and each pass writes its fills into their interiors; the
-    edge phase's angles are taken once, at the hole_edge pixels only.
+    edge phase's angles are taken once, at the hole_edge pixels only, and
+    a pass's angles die once their cos and sin exist. filtered is dropped
+    once it is padded, which frees it when the caller passed it as a
+    call's value without keeping it (restore does; on CPython 3.10 the
+    caller's frame keeps its arguments alive through the call anyway).
     cfg is validated, every frame must have the depth's size, and labels
     must be region labels whose hole labels mark exactly filtered's
     holes (errors.require_labels): a hole labelled valid would be read
@@ -137,6 +141,7 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
     params = cfg.kernel
     r = params.window_radius
     work = pad(filtered.samples, r)
+    del filtered  # frees the map when the caller handed it over (restore)
     validp = pad(labels <= NONHOLE_EDGE, r)
     valid = interior(validp, r)
     planes = guide_planes(guide, r)
@@ -165,6 +170,7 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
                 px, theta = angles
                 at = theta[np.searchsorted(px, targets)]
                 cos_t, sin_t = np.cos(at), np.sin(at)
+                del at
             run_banded(h, cfg.threads, lambda r0, r1: window_sums(
                 work, validp, planes, p_params, acc, r0, r1,
                 cos_t=cos_t, sin_t=sin_t, targets=targets))
@@ -196,20 +202,29 @@ def restore(depth: DepthMap, guide: ColorImage,
     Each intermediate frame dies at its last use. The edges come first:
     the gray image lives through the gradients only, and the three
     gradient frames through detect_edges only, so both are gone before
-    the closing builds its frames. The closed map and the hole masks
-    die once the labels and the hole-zeroed work map exist. So only edges, labels
+    the closing builds its frames. depth is dropped once the closing has
+    read it, so an input the caller passed without keeping it (the CLI
+    does) is freed there. The closed map and the hole masks die once the
+    labels and the hole-zeroed work map exist. So only edges, labels
     and the current depth frame reach filter_non_hole, and only edges,
-    labels and the denoised map reach fill_holes.
+    labels and the denoised map reach fill_holes. Neither map is kept in
+    a local: each is handed on as a call's value, so the callee frees it
+    after its last read (filter_non_hole when it returns, fill_holes once
+    it has padded the denoised map). That relies on CPython 3.11 moving
+    call arguments into the callee's frame; on 3.10 the caller's frame
+    keeps them, which frees nothing but does no harm.
     """
     cfg.validate()
     require_same_shape(depth=depth, guide=guide)
     edges = detect_edges(sobel_gradients(to_grayscale(guide)), cfg.edge_threshold)
     closed = close_depth(depth, cfg.se)
+    del depth
     holes = expand_holes(hole_mask(closed), edges.edge, cfg.hole_expand_radius)
     labels = classify_regions(holes, edges, cfg.effective_r_edge())
-    work = DepthMap(np.where(holes, 0.0, closed.samples))
+    # A one-slot list: popping it hands the map to filter_non_hole, and
+    # no local of restore keeps it.
+    work = [DepthMap(np.where(holes, 0.0, closed.samples))]
     del closed, holes
-    filtered = filter_non_hole(work, guide, labels, edges, cfg)
-    del work
-    final, report = fill_holes(filtered, guide, labels, edges, cfg)
+    final, report = fill_holes(filter_non_hole(work.pop(), guide, labels, edges, cfg),
+                               guide, labels, edges, cfg)
     return final, labels, report

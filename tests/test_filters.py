@@ -50,6 +50,16 @@ def random_instance(rng, shape=(7, 7), hole_fraction=0.15):
     return DepthMap(d), guide, theta
 
 
+def counted(shape, track=True):
+    """A WindowSums that, when tracked, also counts contributors, as the
+    per-pixel wrappers' accumulator does: the engine adds into cnt only
+    where the accumulator has one."""
+    acc = WindowSums(shape, track)
+    if track:
+        acc.cnt = np.zeros(shape, np.int32)
+    return acc
+
+
 def rel_err(a, b):
     return abs(a - b) / max(abs(b), 1e-30)
 
@@ -267,7 +277,7 @@ def engine_values(depth, guide, params, *, theta=None, iso=False, depth_term=Fal
     h, w = d.shape
     r = params.window_radius
     usable = d != HOLE if valid is None else valid
-    acc = WindowSums((h, w))
+    acc = counted((h, w))
     kwargs = {}
     if iso:
         kwargs["iso_sigma"] = params.sigma_s
@@ -310,6 +320,22 @@ def test_engine_reproduces_scalar_filters_bit_for_bit():
         assert got.contributors == acc.cnt[y, x]
 
 
+def test_only_a_given_cnt_counts_contributors():
+    """A tracked WindowSums has no cnt, and a run into it leaves num,
+    den, cmin and cmax exactly as a run that also counts: the fill
+    reads support as den > 0 and never pays for a count."""
+    rng = np.random.default_rng(52)
+    depth, guide, theta = random_instance(rng, shape=(9, 11), hole_fraction=0.3)
+    r = PARAMS.window_radius
+    frames = (pad(depth.samples, r), pad(depth.samples != HOLE, r), guide_planes(guide, r))
+    plain, count = WindowSums((9, 11)), counted((9, 11))
+    for acc in (plain, count):
+        window_sums(*frames, PARAMS, acc, 0, 9, cos_t=np.cos(theta), sin_t=np.sin(theta))
+    assert plain.cnt is None and count.cnt.any()
+    for name in ("num", "den", "cmin", "cmax"):
+        assert np.array_equal(getattr(plain, name), getattr(count, name)), name
+
+
 def test_banded_run_is_bit_identical_to_whole_image():
     rng = np.random.default_rng(50)
     depth, guide, theta = random_instance(rng, shape=(16, 16))
@@ -317,10 +343,10 @@ def test_banded_run_is_bit_identical_to_whole_image():
     d = pad(depth.samples, r)
     valid = pad(depth.samples != HOLE, r)
     planes = guide_planes(guide, r)
-    whole = WindowSums(depth.samples.shape)
+    whole = counted(depth.samples.shape)
     window_sums(d, valid, planes, PARAMS, whole, 0, 16,
                 iso_sigma=PARAMS.sigma_s, depth_sigma=PARAMS.sigma_r_depth)
-    split = WindowSums(depth.samples.shape)
+    split = counted(depth.samples.shape)
     for r0, r1 in ((0, 1), (1, 6), (6, 13), (13, 16)):
         window_sums(d, valid, planes, PARAMS, split, r0, r1,
                     iso_sigma=PARAMS.sigma_s, depth_sigma=PARAMS.sigma_r_depth)
@@ -458,9 +484,9 @@ def test_gather_addressing_matches_slice_addressing(h, w, flavor, radius, densit
         mask[[0, -1], :] = True
         mask[:, [0, -1]] = True
     targets = np.flatnonzero(mask)
-    dense = WindowSums((h, w), track)
+    dense = counted((h, w), track)
     window_sums(d, valid, planes, params, dense, 0, h, **kwargs)
-    sparse = WindowSums(targets.shape, track)
+    sparse = counted(targets.shape, track)
     for r0, r1 in row_bands(h, bands):
         window_sums(d, valid, planes, params, sparse, r0, r1, targets=targets,
                     **at_targets(kwargs, targets))
@@ -493,7 +519,7 @@ def test_block_size_never_changes_a_bit(h, w, flavor, radius, sparse, bands, tra
     kwargs = at_targets(kwargs, targets)
 
     def run(block_px, track):
-        acc = WindowSums((h, w) if targets is None else targets.shape, track)
+        acc = counted((h, w) if targets is None else targets.shape, track)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(filters, "BLOCK_PX", block_px)
             for r0, r1 in row_bands(h, bands):
@@ -550,7 +576,7 @@ def test_engine_matches_float64_reference_body(h, w, flavor, radius, sparse, ban
     want = ref_window_sums(interior(d, radius).astype(np.float64), interior(valid, radius),
                            colors, params, **kwargs)
     targets = np.flatnonzero(rng.random((h, w)) < 0.5) if sparse else None
-    acc = WindowSums((h, w) if targets is None else targets.shape)
+    acc = counted((h, w) if targets is None else targets.shape)
     planes = guide_planes(ColorImage(colors), radius)
     for r0, r1 in row_bands(h, bands):
         window_sums(d, valid, planes, params, acc, r0, r1, targets=targets,
@@ -592,7 +618,7 @@ def test_the_exterior_is_inert(h, w, flavor, radius, sparse, track, integer, see
     kwargs = at_targets(kwargs, targets)
 
     def run(depth, planes):
-        acc = WindowSums((h, w) if targets is None else targets.shape, track)
+        acc = counted((h, w) if targets is None else targets.shape, track)
         window_sums(depth, valid, planes, params, acc, 0, h, targets=targets, **kwargs)
         return acc
 

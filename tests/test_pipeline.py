@@ -3,6 +3,7 @@
 import concurrent.futures
 import hashlib
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -31,8 +32,10 @@ from depthrestore import (
     psnr,
     quantize,
     restore,
+    save_color_ppm,
+    save_depth_pgm,
 )
-from depthrestore import pipeline
+from depthrestore import cli, pipeline
 from depthrestore.edge_analysis import EdgeMap
 from depthrestore.filters import run_banded
 from depthrestore.image_model import HOLE
@@ -349,10 +352,12 @@ STAGE_PEAK_FRAMES = {"to_grayscale": 2.25, "sobel_gradients": 4.25, "detect_edge
 
 # The same peaks on the degraded 640x480 checkerboard of 40 px tiles at
 # 2 threads, where edges are everywhere and the one fill pass has 79539
-# hole_edge targets: 6.65 and 7.69 with bool validity frames, 7.93 and
-# 9.10 with float64 ones. On one CPU the bands share one worker, and the
-# peaks are lower.
-TILES_PEAK_FRAMES = {"filter_non_hole": 7.0, "fill_holes": 8.0}
+# hole_edge targets: 6.14-6.18 and 6.63 once each engine block temporary
+# died at its last reader, the fill kept no contributor count and its
+# angles died once their cos and sin existed; 6.42 and 7.69 before, 7.93
+# and 9.10 with float64 validity frames. On one CPU the bands share one
+# worker, and the peaks are lower.
+TILES_PEAK_FRAMES = {"filter_non_hole": 6.3, "fill_holes": 7.0}
 
 
 def clear_table_caches():
@@ -363,30 +368,42 @@ def clear_table_caches():
     depth_range_table.cache_clear()
 
 
+def peak_above(call):
+    """call()'s result and its traced peak above the memory live when
+    it starts, in bytes; tracemalloc must be tracing."""
+    live = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    out = call()
+    return out, tracemalloc.get_traced_memory()[1] - live
+
+
+def traced_peak(call):
+    """The traced peak of call() above the memory live when it starts,
+    in bytes, with cold weight tables."""
+    clear_table_caches()
+    tracemalloc.start()
+    try:
+        return peak_above(call)[1]
+    finally:
+        tracemalloc.stop()
+
+
 def traced_stage_peaks(monkeypatch, names, depth, guide, cfg=PipelineConfig()):
     """The traced peak of each named stage of restore(depth, guide, cfg)
     above the memory live when it starts, in float64 frames of the
     depth, with cold weight tables."""
-    frame = depth.samples.size * 8
     peaks = {}
 
     def measured(fn):
         def run(*args, **kwargs):
-            live = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = fn(*args, **kwargs)
-            peaks[fn.__name__] = (tracemalloc.get_traced_memory()[1] - live) / frame
+            out, peak = peak_above(lambda: fn(*args, **kwargs))
+            peaks[fn.__name__] = peak / (depth.samples.size * 8)
             return out
         return run
 
     for name in names:
         monkeypatch.setattr(pipeline, name, measured(getattr(pipeline, name)))
-    clear_table_caches()
-    tracemalloc.start()
-    try:
-        restore(depth, guide, cfg)
-    finally:
-        tracemalloc.stop()
+    traced_peak(lambda: restore(depth, guide, cfg))
     assert set(peaks) == set(names)
     return peaks
 
@@ -421,19 +438,30 @@ def test_restore_peak_stays_under_seven_frames():
     float64 frames with cold weight tables: 6.48 once each intermediate
     died at its last use and the stages built their frames in place,
     where it read 13.2 before (14.1 with the full-grid nearest-edge
-    angles). Keeping the closed map alive to the end reads 7.6."""
+    angles), and 6.37 once the engine's block temporaries died at their
+    last reader. Keeping the closed map alive to the end reads 7.6."""
     clean, guide = make_scene("occluder", 640, 480)
     depth = degrade(clean, DegradeSpec(20, 0.05, 2, seed=1))
-    clear_table_caches()
-    tracemalloc.start()
-    try:
-        live = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        restore(depth, guide)
-        peak = tracemalloc.get_traced_memory()[1] - live
-    finally:
-        tracemalloc.stop()
-    assert peak / (640 * 480 * 8) <= 7
+    assert traced_peak(lambda: restore(depth, guide)) / (640 * 480 * 8) <= 7
+
+
+def test_cli_restore_hands_each_map_on_at_its_last_read(tmp_path, capsys):
+    """One CLI restore of the degraded 640x480 checkerboard at 2 threads,
+    traced whole as the bench traces it, peaks at most 9.25 float64
+    frames with cold weight tables. It read 8.93 once cmd_restore handed
+    the loaded depth to restore, which drops it after the closing, and
+    restore handed the denoised map to fill_holes, which drops it after
+    padding it (CPython 3.11 moves call arguments into the callee's
+    frame); the engine's block temporaries died at their last reader too.
+    It read 11.98 before."""
+    clean, guide = checkerboard(640, 480, 40)
+    paths = [str(tmp_path / name) for name in ("depth.pgm", "guide.ppm", "out.pgm")]
+    save_depth_pgm(degrade(clean, DegradeSpec(20, 0.05, 2, seed=1)), paths[0])
+    save_color_ppm(guide, paths[1])
+    peak = traced_peak(lambda: cli.main(["restore", *paths, "--threads", "2"]))
+    # CPython 3.10 keeps a call's arguments in the caller's frame until
+    # it returns, so neither hand-off frees its map there: two frames more.
+    assert peak / (640 * 480 * 8) <= (9.25 if sys.version_info >= (3, 11) else 11.25)
 
 
 def test_report_lines_are_stable_and_complete():
