@@ -445,7 +445,7 @@ def test_restore_peak_stays_under_seven_frames():
     assert traced_peak(lambda: restore(depth, guide)) / (640 * 480 * 8) <= 7
 
 
-def test_cli_restore_hands_each_map_on_at_its_last_read(tmp_path, capsys):
+def test_cli_restore_hands_each_map_on_at_its_last_read(tmp_path):
     """One CLI restore of the degraded 640x480 checkerboard at 2 threads,
     traced whole as the bench traces it, peaks at most 9.25 float64
     frames with cold weight tables. It read 8.93 once cmd_restore handed
