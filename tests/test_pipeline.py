@@ -37,7 +37,7 @@ from depthrestore import (
 )
 from depthrestore import cli, pipeline
 from depthrestore.edge_analysis import EdgeMap
-from depthrestore.filters import run_banded
+from depthrestore.filters import run_banded, window_sums
 from depthrestore.image_model import HOLE
 from depthrestore.kernels import color_range_table, depth_range_table
 
@@ -627,6 +627,7 @@ RAMP_HOLE_SHA256 = "a0a8bb9bc56536196804c79ff075b9948bba43d9b59f545a431d257ed179
 TILES_SHA256 = "2b488b17edcc4e5b4024c35d3140f8ef22e4c28eea7cfd172a48be2a2f6fb4ce"
 WEAK_STEP_SHA256 = "76b55dbb18213ef86dcbcd2171c947aa8d07069ce8bdee9d6e6e51d95ec21236"
 TILES_ISOTROPIC_SHA256 = "ac186235f2db2e214a30b4016539ba40fd3222cebf7681e9d40da2769669111c"
+TILES_MULTI_PASS_SHA256 = "046e3d428370376a910a60267108080f1278769559070107862aa021a6a07731"
 
 
 def restored_sha256(depth, guide, cfg=PipelineConfig()):
@@ -682,6 +683,27 @@ def test_anchor_checkerboard_isotropic_ablation():
     assert report.region_counts["nonhole_edge"] == 3691
     assert report.holes_unfilled == 0
     assert digest == TILES_ISOTROPIC_SHA256
+
+
+def test_anchor_checkerboard_multi_pass_edge_fill(monkeypatch):
+    """The checkerboard anchor at window radius 2: the hole_edge fill
+    takes two passes, so a steered frontier after the first is pinned.
+    Each engine call of the fill (one per pass at one thread) records
+    its target count: the 25 hole_nonedge pixels, then two edge
+    frontiers."""
+    frontiers = []
+
+    def counted(*args, targets, **kwargs):
+        frontiers.append(targets.size)
+        return window_sums(*args, targets=targets, **kwargs)
+
+    monkeypatch.setattr(pipeline, "window_sums", counted)
+    digest, report = restored_sha256(*checkerboard_anchor_scene(),
+                                     PipelineConfig(kernel=KernelParams(window_radius=2)))
+    assert frontiers == [25, 8960, 6460]
+    assert report.fill_passes_used == 3
+    assert report.holes_unfilled == 0
+    assert digest == TILES_MULTI_PASS_SHA256
 
 
 def test_anchor_weak_color_step_reaches_color_range_kernel():
