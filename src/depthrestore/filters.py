@@ -139,6 +139,7 @@ from .kernels import (
     depth_range_weight,
     rotated_weight,
     spatial_weight,
+    steering,
 )
 
 if TYPE_CHECKING:  # pipeline imports this module
@@ -169,13 +170,14 @@ class FilterOutcome:
 
 
 def _filter_at(op, p, depth: DepthMap, guide: ColorImage, params: KernelParams,
-               valid=None, theta=None, **flavor) -> FilterOutcome:
+               valid=None, **flavor) -> FilterOutcome:
     """Run window_sums on p as a 1x1 frame padded by r: the (2r+1)**2
     crop of the padded frames around p, which reads the sources of a
-    whole-image run and so gives its bits. The directional flavor takes
-    theta's cos and sin as scalars; valid of None means every non-hole
-    pixel is a source and p must be one, else p must not be valid.
-    Checks params, the frame sizes and p first; pads the whole frame."""
+    whole-image run and so gives its bits. flavor holds window_sums'
+    flavor keywords; the directional wrappers pass steering(theta), one
+    scalar angle. valid of None means every non-hole pixel is a source
+    and p must be one, else p must not be valid. Checks params, the
+    frame sizes and p first; pads the whole frame."""
     params.validate()
     require_same_shape(depth=depth, guide=guide, **({} if valid is None else {"valid": valid}))
     try:
@@ -192,9 +194,6 @@ def _filter_at(op, p, depth: DepthMap, guide: ColorImage, params: KernelParams,
     r = params.window_radius
     win = (Ellipsis, slice(y, y + 2 * r + 1), slice(x, x + 2 * r + 1))
     usable = depth.samples != HOLE if valid is None else valid
-    if theta is not None:
-        flavor["cos_t"] = np.cos(theta)
-        flavor["sin_t"] = np.sin(theta)
     acc = WindowSums((1, 1))
     acc.cnt = np.zeros((1, 1), np.int32)
     window_sums(pad(depth.samples, r)[win], pad(usable, r)[win],
@@ -228,7 +227,7 @@ def djbf_pixel(p, depth: DepthMap, guide: ColorImage, theta: float,
     it.
     """
     require_real("theta", theta, gt=-math.inf, lt=math.inf)
-    return _filter_at("djbf_pixel", p, depth, guide, params, theta=theta)
+    return _filter_at("djbf_pixel", p, depth, guide, params, **steering(theta))
 
 
 def pdjbf_pixel(p, depth: DepthMap, valid: np.ndarray, guide: ColorImage,
@@ -244,7 +243,7 @@ def pdjbf_pixel(p, depth: DepthMap, valid: np.ndarray, guide: ColorImage,
     """
     require_real("theta", theta, gt=-math.inf, lt=math.inf)
     require_mask(valid=valid)
-    return _filter_at("pdjbf_pixel", p, depth, guide, params, valid, theta)
+    return _filter_at("pdjbf_pixel", p, depth, guide, params, valid, **steering(theta))
 
 
 class WindowSums:
@@ -481,7 +480,8 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
 
     Non-edge region pixels get the trilateral filter; edge region
     pixels get the directional filter steered by their own edge-map
-    theta. Hole pixels pass through as sentinel 0. Every output is
+    theta, whose cos and sin (steering) are taken at those pixels only;
+    the gathered angles die there, before the dense pass. Hole pixels pass through as sentinel 0. Every output is
     computed from the original input map, never from freshly filtered
     neighbors, so results are independent of evaluation order and of
     the thread count.
@@ -505,9 +505,8 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
     if cfg.isotropic_only:
         nonedge = edge = {"iso_sigma": params.sigma_s}
     else:
-        theta = edges.theta.flat[edge_px]
         nonedge = {"iso_sigma": params.sigma_s, "depth_sigma": params.sigma_r_depth}
-        edge = {"cos_t": np.cos(theta), "sin_t": np.sin(theta)}
+        edge = steering(edges.theta.flat[edge_px])
     dense, gathered = _denoise(d, guide_planes(guide, params.window_radius), params,
                                cfg.threads, [(None, kept, nonedge), (edge_px, None, edge)])
     out = np.where(kept, dense, d)

@@ -6,12 +6,12 @@ RGB distance, a depth range Gaussian, and a rotated anisotropic
 at zero argument.
 
 The filter engine takes all four terms from here, on whole arrays:
-spatial_weight, the directional term as rotated_weight on its cos and
-sin of theta (per pixel, or one angle for a whole call; dgf_weight is
-that same arithmetic for one angle), the color term as a lookup in
-color_range_table, which holds color_range_weight's values for every
-squared distance an 8-bit guide can produce, and the depth term as a
-lookup in depth_range_table, which holds depth_range_weight's values
+spatial_weight, the directional term as rotated_weight on the cos and
+sin of theta that steering takes (per pixel, or one angle for a whole
+call; dgf_weight is that same arithmetic for one angle), the color
+term as a lookup in color_range_table, which holds color_range_weight's
+values for every squared distance an 8-bit guide can produce, and the
+depth term as a lookup in depth_range_table, which holds depth_range_weight's values
 for every integer depth difference up to the frame's maximum, and
 exactly 0.0 in a tail that stands in for the hole gate (depth that is
 not integer-valued still goes through depth_range_weight).
@@ -155,7 +155,14 @@ def dgf_weight(dx, dy, theta, sigma_x, sigma_y):
     The frame's x axis (width sigma_x, the long axis) points along the
     edge contour; its y axis (sigma_y) crosses it.
     """
-    return rotated_weight(dx, dy, np.cos(theta), np.sin(theta), sigma_x, sigma_y)
+    return rotated_weight(dx, dy, **steering(theta), sigma_x=sigma_x, sigma_y=sigma_y)
+
+
+def steering(theta):
+    """The cos_t and sin_t keywords of rotated_weight (and of the
+    filter engine) for the angle theta, a scalar or an array: the one
+    place the package takes an angle's cosine and sine."""
+    return {"cos_t": np.cos(theta), "sin_t": np.sin(theta)}
 
 
 def rotated_weight(dx, dy, cos_t, sin_t, sigma_x, sigma_y):

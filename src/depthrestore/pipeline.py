@@ -46,7 +46,7 @@ from .edge_analysis import (
 )
 from .filters import (
     WindowSums, filter_non_hole, guide_planes, interior, pad, run_banded, window_sums)
-from .kernels import KernelParams
+from .kernels import KernelParams, steering
 
 DEFAULT_EDGE_THRESHOLD = 100.0
 
@@ -123,12 +123,14 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
     the seed values the fill grows from. Returns the completed map and
     the run report. Passes are counted across both phases against
     cfg.max_fill_passes. The padded depth and bool validity frames are
-    built once, and each pass writes its fills into their interiors; the
-    edge phase's angles are taken once, at the hole_edge pixels only, and
-    a pass's angles die once their cos and sin exist. filtered is dropped
-    once it is padded, which frees it when the caller passed it as a
-    call's value without keeping it (restore does; on CPython 3.10 the
-    caller's frame keeps its arguments alive through the call anyway).
+    built once, and each pass writes its fills into their interiors. An
+    edge-phase pass takes the nearest-edge angles at its own targets
+    (nearest_edge_theta answers each target on its own), so no angle
+    outlives its pass, and they die once their cos and sin (steering)
+    exist. filtered is dropped once it is padded, which frees it when
+    the caller passed it as a call's value without keeping it (restore
+    does; on CPython 3.10 the caller's frame keeps its arguments alive
+    through the call anyway).
     cfg is validated, every frame must have the depth's size, and labels
     must be region labels whose hole labels mark exactly filtered's
     holes (errors.require_labels): a hole labelled valid would be read
@@ -146,34 +148,25 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
     valid = interior(validp, r)
     planes = guide_planes(guide, r)
 
-    iso = (replace(params, sigma_x=params.sigma_s, sigma_y=params.sigma_s), None)
-    steered = iso
-    if not cfg.isotropic_only:
-        # The edge phase reads one angle per hole_edge pixel, in flat order.
-        edge_holes = np.flatnonzero(labels == HOLE_EDGE)
-        theta = nearest_edge_theta(edges, cfg.effective_r_edge(), edge_holes)
-        steered = (params, (edge_holes, theta))
-    phases = [(HOLE_NONEDGE, *iso), (HOLE_EDGE, *steered)]
+    iso = replace(params, sigma_x=params.sigma_s, sigma_y=params.sigma_s)
+    steered = not cfg.isotropic_only
+    phases = [(HOLE_NONEDGE, iso, False), (HOLE_EDGE, params if steered else iso, steered)]
 
     holes_initial = int(np.count_nonzero(labels >= HOLE_NONEDGE))
     passes = 0
     filled = 0
-    for label, p_params, angles in phases:
-        remaining = (labels == label) & ~valid
+    for label, p_params, steer in phases:
+        # No pixel of the phase's label is valid yet: earlier fills hold other labels.
+        remaining = labels == label
         while remaining.any() and passes < cfg.max_fill_passes:
             passes += 1
             # Only a pixel with a valid pixel in its window can fill.
             targets = np.flatnonzero(remaining & chebyshev_dilate(valid, r))
             acc = WindowSums(targets.shape)
-            cos_t, sin_t = 1.0, 0.0
-            if angles is not None:
-                px, theta = angles
-                at = theta[np.searchsorted(px, targets)]
-                cos_t, sin_t = np.cos(at), np.sin(at)
-                del at
+            angles = steering(
+                nearest_edge_theta(edges, cfg.effective_r_edge(), targets) if steer else 0.0)
             run_banded(h, cfg.threads, lambda r0, r1: window_sums(
-                work, validp, planes, p_params, acc, r0, r1,
-                cos_t=cos_t, sin_t=sin_t, targets=targets))
+                work, validp, planes, p_params, acc, r0, r1, targets=targets, **angles))
             got = acc.den > 0
             if not got.any():
                 break

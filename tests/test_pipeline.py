@@ -352,12 +352,13 @@ STAGE_PEAK_FRAMES = {"to_grayscale": 2.25, "sobel_gradients": 4.25, "detect_edge
 
 # The same peaks on the degraded 640x480 checkerboard of 40 px tiles at
 # 2 threads, where edges are everywhere and the one fill pass has 79539
-# hole_edge targets: 6.14-6.18 and 6.63 once each engine block temporary
-# died at its last reader, the fill kept no contributor count and its
-# angles died once their cos and sin existed; 6.42 and 7.69 before, 7.93
-# and 9.10 with float64 validity frames. On one CPU the bands share one
-# worker, and the peaks are lower.
-TILES_PEAK_FRAMES = {"filter_non_hole": 6.3, "fill_holes": 7.0}
+# hole_edge targets: 5.96 and 6.12 once the fill took its angles at each
+# pass's targets and the denoise's gathered angles died at their cos and
+# sin; 6.14-6.19 and 6.64 when the fill kept one angle table for the
+# whole edge phase, 6.42 and 7.69 before the engine's block temporaries
+# died at their last reader, 7.93 and 9.10 with float64 validity frames.
+# On one CPU the bands share one worker, and the peaks are lower.
+TILES_PEAK_FRAMES = {"filter_non_hole": 6.2, "fill_holes": 6.4}
 
 
 def clear_table_caches():
@@ -447,13 +448,15 @@ def test_restore_peak_stays_under_seven_frames():
 
 def test_cli_restore_hands_each_map_on_at_its_last_read(tmp_path):
     """One CLI restore of the degraded 640x480 checkerboard at 2 threads,
-    traced whole as the bench traces it, peaks at most 9.25 float64
+    traced whole as the bench traces it, peaks at most 8.9 float64
     frames with cold weight tables. It read 8.93 once cmd_restore handed
     the loaded depth to restore, which drops it after the closing, and
     restore handed the denoised map to fill_holes, which drops it after
     padding it (CPython 3.11 moves call arguments into the callee's
     frame); the engine's block temporaries died at their last reader too.
-    It read 11.98 before."""
+    It read 11.98 before, and 8.59 once the fill kept no angle table for
+    its whole edge phase and the denoise no gathered angles beside their
+    cos and sin."""
     clean, guide = checkerboard(640, 480, 40)
     paths = [str(tmp_path / name) for name in ("depth.pgm", "guide.ppm", "out.pgm")]
     save_depth_pgm(degrade(clean, DegradeSpec(20, 0.05, 2, seed=1)), paths[0])
@@ -461,7 +464,7 @@ def test_cli_restore_hands_each_map_on_at_its_last_read(tmp_path):
     peak = traced_peak(lambda: cli.main(["restore", *paths, "--threads", "2"]))
     # CPython 3.10 keeps a call's arguments in the caller's frame until
     # it returns, so neither hand-off frees its map there: two frames more.
-    assert peak / (640 * 480 * 8) <= (9.25 if sys.version_info >= (3, 11) else 11.25)
+    assert peak / (640 * 480 * 8) <= (8.9 if sys.version_info >= (3, 11) else 11.25)
 
 
 def test_report_lines_are_stable_and_complete():
