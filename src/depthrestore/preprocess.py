@@ -79,9 +79,8 @@ def hole_mask(d: DepthMap) -> np.ndarray:
 
 
 def chebyshev_dilate(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Grow a boolean mask by a Chebyshev (square) radius."""
-    if radius <= 0:
-        return mask.copy()
+    """Grow a boolean mask by a Chebyshev (square) radius, as a new
+    array (a copy of mask at radius 0)."""
     return windowed_max(mask, radius)
 
 
@@ -97,6 +96,4 @@ def expand_holes(holes: np.ndarray, edges: np.ndarray, radius: int) -> np.ndarra
     require_mask(holes=holes, edges=edges)
     require_same_shape(holes=holes, edges=edges)
     require_int("expansion radius", radius, ge=0)
-    if radius == 0:
-        return holes.copy()
     return holes | (chebyshev_dilate(holes, radius) & edges)
