@@ -481,10 +481,10 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
     Non-edge region pixels get the trilateral filter; edge region
     pixels get the directional filter steered by their own edge-map
     theta, whose cos and sin (steering) are taken at those pixels only;
-    the gathered angles die there, before the dense pass. Hole pixels pass through as sentinel 0. Every output is
-    computed from the original input map, never from freshly filtered
-    neighbors, so results are independent of evaluation order and of
-    the thread count.
+    the gathered angles die there, before the dense pass. Hole pixels
+    pass through as sentinel 0. Every output is computed from the
+    original input map, never from freshly filtered neighbors, so
+    results are independent of evaluation order and of the thread count.
 
     With cfg.isotropic_only both regions get the plain isotropic JBF
     (no depth term) instead; this is the ablation arm for measuring
