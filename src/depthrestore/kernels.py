@@ -11,10 +11,11 @@ sin of theta that steering takes (per pixel, or one angle for a whole
 call; dgf_weight is that same arithmetic for one angle), the color
 term as a lookup in color_range_table, which holds color_range_weight's
 values for every squared distance an 8-bit guide can produce, and the
-depth term as a lookup in depth_range_table, which holds depth_range_weight's values
-for every integer depth difference up to the frame's maximum, and
-exactly 0.0 in a tail that stands in for the hole gate (depth that is
-not integer-valued still goes through depth_range_weight).
+depth term as a lookup in depth_range_table, which holds
+depth_range_weight's values for every integer depth difference up to
+the frame's maximum, and exactly 0.0 in a tail that stands in for the
+hole gate (depth that is not integer-valued still goes through
+depth_range_weight).
 Each table is built by a call into its kernel (the color pair through
 the body they share), so a kernel's arithmetic is part of every output
 byte. Do not "simplify" it; reassociating an expression changes
