@@ -140,6 +140,28 @@ def test_a_hole_fills_only_where_its_weights_sum_above_zero(kernel, value, unfil
     assert report.fill_passes_used == 1
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("value", [5e-324, 1.0], ids=["min_subnormal", "one"])
+def test_a_filled_value_never_reads_as_a_hole(value, threads):
+    """A constant frame at the smallest positive double, and at 1.0,
+    restores to exactly that value everywhere, at 1 and 3 threads, over
+    both fill phases: no denoised or filled sample reads as the hole
+    sentinel 0.0, so each fill pass grows from every sample the passes
+    before it wrote."""
+    d = np.full((12, 12), value)
+    d[3:9, 3:9] = HOLE
+    d[0, 0] = HOLE
+    c = np.full((12, 12, 3), 90, dtype=np.uint8)
+    c[:, 6:] = 200
+    cfg = PipelineConfig(kernel=KernelParams(window_radius=1), threads=threads)
+    out, _, report = restore(DepthMap(d), ColorImage(c), cfg)
+    assert report.region_counts["hole_nonedge"] == 12
+    assert report.region_counts["hole_edge"] == 28
+    assert report.holes_unfilled == 0
+    assert report.fill_passes_used == 3
+    assert (out.samples == value).all()
+
+
 def test_filled_values_respect_global_range():
     rng = np.random.default_rng(61)
     a = rng.uniform(900, 1100, (14, 14))
