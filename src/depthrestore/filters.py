@@ -35,9 +35,9 @@ tests/oracles.py holds the float64 body as ref_window_sums, and a
 hypothesis test pins the engine to it.
 
 Every frame the engine reads comes padded by r = window_radius on
-every side (pad, guide_planes): color 0, validity False and depth 0
-(or the sentinel, below), the constant_exterior boundary of Halide
-(Ragan-Kelley et al., PLDI 2013). Every weight is finite, so an
+every side (pad, guide_planes): color 0 and depth HOLE (or the
+sentinel, below), the constant_exterior boundary of Halide
+(Ragan-Kelley et al., PLDI 2013). The pad reads as holes, so an
 exterior source weighs exactly +0.0, and adding +0.0 to sums that are
 never below +0.0 leaves their bits: no offset needs to know where the
 image ends. One body weighs and accumulates, on arrays from one of two
@@ -68,16 +68,16 @@ depths wait for the pair sum; the pair's die once num has read them.
 So a block holds one side's temporaries at a time, not both sides' and
 the previous offset's too.
 
-The gate lives in the depth table on integer depth. _denoise hands
+The depth frame is the one record of which sources are usable: a call
+gets the value a hole holds there (HOLE on float depth) and gates with
+wgt *= dq != hole, which keeps a weight's bits or makes it +0.0 (every
+weight is finite and at least +0.0). On integer depth _denoise hands
 the engine one unsigned frame in which every hole and the whole pad
-ring hold the sentinel S = 2 * M, M = max depth + 1, and no validity
-frame for the trilateral pass. Every valid depth is below M, so a
-valid center and a hole source differ by at least M, and
-depth_range_table is exactly 0.0 from S // 2 = M on: the hole source
-weighs +0.0 with no gate multiply, as the gate made it weigh before.
-Its num term is then 0 * S = +0.0 where it was 0 * 0 = +0.0, so no
-bit of num or den moves. The edge pass keeps the validity gate on the
-same frame: an invalid source weighs +0.0, and 0.0 * S is +0.0 too.
+ring hold the hole value S = 2 * M, M = max depth + 1. With a depth
+term the table gates instead: every valid depth is below M, so a valid
+center and a hole source differ by at least M, and depth_range_table
+is exactly 0.0 from S // 2 = M on. A hole source's num term is then
+0 * S = +0.0, as 0 * 0 is, so no bit of num or den moves.
 
 Two accumulation details are deliberate and load-bearing:
 
@@ -176,8 +176,9 @@ def _filter_at(op, p, depth: DepthMap, guide: ColorImage, params: KernelParams,
     whole-image run and so gives its bits. flavor holds window_sums'
     flavor keywords; the directional wrappers pass steering(theta), one
     scalar angle. valid of None means every non-hole pixel is a source
-    and p must be one, else p must not be valid. Checks params, the
-    frame sizes and p first; pads the whole frame."""
+    and p must be one; else valid marks the sources, which must not
+    include a hole or p, and the engine reads HOLE at every other pixel.
+    Checks params, the frame sizes and p first; pads the whole frame."""
     params.validate()
     require_same_shape(depth=depth, guide=guide, **({} if valid is None else {"valid": valid}))
     try:
@@ -186,18 +187,22 @@ def _filter_at(op, p, depth: DepthMap, guide: ColorImage, params: KernelParams,
         raise ContractViolation(f"p must be a (row, col) pair, got {p!r}") from None
     require_int("row", y, ge=0, lt=depth.samples.shape[0])
     require_int("col", x, ge=0, lt=depth.samples.shape[1])
-    hole = depth.samples[y, x] == HOLE
-    if valid is None and hole:
-        raise ContractViolation(f"{op} requires a non-hole center, pixel ({y}, {x}) is a hole")
-    if valid is not None and not hole and valid[y, x]:
-        raise ContractViolation(f"{op} fills holes, pixel ({y}, {x}) is valid")
+    samples = depth.samples
+    if valid is None:
+        if samples[y, x] == HOLE:
+            raise ContractViolation(f"{op} requires a non-hole center, pixel ({y}, {x}) is a hole")
+    else:
+        if (valid & (samples == HOLE)).any():
+            raise ContractViolation(f"{op}: valid marks a hole as a source")
+        if valid[y, x]:
+            raise ContractViolation(f"{op} fills holes, pixel ({y}, {x}) is valid")
+        samples = np.where(valid, samples, HOLE)
     r = params.window_radius
     win = (Ellipsis, slice(y, y + 2 * r + 1), slice(x, x + 2 * r + 1))
-    usable = depth.samples != HOLE if valid is None else valid
     acc = WindowSums((1, 1))
     acc.cnt = np.zeros((1, 1), np.int32)
-    window_sums(pad(depth.samples, r)[win], pad(usable, r)[win],
-                guide_planes(guide, r)[win], params, acc, 0, 1, **flavor)
+    window_sums(pad(samples, r)[win], HOLE, guide_planes(guide, r)[win], params, acc, 0, 1,
+                **flavor)
     return FilterOutcome(float(acc.finish()[0, 0]), float(acc.den[0, 0]),
                          int(acc.cnt[0, 0]))
 
@@ -236,10 +241,10 @@ def pdjbf_pixel(p, depth: DepthMap, valid: np.ndarray, guide: ColorImage,
 
     There is no depth range term: the center has no depth to compare
     against. `valid` marks pixels currently holding trustworthy depth
-    (filtered originals plus holes filled on earlier passes). A window
-    with no valid pixel returns weight_sum 0 and contributors 0; the
-    caller retries the pixel on a later pass rather than treating this
-    as an error.
+    (filtered originals plus holes filled on earlier passes), never a
+    hole. A window with no valid pixel returns weight_sum 0 and
+    contributors 0; the caller retries the pixel on a later pass rather
+    than treating this as an error.
     """
     require_real("theta", theta, gt=-math.inf, lt=math.inf)
     require_mask(valid=valid)
@@ -282,18 +287,19 @@ class WindowSums:
         return vals
 
 
-def window_sums(depth: np.ndarray, valid: np.ndarray, planes, params: KernelParams,
+def window_sums(depth: np.ndarray, hole, planes, params: KernelParams,
                 acc: WindowSums, row0: int, row1: int, *, iso_sigma=None,
                 cos_t=None, sin_t=None, depth_sigma=None, targets=None) -> None:
     """Accumulate filter sums for output rows [row0, row1) of an h x w
-    frame, whose depth, bool validity valid (True where the source is
-    usable) and uint8 guide planes come padded by r = params.window_radius
-    (pad, guide_planes). The pad's validity must be False; its depth and
-    color may be any finite values. valid of None skips the gate: the
-    depth must then be a sentinel frame (module doc), unsigned, whose
-    holes and pad hold its maximum S and whose valid depths are all
-    below S // 2, and the call must carry depth_sigma, whose table then
-    weighs every hole source +0.0. One call covers one kernel flavor:
+    frame, whose depth and uint8 guide planes come padded by
+    r = params.window_radius (pad, guide_planes). hole is the value an
+    unusable source holds in depth: HOLE on a float frame, the sentinel
+    S on an unsigned one (module doc). Every other depth is a usable
+    source. The pad's depth must be hole; its color may be any value.
+    On an unsigned frame every usable depth must be below S // 2, so
+    that a call with depth_sigma weighs every hole source +0.0 through
+    its depth table; every other call weighs a source +0.0 where its
+    depth is hole. One call covers one kernel flavor:
       iso_sigma set           isotropic spatial term
       cos_t/sin_t set         directional term, widths params.sigma_x /
                               params.sigma_y, at one scalar angle or
@@ -318,17 +324,15 @@ def window_sums(depth: np.ndarray, valid: np.ndarray, planes, params: KernelPara
     track = acc.cmin is not None
     dtable = None
     if depth_sigma is not None and depth.dtype.kind == "u":
-        top = int(depth.max())
-        dtable = depth_range_table(depth_sigma, top + 1, top // 2 if valid is None else None)
-    frames = (planes, depth) if valid is None else (planes, depth, valid)
-    for out, at in _blocks(r, row0, row1, frames, targets):
-        cpl, cd, *_ = at(0, 0)
+        dtable = depth_range_table(depth_sigma, hole + 1, hole // 2)
+    for out, at in _blocks(r, row0, row1, (planes, depth), targets):
+        cpl, cd = at(0, 0)
         cc, cs = (a if _scalar(a) else a[out] for a in (cos_t, sin_t))
 
         def weigh(dy, dx):
             """The weights and source depths of one side at offset (dy, dx),
             tracked into acc; every other temporary of the side dies here."""
-            spl, dq, *gate = at(dy, dx)
+            spl, dq = at(dy, dx)
             # 255**2 wraps in int16 but reads back exactly as uint16.
             sq = np.subtract(cpl, spl, dtype=np.int16)
             sq *= sq
@@ -343,10 +347,10 @@ def window_sums(depth: np.ndarray, valid: np.ndarray, planes, params: KernelPara
             if dtable is not None:
                 diff = np.subtract(cd, dq, dtype=np.int32)
                 wgt *= dtable.take(np.abs(diff, out=diff))
-            elif depth_sigma is not None:
-                wgt *= depth_range_weight(cd, dq, depth_sigma)
-            if gate:
-                wgt *= gate[0]
+            else:
+                if depth_sigma is not None:
+                    wgt *= depth_range_weight(cd, dq, depth_sigma)
+                wgt *= dq != hole
             if track:
                 contrib = wgt > 0
                 if acc.cnt is not None:
@@ -413,9 +417,9 @@ def _scalar(a):
 
 
 def pad(a, r):
-    """a with r zeros (False for a mask) on every side of its last two
-    axes, as a new C-contiguous array of a's dtype: the frame layout
-    window_sums reads, in which every exterior source weighs +0.0."""
+    """a with r zeros on every side of its last two axes, as a new
+    C-contiguous array of a's dtype: the frame layout window_sums reads,
+    in which a float depth's pad is HOLE, a source that weighs +0.0."""
     h, w = a.shape[-2:]
     out = np.zeros(a.shape[:-2] + (h + 2 * r, w + 2 * r), a.dtype)
     out[..., r:r + h, r:r + w] = a
@@ -522,15 +526,15 @@ def _denoise(d, planes, params, threads, passes):
     window_sums target set (None for every pixel), the (h, w) mask of
     outputs the caller keeps (None for every target) and the flavor
     keywords; no kept output is centred on a hole. On integer depth a
-    pass runs untracked on an unsigned sentinel frame, a trilateral pass
-    with no validity gate, and then only the suspects among its kept
-    outputs (module doc) run again: the pass's own call, tracked, on the
+    pass runs untracked on an unsigned frame whose holes and pad ring
+    hold the sentinel S (module doc), and then only the suspects among
+    its kept outputs run again: the pass's own call, tracked, on the
     suspects as targets. Other depth runs tracked on a float copy whose
-    holes read 0. Integrality is decided here, once per frame, and each
-    padded frame is built once for all the runs. A pass's averages are
-    written into its num, and its den dies before the suspect test; the
-    bool validity frame is built at its first use, so on integer depth
-    it is never live beside the dense trilateral pass's num and den.
+    holes and pad ring read HOLE. Each call gets that one frame and its
+    hole value, S or HOLE, and no validity frame. Integrality is decided
+    here, once per frame, and the frame is padded once for all the runs.
+    A pass's averages are written into its num, and its den dies before
+    the suspect test.
     """
     h = d.shape[0]
     r = params.window_radius
@@ -546,15 +550,11 @@ def _denoise(d, planes, params, threads, passes):
     if integer:
         inner[d == HOLE] = s
     else:
-        src = pad(d, r)
-    valid = None
+        src, s = pad(d, r), HOLE
     tol = 4 * (2 * r + 1) ** 2 * EPS
     results = []
+    run = partial(window_sums, src, s, planes, params)
     for targets, kept, flavor in passes:
-        gated = not (integer and "depth_sigma" in flavor)
-        if gated and valid is None:
-            valid = pad(d != HOLE, r)
-        run = partial(window_sums, src, valid if gated else None, planes, params)
         acc = WindowSums(d.shape if targets is None else targets.shape, track=not integer)
         run_banded(h, threads, partial(run, acc, targets=targets, **flavor))
         q = acc.finish()

@@ -112,21 +112,18 @@ def color_range_table(sigma_r):
 
 
 @lru_cache(maxsize=4)
-def depth_range_table(sigma_r, n, m=None):
+def depth_range_table(sigma_r, n, m):
     """depth_range_weight(k, 0, sigma_r) for every integer depth
-    difference k in 0..m-1, then exactly 0.0 for k in m..n-1 (m of None
-    is n: no zero tail). (-k) / sigma_r is exactly -(k / sigma_r), so a
-    lookup by |dp - dq| gives the kernel's bits for either sign; a
-    sigma_r of 1e9 or more gives the kernel's exact 1.0 before the
-    tail. Read-only and cached per (sigma_r, n, m). The engine sizes it
-    max(depth) + 1. In the package only filters._denoise's trilateral
-    pass reaches it, with no gate on a frame whose holes read the
-    sentinel S: S + 1 entries, at most 131073, with the tail from
-    m = S // 2 on, so a hole source weighs +0.0. Only a direct engine
-    call with a gate and unsigned depth (tests make them) builds one
-    with no tail, of at most 65536 entries.
+    difference k in 0..m-1, then exactly 0.0 for k in m..n-1, the tail
+    that stands in for the hole gate. (-k) / sigma_r is exactly
+    -(k / sigma_r), so a lookup by |dp - dq| gives the kernel's bits for
+    either sign; a sigma_r of 1e9 or more gives the kernel's exact 1.0
+    before the tail. Read-only and cached per (sigma_r, n, m). Only the
+    engine's calls with a depth term on unsigned depth build one, for a
+    frame whose holes and pad hold the sentinel S (filters module doc):
+    S + 1 entries, at most 131073, with the tail from m = S // 2 on, so
+    a hole source weighs +0.0.
     """
-    m = n if m is None else m
     table = np.zeros(n)
     table[:m] = depth_range_weight(np.arange(m, dtype=np.float64), 0.0, sigma_r)
     table.flags.writeable = False

@@ -9,7 +9,7 @@ Hole filling runs in two phases. Non-edge holes go first, using the
 isotropic specialization of the partial filter (theta 0, both
 directional widths equal to sigma_s); edge holes follow, steered by
 the orientation of the nearest edge pixel. Within a phase, every pass
-evaluates all still-unfilled target pixels against the validity state
+evaluates all still-unfilled target pixels against the depth frame
 left by the previous pass, then admits those that found at least one
 contributor. That makes a pass an onion-peel step: each pass fills the
 next ring of a hole, and nothing depends on pixel traversal order or
@@ -29,14 +29,13 @@ import numpy as np
 
 from .errors import (
     ContractViolation, require_int, require_labels, require_real, require_same_shape)
-from .image_model import ColorImage, DepthMap, to_grayscale
+from .image_model import HOLE, ColorImage, DepthMap, to_grayscale
 from .preprocess import (
     StructuringElement, chebyshev_dilate, close_depth, expand_holes, hole_mask)
 from .edge_analysis import (
     HOLE_EDGE,
     HOLE_NONEDGE,
     LABEL_NAMES,
-    NONHOLE_EDGE,
     EdgeMap,
     classify_regions,
     detect_edges,
@@ -122,19 +121,20 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
     `filtered` must already have its non-hole pixels denoised; they are
     the seed values the fill grows from. Returns the completed map and
     the run report. Passes are counted across both phases against
-    cfg.max_fill_passes. The padded depth and bool validity frames are
-    built once, and each pass writes its fills into their interiors. An
-    edge-phase pass takes the nearest-edge angles at its own targets
-    (nearest_edge_theta answers each target on its own), so no angle
-    outlives its pass, and they die once their cos and sin (steering)
-    exist. filtered is dropped once it is padded, which frees it when
-    the caller passed it as a call's value without keeping it (restore
-    does; on CPython 3.10 the caller's frame keeps its arguments alive
-    through the call anyway).
+    cfg.max_fill_passes. The padded depth is built once and is the only
+    record of which pixels are sources, the non-hole ones. Each pass
+    writes its fills into it, each clamped into the range of its positive
+    contributors, so never HOLE. An edge-phase pass takes the
+    nearest-edge angles at its own targets (nearest_edge_theta answers
+    each target on its own), so no angle outlives its pass, and they die
+    once their cos and sin (steering) exist. filtered is dropped once it
+    is padded, which frees it when the caller passed it as a call's
+    value without keeping it (restore does; on CPython 3.10 the caller's
+    frame keeps its arguments alive through the call anyway).
     cfg is validated, every frame must have the depth's size, and labels
     must be region labels whose hole labels mark exactly filtered's
-    holes (errors.require_labels): a hole labelled valid would be read
-    as a 0 mm seed.
+    holes (errors.require_labels): a hole labelled valid would be
+    neither a source nor a target.
     """
     cfg.validate()
     require_same_shape(depth=filtered, guide=guide, labels=labels, theta=edges.theta)
@@ -144,8 +144,6 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
     r = params.window_radius
     work = pad(filtered.samples, r)
     del filtered  # frees the map when the caller handed it over (restore)
-    validp = pad(labels <= NONHOLE_EDGE, r)
-    valid = interior(validp, r)
     planes = guide_planes(guide, r)
 
     iso = replace(params, sigma_x=params.sigma_s, sigma_y=params.sigma_s)
@@ -156,23 +154,22 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
     passes = 0
     filled = 0
     for label, p_params, steer in phases:
-        # No pixel of the phase's label is valid yet: earlier fills hold other labels.
+        # No pixel of the phase's label is filled yet: earlier fills hold other labels.
         remaining = labels == label
         while remaining.any() and passes < cfg.max_fill_passes:
             passes += 1
-            # Only a pixel with a valid pixel in its window can fill.
-            targets = np.flatnonzero(remaining & chebyshev_dilate(valid, r))
+            # Only a pixel with a non-hole pixel in its window can fill.
+            targets = np.flatnonzero(remaining & chebyshev_dilate(interior(work, r) != HOLE, r))
             acc = WindowSums(targets.shape)
             angles = steering(
                 nearest_edge_theta(edges, cfg.effective_r_edge(), targets) if steer else 0.0)
             run_banded(h, cfg.threads, lambda r0, r1: window_sums(
-                work, validp, planes, p_params, acc, r0, r1, targets=targets, **angles))
+                work, HOLE, planes, p_params, acc, r0, r1, targets=targets, **angles))
             got = acc.den > 0
             if not got.any():
                 break
             fillable = targets[got]
             interior(work, r).flat[fillable] = acc.finish()[got]
-            valid.flat[fillable] = True
             remaining.flat[fillable] = False
             filled += fillable.size
 
@@ -183,7 +180,7 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
         fill_passes_used=passes,
         region_counts=label_counts(labels),
     )
-    del validp, valid, planes  # free before the output copy
+    del planes  # free before the output copy
     return DepthMap(np.ascontiguousarray(interior(work, r))), report
 
 

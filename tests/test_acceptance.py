@@ -87,7 +87,6 @@ def engine_maps(depth, guide, theta, params):
     d = depth.samples
     r = params.window_radius
     padded = pad(d, r)
-    valid = pad(d != HOLE, r)
     planes = guide_planes(guide, r)
     out = {}
     for key, kwargs in (
@@ -96,7 +95,7 @@ def engine_maps(depth, guide, theta, params):
         ("dgf", {"cos_t": np.cos(theta), "sin_t": np.sin(theta)}),
     ):
         acc = WindowSums(d.shape)
-        window_sums(padded, valid, planes, params, acc, 0, d.shape[0], **kwargs)
+        window_sums(padded, HOLE, planes, params, acc, 0, d.shape[0], **kwargs)
         out[key] = acc.finish()
     return out
 

@@ -164,7 +164,8 @@ def call_pixel_filter(name, p, depth, guide, params, valid, theta):
 
 @pytest.mark.parametrize("name", ["jbf_pixel", "tjbf_pixel", "djbf_pixel", "pdjbf_pixel"])
 def test_per_pixel_filters_fail_closed(name):
-    """A guide or valid mask of another size, invalid params, a pixel
+    """A guide or valid mask of another size, a valid mask that marks a
+    hole (which would count as a 0 mm source), invalid params, a pixel
     that is off the frame or not an int pair, and an angle that is not
     a finite real each raise ContractViolation, instead of returning a
     value or escaping as a numpy error."""
@@ -179,6 +180,9 @@ def test_per_pixel_filters_fail_closed(name):
                                5, None, (1, 2, 3), (1,))]
     if name == "pdjbf_pixel":
         bad.append({"valid": np.zeros((5, 5), bool)})
+        holed = depth.samples.copy()
+        holed[0, 0] = HOLE
+        bad.append({"depth": DepthMap(holed), "valid": holed == HOLE})
     if name in ("djbf_pixel", "pdjbf_pixel"):
         bad += [{"theta": t} for t in (math.nan, math.inf, None, "0.3")]
     for change in bad:
@@ -271,12 +275,10 @@ def test_output_stays_inside_contributor_range():
                 assert usable.min() <= out.value <= usable.max()
 
 
-def engine_values(depth, guide, params, *, theta=None, iso=False, depth_term=False,
-                  valid=None):
+def engine_values(depth, guide, params, *, theta=None, iso=False, depth_term=False):
     d = depth.samples
     h, w = d.shape
     r = params.window_radius
-    usable = d != HOLE if valid is None else valid
     acc = counted((h, w))
     kwargs = {}
     if iso:
@@ -286,8 +288,7 @@ def engine_values(depth, guide, params, *, theta=None, iso=False, depth_term=Fal
         kwargs["sin_t"] = np.sin(theta)
     if depth_term:
         kwargs["depth_sigma"] = params.sigma_r_depth
-    window_sums(pad(d, r), pad(usable, r), guide_planes(guide, r), params, acc,
-                0, h, **kwargs)
+    window_sums(pad(d, r), HOLE, guide_planes(guide, r), params, acc, 0, h, **kwargs)
     return acc
 
 
@@ -327,10 +328,10 @@ def test_only_a_given_cnt_counts_contributors():
     rng = np.random.default_rng(52)
     depth, guide, theta = random_instance(rng, shape=(9, 11), hole_fraction=0.3)
     r = PARAMS.window_radius
-    frames = (pad(depth.samples, r), pad(depth.samples != HOLE, r), guide_planes(guide, r))
+    inputs = (pad(depth.samples, r), HOLE, guide_planes(guide, r))
     plain, count = WindowSums((9, 11)), counted((9, 11))
     for acc in (plain, count):
-        window_sums(*frames, PARAMS, acc, 0, 9, cos_t=np.cos(theta), sin_t=np.sin(theta))
+        window_sums(*inputs, PARAMS, acc, 0, 9, cos_t=np.cos(theta), sin_t=np.sin(theta))
     assert plain.cnt is None and count.cnt.any()
     for name in ("num", "den", "cmin", "cmax"):
         assert np.array_equal(getattr(plain, name), getattr(count, name)), name
@@ -341,14 +342,13 @@ def test_banded_run_is_bit_identical_to_whole_image():
     depth, guide, theta = random_instance(rng, shape=(16, 16))
     r = PARAMS.window_radius
     d = pad(depth.samples, r)
-    valid = pad(depth.samples != HOLE, r)
     planes = guide_planes(guide, r)
     whole = counted(depth.samples.shape)
-    window_sums(d, valid, planes, PARAMS, whole, 0, 16,
+    window_sums(d, HOLE, planes, PARAMS, whole, 0, 16,
                 iso_sigma=PARAMS.sigma_s, depth_sigma=PARAMS.sigma_r_depth)
     split = counted(depth.samples.shape)
     for r0, r1 in ((0, 1), (1, 6), (6, 13), (13, 16)):
-        window_sums(d, valid, planes, PARAMS, split, r0, r1,
+        window_sums(d, HOLE, planes, PARAMS, split, r0, r1,
                     iso_sigma=PARAMS.sigma_s, depth_sigma=PARAMS.sigma_r_depth)
     assert np.array_equal(whole.finish(), split.finish())
     assert np.array_equal(whole.den, split.den)
@@ -424,25 +424,32 @@ def test_mirrored_inputs_give_exactly_mirrored_output():
 
 
 def engine_case(rng, h, w, flavor, radius, integer=False):
-    """A random h x w engine input: depth, source validity (holes and
-    20% more sources switched off), guide planes, all three padded by
-    the radius as window_sums takes them, params, and the flavor
-    keywords of a dense run (at_targets gives a target-set run's). With
-    integer the depth is rounded and handed over as uint16, so the
-    engine reads its depth term from depth_range_table; depth
-    differences reach 2500, where the weight underflows to 0."""
+    """A random h x w engine input: the depth frame, padded by the
+    radius as window_sums takes it, the mark its unusable sources hold
+    (holes and 20% more sources switched off, and the pad ring), the
+    padded guide planes, params, and the flavor keywords of a dense run
+    (at_targets gives a target-set run's). On float depth the mark is
+    HOLE. With integer the depth is rounded and handed over as uint16,
+    so the engine reads its depth term from depth_range_table, and the
+    mark is the sentinel S = 2 * (max + 1), whose table tail weighs it
+    +0.0; depth differences reach 2500, where the weight underflows
+    to 0."""
     params = replace(PARAMS, window_radius=radius)
     depth, guide, theta = random_instance(rng, shape=(h, w), hole_fraction=0.3)
     d = depth.samples
+    mark = HOLE
     if integer:
         d = np.rint(d).astype(np.uint16)
-    valid = (d != HOLE) & (rng.random((h, w)) < 0.8)
+        mark = 2 * (int(d.max()) + 1)
+    usable = (d != HOLE) & (rng.random((h, w)) < 0.8)
+    frame = np.full((h + 2 * radius, w + 2 * radius), mark, d.dtype)
+    interior(frame, radius)[...] = np.where(usable, d, mark)
     kwargs = {"cos_t": np.cos(theta), "sin_t": np.sin(theta)}
     if flavor != "directional":
         kwargs = {"iso_sigma": params.sigma_s}
     if flavor == "trilateral":
         kwargs["depth_sigma"] = params.sigma_r_depth
-    return pad(d, radius), pad(valid, radius), guide_planes(guide, radius), params, kwargs
+    return frame, mark, guide_planes(guide, radius), params, kwargs
 
 
 def at_targets(kwargs, targets):
@@ -478,17 +485,17 @@ def test_gather_addressing_matches_slice_addressing(h, w, flavor, radius, densit
     and Nx1 and narrower than the window, with targets on the borders
     and the targets split over several row bands."""
     rng = np.random.default_rng(seed)
-    d, valid, planes, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
+    d, mark, planes, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
     mask = rng.random((h, w)) < density
     if border:
         mask[[0, -1], :] = True
         mask[:, [0, -1]] = True
     targets = np.flatnonzero(mask)
     dense = counted((h, w), track)
-    window_sums(d, valid, planes, params, dense, 0, h, **kwargs)
+    window_sums(d, mark, planes, params, dense, 0, h, **kwargs)
     sparse = counted(targets.shape, track)
     for r0, r1 in row_bands(h, bands):
-        window_sums(d, valid, planes, params, sparse, r0, r1, targets=targets,
+        window_sums(d, mark, planes, params, sparse, r0, r1, targets=targets,
                     **at_targets(kwargs, targets))
     names = ("num", "den", "cnt", "cmin", "cmax") if track else ("num", "den")
     for name in names:
@@ -514,7 +521,7 @@ def test_block_size_never_changes_a_bit(h, w, flavor, radius, sparse, bands, tra
     leaves them, including blocks of 1 px, blocks that end mid-row and
     a short last block; an untracked run leaves num and den so."""
     rng = np.random.default_rng(seed)
-    d, valid, planes, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
+    d, mark, planes, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
     targets = np.flatnonzero(rng.random((h, w)) < 0.5) if sparse else None
     kwargs = at_targets(kwargs, targets)
 
@@ -523,7 +530,7 @@ def test_block_size_never_changes_a_bit(h, w, flavor, radius, sparse, bands, tra
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(filters, "BLOCK_PX", block_px)
             for r0, r1 in row_bands(h, bands):
-                window_sums(d, valid, planes, params, acc, r0, r1, targets=targets, **kwargs)
+                window_sums(d, mark, planes, params, acc, r0, r1, targets=targets, **kwargs)
         return acc
 
     whole = run(h * w, True)
@@ -532,6 +539,16 @@ def test_block_size_never_changes_a_bit(h, w, flavor, radius, sparse, bands, tra
         got = run(block_px, track)
         for name in names:
             assert np.array_equal(getattr(whole, name), getattr(got, name)), (block_px, name)
+
+
+def sentinel_free_centres(usable, integer, kwargs):
+    """The outputs whose sums have a hole-free meaning: all of them, but
+    on an unsigned frame with a depth term only the usable centres. A
+    centre holding the sentinel differs from every usable source by
+    more than the table's tail start, but from a hole source by 0, so
+    it weighs the sentinels in its window, itself included, as sources.
+    No kept output is centred on a hole (errors.require_labels)."""
+    return usable if integer and "depth_sigma" in kwargs else np.ones(usable.shape, bool)
 
 
 @settings(max_examples=120, deadline=None)
@@ -560,7 +577,7 @@ def test_engine_matches_float64_reference_body(h, w, flavor, radius, sparse, ban
     255, and an all-0 pixel sits next to an all-255 one, so the squared
     color distance reaches 3 * 255**2 = 195075."""
     rng = np.random.default_rng(seed)
-    d, valid, _, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
+    d, mark, _, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
     params = replace(params, sigma_r_color=sigma_r_color, sigma_r_depth=sigma_r_depth)
     if "depth_sigma" in kwargs:
         kwargs["depth_sigma"] = sigma_r_depth
@@ -573,17 +590,20 @@ def test_engine_matches_float64_reference_body(h, w, flavor, radius, sparse, ban
         x = int(rng.integers(0, max(1, w - 1)))
         colors[y, x] = 0
         colors[y + (w == 1), x + (w > 1)] = 255
-    want = ref_window_sums(interior(d, radius).astype(np.float64), interior(valid, radius),
-                           colors, params, **kwargs)
+    usable = interior(d, radius) != mark
+    want = ref_window_sums(interior(d, radius).astype(np.float64), usable, colors, params,
+                           **kwargs)
     targets = np.flatnonzero(rng.random((h, w)) < 0.5) if sparse else None
     acc = counted((h, w) if targets is None else targets.shape)
     planes = guide_planes(ColorImage(colors), radius)
     for r0, r1 in row_bands(h, bands):
-        window_sums(d, valid, planes, params, acc, r0, r1, targets=targets,
+        window_sums(d, mark, planes, params, acc, r0, r1, targets=targets,
                     **at_targets(kwargs, targets))
+    keep = sentinel_free_centres(usable, integer, kwargs)
     for name in ("num", "den", "cnt", "cmin", "cmax"):
         ref = want[name] if targets is None else want[name].flat[targets]
-        assert np.array_equal(ref, getattr(acc, name)), name
+        at = keep if targets is None else keep.flat[targets]
+        assert np.array_equal(ref[at], getattr(acc, name)[at]), name
 
 
 @settings(max_examples=80, deadline=None)
@@ -597,35 +617,36 @@ def test_engine_matches_float64_reference_body(h, w, flavor, radius, sparse, ban
 @example(h=5, w=9, flavor="isotropic", radius=1, sparse=False, track=False, integer=False,
          seed=13)
 def test_the_exterior_is_inert(h, w, flavor, radius, sparse, track, integer, seed):
-    """Validity 0.0 in the pad makes whatever depth and color it holds
-    add exactly nothing: with random finite depth (uint16 up to the
-    interior maximum, which the depth table reaches, or any float) and
-    random colors in the pad ring, num, den, cnt, cmin and cmax match
-    the zero pad's (num and den untracked), dense and on a target set,
-    for each flavor."""
+    """The mark in the pad makes whatever color it holds add exactly
+    nothing, and so does the mark at an interior hole, to every output
+    not centred on it: with random colors in the pad ring, num, den,
+    cnt, cmin and cmax match the zero pad's at every output
+    (sentinel_free_centres), and with random colors under the interior
+    holes too, at every usable centre (num and den untracked), dense and
+    on a target set, for each flavor, on float and uint16 depth."""
     rng = np.random.default_rng(seed)
-    d, valid, planes, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
+    d, mark, planes, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
     ring = ~pad(np.ones((h, w), bool), radius)
-    n = int(np.count_nonzero(ring))
-    noisy_d = d.copy()
-    if integer:
-        noisy_d[ring] = rng.integers(0, int(d.max()) + 1, n)
-    else:
-        noisy_d[ring] = rng.uniform(-1e6, 1e6, n)
-    noisy_planes = planes.copy()
-    noisy_planes[:, ring] = rng.integers(0, 256, (3, n), dtype=np.uint8)
+    usable = interior(d, radius) != mark
     targets = np.flatnonzero(rng.random((h, w)) < 0.5) if sparse else None
     kwargs = at_targets(kwargs, targets)
 
-    def run(depth, planes):
+    def run(planes):
         acc = counted((h, w) if targets is None else targets.shape, track)
-        window_sums(depth, valid, planes, params, acc, 0, h, targets=targets, **kwargs)
+        window_sums(d, mark, planes, params, acc, 0, h, targets=targets, **kwargs)
         return acc
 
-    zero, noisy = run(d, planes), run(noisy_d, noisy_planes)
+    zero = run(planes)
     names = ("num", "den", "cnt", "cmin", "cmax") if track else ("num", "den")
-    for name in names:
-        assert np.array_equal(getattr(zero, name), getattr(noisy, name)), name
+    noisy_planes = planes.copy()
+    for recolor, keep in ((ring, sentinel_free_centres(usable, integer, kwargs)),
+                          (d == mark, usable)):
+        noisy_planes[:, recolor] = rng.integers(0, 256, (3, int(np.count_nonzero(recolor))),
+                                                dtype=np.uint8)
+        noisy = run(noisy_planes)
+        at = keep if targets is None else keep.flat[targets]
+        for name in names:
+            assert np.array_equal(getattr(zero, name)[at], getattr(noisy, name)[at]), name
 
 
 def clamp_prone_case(rng, h, w, kind, base):
@@ -661,12 +682,11 @@ def tracked_filter_non_hole(depth, guide, labels, edges, params, isotropic_only)
     h = d.shape[0]
     r = params.window_radius
     padded = pad(d, r)
-    valid = pad(d != HOLE, r)
     planes = guide_planes(guide, r)
 
     def run(targets, **flavor):
         acc = WindowSums(d.shape if targets is None else targets.shape)
-        window_sums(padded, valid, planes, params, acc, 0, h, targets=targets,
+        window_sums(padded, HOLE, planes, params, acc, 0, h, targets=targets,
                     **at_targets(flavor, targets))
         raw = np.divide(acc.num, acc.den, out=np.zeros_like(acc.num), where=acc.den > 0)
         return acc.finish(), raw

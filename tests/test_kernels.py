@@ -183,24 +183,29 @@ def test_depth_range_weight_on_arrays_leaves_its_inputs():
 
 @pytest.mark.parametrize("s", [0.3, 30.0, 1e5, 1e9])
 def test_depth_range_table_is_the_kernel_bit_for_bit(s):
-    """Entry k of the table is depth_range_weight of the depth pair
-    (k, 0) and of (0, k), exactly, for every difference of two uint16
-    depths; at the 1e9 cap every entry is the kernel's exact 1.0."""
-    table = depth_range_table(s, 65536)
-    assert table.shape == (65536,) and table.dtype == np.float64
+    """The largest table the engine builds, for the sentinel 2 * 65536
+    of depth up to 65535: entry k is depth_range_weight of the depth
+    pair (k, 0) and of (0, k), exactly, for every difference of two
+    uint16 depths, and every entry of the tail is exactly 0.0; at the
+    1e9 cap every entry before the tail is the kernel's exact 1.0."""
+    table = depth_range_table(s, 2 * 65536 + 1, 65536)
+    assert table.shape == (2 * 65536 + 1,) and table.dtype == np.float64
     k = np.arange(65536, dtype=np.float64)
     zero = np.zeros_like(k)
-    assert np.array_equal(table, np.broadcast_to(depth_range_weight(k, zero, s), k.shape))
-    assert np.array_equal(table, np.broadcast_to(depth_range_weight(zero, k, s), k.shape))
+    head = table[:65536]
+    assert np.array_equal(head, np.broadcast_to(depth_range_weight(k, zero, s), k.shape))
+    assert np.array_equal(head, np.broadcast_to(depth_range_weight(zero, k, s), k.shape))
     for j in (0, 1, 2, 29, 30, 31, 1000, 65535):
         assert table[j] == depth_range_weight(float(j), 0.0, s)
         assert table[j] == depth_range_weight(0.0, float(j), s)
+    assert (table[65536:] == 0.0).all()
 
 
 def test_depth_range_table_is_cached_read_only_and_sized():
-    table = depth_range_table(30.0, 4096)
-    assert depth_range_table(30.0, 4096) is table
-    assert table.shape == (4096,)
+    table = depth_range_table(30.0, 4097, 2048)
+    assert depth_range_table(30.0, 4097, 2048) is table
+    assert table.shape == (4097,)
+    assert (table[2048:] == 0.0).all()
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0] = 0.5

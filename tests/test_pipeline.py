@@ -374,13 +374,15 @@ STAGE_PEAK_FRAMES = {"to_grayscale": 2.25, "sobel_gradients": 4.25, "detect_edge
 
 # The same peaks on the degraded 640x480 checkerboard of 40 px tiles at
 # 2 threads, where edges are everywhere and the one fill pass has 79539
-# hole_edge targets: 5.96 and 6.12 once the fill took its angles at each
-# pass's targets and the denoise's gathered angles died at their cos and
-# sin; 6.14-6.19 and 6.64 when the fill kept one angle table for the
-# whole edge phase, 6.42 and 7.69 before the engine's block temporaries
-# died at their last reader, 7.93 and 9.10 with float64 validity frames.
-# On one CPU the bands share one worker, and the peaks are lower.
-TILES_PEAK_FRAMES = {"filter_non_hole": 6.2, "fill_holes": 6.4}
+# hole_edge targets: 5.92-5.96 and 5.93-5.94 once the engine read
+# hole-ness from the depth frame and the fill kept no validity frame;
+# 5.96 and 6.12 once the fill took its angles at each pass's targets and
+# the denoise's gathered angles died at their cos and sin; 6.14-6.19 and
+# 6.64 when the fill kept one angle table for the whole edge phase, 6.42
+# and 7.69 before the engine's block temporaries died at their last
+# reader, 7.93 and 9.10 with float64 validity frames. On one CPU the
+# bands share one worker, and the peaks are lower.
+TILES_PEAK_FRAMES = {"filter_non_hole": 6.2, "fill_holes": 6.0}
 
 
 def clear_table_caches():
@@ -434,10 +436,10 @@ def traced_stage_peaks(monkeypatch, names, depth, guide, cfg=PipelineConfig()):
 def test_stage_peaks_stay_under_their_frame_bounds(monkeypatch):
     """On a degraded 640x480 occluder each stage's traced peak stays
     under its bound in STAGE_PEAK_FRAMES: the front end builds no
-    throwaway frames, each stage pads its frames once, the fill keeps
-    one bool validity frame and takes the angles' cos and sin only at
-    the outputs that read them, and the denoise writes its averages
-    into num and builds the validity frame after the dense pass."""
+    throwaway frames, each stage pads its frames once and keeps no
+    validity frame beside its depth, the fill takes the angles' cos and
+    sin only at the outputs that read them, and the denoise writes its
+    averages into num."""
     clean, guide = make_scene("occluder", 640, 480)
     depth = degrade(clean, DegradeSpec(20, 0.05, 2, seed=1))
     peaks = traced_stage_peaks(monkeypatch, STAGE_PEAK_FRAMES, depth, guide)
@@ -446,8 +448,9 @@ def test_stage_peaks_stay_under_their_frame_bounds(monkeypatch):
 
 def test_threaded_checkerboard_peaks_stay_under_their_frame_bounds(monkeypatch):
     """On a degraded 640x480 checkerboard at 2 threads the denoise and
-    fill peaks stay under TILES_PEAK_FRAMES: each gated pass gathers a
-    bool validity frame, and the fill writes one."""
+    fill peaks stay under TILES_PEAK_FRAMES: each gated pass compares
+    its gathered depths with the hole value, and the fill keeps no
+    validity frame."""
     clean, guide = checkerboard(640, 480, 40)
     depth = degrade(clean, DegradeSpec(20, 0.05, 2, seed=1))
     peaks = traced_stage_peaks(monkeypatch, TILES_PEAK_FRAMES, depth, guide,
