@@ -76,8 +76,8 @@ the engine one unsigned frame in which every hole and the whole pad
 ring hold the hole value S = 2 * M, M = max depth + 1. With a depth
 term the table gates instead: every valid depth is below M, so a valid
 center and a hole source differ by at least M, and depth_range_table
-is exactly 0.0 from S // 2 = M on. A hole source's num term is then
-0 * S = +0.0, as 0 * 0 is, so no bit of num or den moves.
+is exactly 0.0 from S // 2 = M on. A hole source then weighs +0.0
+and adds +0.0 to den and 0 * S = +0.0 to num, as the gate would.
 
 Two accumulation details are deliberate and load-bearing:
 

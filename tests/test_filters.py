@@ -573,7 +573,8 @@ def test_engine_matches_float64_reference_body(h, w, flavor, radius, sparse, ban
     frozen float64 weight body in tests/oracles.py, for each flavor,
     dense and on a target set split over row bands, at any color sigma,
     on float depth and on integer depth handed over as uint16 (the
-    depth_range_table path). Every channel of the guide takes 0 and
+    depth_range_table path), at every output sentinel_free_centres
+    keeps. Every channel of the guide takes 0 and
     255, and an all-0 pixel sits next to an all-255 one, so the squared
     color distance reaches 3 * 255**2 = 195075."""
     rng = np.random.default_rng(seed)
