@@ -492,6 +492,20 @@ def test_cli_restore_hands_each_map_on_at_its_last_read(tmp_path):
     assert peak / (640 * 480 * 8) <= (8.9 if sys.version_info >= (3, 11) else 11.25)
 
 
+def test_cli_restore_of_the_occluder_hands_each_map_on(tmp_path):
+    """One CLI restore of the degraded 640x480 occluder at 1 thread,
+    traced whole with cold weight tables as the bench's occluder-vga
+    workload traces it, peaks at most 7.0 float64 frames. It read
+    6.74-6.75 once cmd_restore, restore and fill_holes handed their maps
+    on at their last reads."""
+    clean, guide = make_scene("occluder", 640, 480)
+    paths = [str(tmp_path / name) for name in ("depth.pgm", "guide.ppm", "out.pgm")]
+    save_depth_pgm(degrade(clean, DegradeSpec(20, 0.05, 2, seed=1)), paths[0])
+    save_color_ppm(guide, paths[1])
+    peak = traced_peak(lambda: cli.main(["restore", *paths, "--threads", "1"]))
+    assert peak / (640 * 480 * 8) <= 7.0
+
+
 def test_report_lines_are_stable_and_complete():
     d = DepthMap(np.full((16, 16), 900.0))
     _, _, report = restore(d, flat_guide((16, 16)))
