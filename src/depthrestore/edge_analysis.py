@@ -70,13 +70,16 @@ def sobel_gradients(g: GrayImage) -> GradientField:
     a + 2b exactly), the differences and the magnitude
     sqrt(gx * gx + gy * gy) in those buffers, and the padded image is
     freed before the magnitude is built. Besides the three results,
-    one scratch frame is live at a time. As in kernels, do not
+    one scratch frame is live at a time. The gray image is dropped once
+    it is padded, which frees it when the caller handed it over as a
+    call's value (pipeline.restore does). As in kernels, do not
     reassociate any of these sums: they feed every edge decision.
     """
     a = g.samples
     if a.shape[0] < 3 or a.shape[1] < 3:
         raise ContractViolation(f"gradients need at least 3x3, got {a.shape}")
     p = np.pad(a, 1, mode="edge")
+    del g, a
     gx = _taps(p[:-2, 2:], p[1:-1, 2:], p[2:, 2:])
     gx -= _taps(p[:-2, :-2], p[1:-1, :-2], p[2:, :-2])
     gy = _taps(p[2:, :-2], p[2:, 1:-1], p[2:, 2:])
@@ -125,10 +128,16 @@ def detect_edges(grad: GradientField, threshold: float) -> EdgeMap:
 
     theta is computed at every pixel; it only carries meaning at and
     near edges, but keeping the full grid lets later stages index it
-    without special cases.
+    without special cases. grad is dropped once the edge mask exists,
+    keeping gx and gy for edge_theta, so a field the caller handed over
+    as a call's value (pipeline.restore does) has its magnitude freed
+    before the angles are built.
     """
     require_real("edge threshold", threshold, gt=0)
-    return EdgeMap(grad.magnitude >= threshold, edge_theta(grad.gx, grad.gy))
+    gx, gy = grad.gx, grad.gy
+    edge = grad.magnitude >= threshold
+    del grad
+    return EdgeMap(edge, edge_theta(gx, gy))
 
 
 def classify_regions(holes: np.ndarray, edges: EdgeMap, r_edge: int) -> np.ndarray:

@@ -484,16 +484,25 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
 
     Non-edge region pixels get the trilateral filter; edge region
     pixels get the directional filter steered by their own edge-map
-    theta, whose cos and sin (steering) are taken at those pixels only;
-    the gathered angles die there, before the dense pass. Hole pixels
-    pass through as sentinel 0. Every output is computed from the
-    original input map, never from freshly filtered neighbors, so
-    results are independent of evaluation order and of the thread count.
+    theta, whose cos and sin (steering) are taken at those pixels only,
+    once the dense pass is done. Hole pixels come out as HOLE. Every
+    output is computed from the original input map, never from freshly
+    filtered neighbors, so results are independent of evaluation order
+    and of the thread count.
 
     With cfg.isotropic_only both regions get the plain isotropic JBF
     (no depth term) instead; this is the ablation arm for measuring
     what the directional kernel buys. Either arm makes the same two
     passes, dense and over the edge region; only their flavors differ.
+
+    The output frame is the dense pass's num: HOLE is written where the
+    trilateral output is not kept, then the edge pass's values at their
+    pixels. Under the labels contract every pixel that is neither kept
+    nor an edge pixel is a hole, so this is the input's 0 there. depth's
+    samples go to _denoise in a one-slot list and depth is dropped, so
+    a map the caller handed over as a call's value (restore does) is
+    freed once _denoise has padded it; a caller that keeps its map
+    keeps it unchanged.
 
     cfg is validated, every frame must have the depth's size, and labels
     must be region labels whose hole labels mark exactly the depth's
@@ -503,17 +512,27 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
     require_same_shape(depth=depth, guide=guide, labels=labels, theta=edges.theta)
     require_labels(labels, depth)
     params = cfg.kernel
-    d = depth.samples
     kept = labels == NONHOLE_NONEDGE
     edge_px = np.flatnonzero(labels == NONHOLE_EDGE)
     if cfg.isotropic_only:
-        nonedge = edge = {"iso_sigma": params.sigma_s}
+        nonedge = {"iso_sigma": params.sigma_s}
     else:
         nonedge = {"iso_sigma": params.sigma_s, "depth_sigma": params.sigma_r_depth}
-        edge = steering(edges.theta.flat[edge_px])
-    dense, gathered = _denoise(d, guide_planes(guide, params.window_radius), params,
-                               cfg.threads, [(None, kept, nonedge), (edge_px, None, edge)])
-    out = np.where(kept, dense, d)
+
+    def passes():
+        """The dense pass, then the edge pass, whose flavor is built only
+        when _denoise asks for it, after the dense pass."""
+        yield None, kept, nonedge
+        yield edge_px, None, (nonedge if cfg.isotropic_only
+                              else steering(edges.theta.flat[edge_px]))
+
+    # A one-slot list: popping it hands the samples to _denoise, and no
+    # local of filter_non_hole keeps them.
+    samples = [depth.samples]
+    del depth
+    out, gathered = _denoise(samples.pop(), guide_planes(guide, params.window_radius), params,
+                             cfg.threads, passes())
+    out[~kept] = HOLE
     out.flat[edge_px] = gathered
     return DepthMap(out)
 
@@ -525,25 +544,29 @@ def _denoise(d, planes, params, threads, passes):
     planes is the padded guide. A pass is (targets, kept, flavor): the
     window_sums target set (None for every pixel), the (h, w) mask of
     outputs the caller keeps (None for every target) and the flavor
-    keywords; no kept output is centred on a hole. On integer depth a
-    pass runs untracked on an unsigned frame whose holes and pad ring
-    hold the sentinel S (module doc), and then only the suspects among
-    its kept outputs run again: the pass's own call, tracked, on the
-    suspects as targets. Other depth runs tracked on a float copy whose
-    holes and pad ring read HOLE. Each call gets that one frame and its
-    hole value, S or HOLE, and no validity frame. Integrality is decided
-    here, once per frame, and the frame is padded once for all the runs.
+    keywords; no kept output is centred on a hole. passes may be any
+    iterable, and each pass is taken from it only once the one before
+    has finished. On integer depth a pass runs untracked on an unsigned
+    frame whose holes and pad ring hold the sentinel S (module doc), and
+    then only the suspects among its kept outputs run again: the pass's
+    own call, tracked, on the suspects as targets. Other depth runs
+    tracked on a float copy whose holes and pad ring read HOLE. Each call
+    gets that one frame and its hole value, S or HOLE, and no validity
+    frame. Integrality is decided here, once per frame, and the frame is
+    padded once for all the runs; d is dropped then, which frees it when
+    the caller handed it over as a call's value (filter_non_hole does).
     A pass's averages are written into its num, and its den dies before
     the suspect test.
     """
-    h = d.shape[0]
+    shape = d.shape
+    h = shape[0]
     r = params.window_radius
     # DepthMap holds [0, 65535], so the cast is exact where d is integer;
     # every valid depth is below m, and the sentinel s = 2 * m fits in
     # uint16 up to depth 32766.
     m = int(d.max()) + 1
     s = 2 * m
-    src = np.full((h + 2 * r, d.shape[1] + 2 * r), s, np.uint16 if s <= 65535 else np.uint32)
+    src = np.full((h + 2 * r, shape[1] + 2 * r), s, np.uint16 if s <= 65535 else np.uint32)
     inner = interior(src, r)
     inner[...] = d
     integer = np.array_equal(inner, d)
@@ -551,11 +574,12 @@ def _denoise(d, planes, params, threads, passes):
         inner[d == HOLE] = s
     else:
         src, s = pad(d, r), HOLE
+    del d, inner  # frees the samples when the caller handed them over
     tol = 4 * (2 * r + 1) ** 2 * EPS
     results = []
     run = partial(window_sums, src, s, planes, params)
     for targets, kept, flavor in passes:
-        acc = WindowSums(d.shape if targets is None else targets.shape, track=not integer)
+        acc = WindowSums(shape if targets is None else targets.shape, track=not integer)
         run_banded(h, threads, partial(run, acc, targets=targets, **flavor))
         q = acc.finish()
         del acc  # free den before the suspect test

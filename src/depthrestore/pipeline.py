@@ -129,8 +129,7 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
     each target on its own), so no angle outlives its pass, and they die
     once their cos and sin (steering) exist. filtered is dropped once it
     is padded, which frees it when the caller passed it as a call's
-    value without keeping it (restore does; on CPython 3.10 the caller's
-    frame keeps its arguments alive through the call anyway).
+    value without keeping it (restore does).
     cfg is validated, every frame must have the depth's size, and labels
     must be region labels whose hole labels mark exactly filtered's
     holes (errors.require_labels): a hole labelled valid would be
@@ -190,19 +189,20 @@ def restore(depth: DepthMap, guide: ColorImage,
     """Run the whole restoration; returns (map, labels, report).
 
     Each intermediate frame dies at its last use. The edges come first:
-    the gray image lives through the gradients only, and the three
-    gradient frames through detect_edges only, so both are gone before
-    the closing builds its frames. depth is dropped once the closing has
-    read it, so an input the caller passed without keeping it (the CLI
-    does) is freed there. The closed map and the hole masks die once the
-    labels and the hole-zeroed work map exist. So only edges, labels
-    and the current depth frame reach filter_non_hole, and only edges,
-    labels and the denoised map reach fill_holes. Neither map is kept in
-    a local: each is handed on as a call's value, so the callee frees it
-    after its last read (filter_non_hole when it returns, fill_holes once
-    it has padded the denoised map). That relies on CPython 3.11 moving
-    call arguments into the callee's frame; on 3.10 the caller's frame
-    keeps them, which frees nothing but does no harm.
+    the gray image lives until sobel_gradients has padded it, the
+    gradient magnitude until detect_edges has its edge mask, and gx and
+    gy until the angles exist, so all are gone before the closing builds
+    its frames. depth is dropped once the closing has read it, so an
+    input the caller passed without keeping it (the CLI does) is freed
+    there. The closed map and the hole masks die once the labels and the
+    hole-zeroed work map exist. So only edges, labels and the current
+    depth frame reach filter_non_hole, and only edges, labels and the
+    denoised map reach fill_holes. Neither map is kept in a local: each
+    is handed on as a call's value, so the callee frees it after its
+    last read (filter_non_hole once its denoise has padded the work map,
+    fill_holes once it has padded the denoised map). That relies on
+    CPython 3.11 moving call arguments into the callee's frame,
+    hence the package's requires-python.
     """
     cfg.validate()
     require_same_shape(depth=depth, guide=guide)

@@ -768,6 +768,28 @@ def test_non_integer_depth_keeps_the_tracked_bits(isotropic_only):
     assert np.array_equal(got.samples, want)
 
 
+@pytest.mark.parametrize("isotropic_only", [False, True])
+@pytest.mark.parametrize("integer", [True, False], ids=["sentinel", "float"])
+def test_a_kept_depth_is_left_unchanged(integer, isotropic_only):
+    """filter_non_hole writes its output into its own num, not into the
+    samples it was handed: a depth the caller keeps reads the same bits
+    after filter_non_hole and after restore, on integer depth (the
+    sentinel frame) and on fractional depth (the float copy)."""
+    rng = np.random.default_rng(7)
+    depth, guide, labels, edges = clamp_prone_case(rng, 12, 12, "two_levels", 700)
+    if not integer:
+        d = depth.samples.copy()
+        d[d != HOLE] += 0.25
+        depth = DepthMap(d)
+    before = depth.samples.copy()
+    cfg = PipelineConfig(kernel=PARAMS, isotropic_only=isotropic_only)
+    out = filter_non_hole(depth, guide, labels, edges, cfg)
+    assert not np.shares_memory(out.samples, depth.samples)
+    assert depth.samples.tobytes() == before.tobytes()
+    restore(depth, guide, cfg)
+    assert depth.samples.tobytes() == before.tobytes()
+
+
 def test_restore_bytes_do_not_depend_on_block_size(monkeypatch):
     """A whole restore (dense denoise, directional targets, fill passes)
     writes the same bytes with 1 px and 50 px blocks as with the default."""

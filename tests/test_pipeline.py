@@ -3,7 +3,6 @@
 import concurrent.futures
 import hashlib
 import os
-import sys
 import tracemalloc
 
 import numpy as np
@@ -374,7 +373,9 @@ STAGE_PEAK_FRAMES = {"to_grayscale": 2.25, "sobel_gradients": 4.25, "detect_edge
 
 # The same peaks on the degraded 640x480 checkerboard of 40 px tiles at
 # 2 threads, where edges are everywhere and the one fill pass has 79539
-# hole_edge targets: 5.92-5.96 and 5.93-5.94 once the engine read
+# hole_edge targets: 5.75 and 5.93 once the denoise wrote its output
+# into the dense pass's num and took the edge pass's cos and sin after
+# the dense pass; 5.92-5.96 and 5.93-5.94 once the engine read
 # hole-ness from the depth frame and the fill kept no validity frame;
 # 5.96 and 6.12 once the fill took its angles at each pass's targets and
 # the denoise's gathered angles died at their cos and sin; 6.14-6.19 and
@@ -382,7 +383,7 @@ STAGE_PEAK_FRAMES = {"to_grayscale": 2.25, "sobel_gradients": 4.25, "detect_edge
 # and 7.69 before the engine's block temporaries died at their last
 # reader, 7.93 and 9.10 with float64 validity frames. On one CPU the
 # bands share one worker, and the peaks are lower.
-TILES_PEAK_FRAMES = {"filter_non_hole": 6.2, "fill_holes": 6.0}
+TILES_PEAK_FRAMES = {"filter_non_hole": 6.0, "fill_holes": 6.0}
 
 
 def clear_table_caches():
@@ -458,22 +459,24 @@ def test_threaded_checkerboard_peaks_stay_under_their_frame_bounds(monkeypatch):
     assert all(peaks[name] <= bound for name, bound in TILES_PEAK_FRAMES.items()), peaks
 
 
-def test_restore_peak_stays_under_seven_frames():
+def test_restore_peak_stays_under_5_6_frames():
     """On the same degraded 640x480 occluder the traced peak of the
-    whole restore, above the memory live when it starts, is at most 7
+    whole restore, above the memory live when it starts, is at most 5.6
     float64 frames with cold weight tables: 6.48 once each intermediate
     died at its last use and the stages built their frames in place,
     where it read 13.2 before (14.1 with the full-grid nearest-edge
-    angles), and 6.37 once the engine's block temporaries died at their
-    last reader. Keeping the closed map alive to the end reads 7.6."""
+    angles), 6.37 once the engine's block temporaries died at their
+    last reader, 6.35 once the engine read hole-ness from the depth
+    frame, and 5.31 once the denoise and the front end handed their
+    frames on. Keeping the closed map alive to the end reads 7.6."""
     clean, guide = make_scene("occluder", 640, 480)
     depth = degrade(clean, DegradeSpec(20, 0.05, 2, seed=1))
-    assert traced_peak(lambda: restore(depth, guide)) / (640 * 480 * 8) <= 7
+    assert traced_peak(lambda: restore(depth, guide)) / (640 * 480 * 8) <= 5.6
 
 
 def test_cli_restore_hands_each_map_on_at_its_last_read(tmp_path):
     """One CLI restore of the degraded 640x480 checkerboard at 2 threads,
-    traced whole as the bench traces it, peaks at most 8.9 float64
+    traced whole as the bench traces it, peaks at most 8.5 float64
     frames with cold weight tables. It read 8.93 once cmd_restore handed
     the loaded depth to restore, which drops it after the closing, and
     restore handed the denoised map to fill_holes, which drops it after
@@ -481,29 +484,29 @@ def test_cli_restore_hands_each_map_on_at_its_last_read(tmp_path):
     frame); the engine's block temporaries died at their last reader too.
     It read 11.98 before, and 8.59 once the fill kept no angle table for
     its whole edge phase and the denoise no gathered angles beside their
-    cos and sin."""
+    cos and sin, and 8.21-8.23 once the denoise handed its input on and
+    wrote its output into the dense pass's num."""
     clean, guide = checkerboard(640, 480, 40)
     paths = [str(tmp_path / name) for name in ("depth.pgm", "guide.ppm", "out.pgm")]
     save_depth_pgm(degrade(clean, DegradeSpec(20, 0.05, 2, seed=1)), paths[0])
     save_color_ppm(guide, paths[1])
     peak = traced_peak(lambda: cli.main(["restore", *paths, "--threads", "2"]))
-    # CPython 3.10 keeps a call's arguments in the caller's frame until
-    # it returns, so neither hand-off frees its map there: two frames more.
-    assert peak / (640 * 480 * 8) <= (8.9 if sys.version_info >= (3, 11) else 11.25)
+    assert peak / (640 * 480 * 8) <= 8.5
 
 
 def test_cli_restore_of_the_occluder_hands_each_map_on(tmp_path):
     """One CLI restore of the degraded 640x480 occluder at 1 thread,
     traced whole with cold weight tables as the bench's occluder-vga
-    workload traces it, peaks at most 7.0 float64 frames. It read
+    workload traces it, peaks at most 6.0 float64 frames. It read
     6.74-6.75 once cmd_restore, restore and fill_holes handed their maps
-    on at their last reads."""
+    on at their last reads, and 5.69-5.70 once filter_non_hole,
+    sobel_gradients and detect_edges did too."""
     clean, guide = make_scene("occluder", 640, 480)
     paths = [str(tmp_path / name) for name in ("depth.pgm", "guide.ppm", "out.pgm")]
     save_depth_pgm(degrade(clean, DegradeSpec(20, 0.05, 2, seed=1)), paths[0])
     save_color_ppm(guide, paths[1])
     peak = traced_peak(lambda: cli.main(["restore", *paths, "--threads", "1"]))
-    assert peak / (640 * 480 * 8) <= 7.0
+    assert peak / (640 * 480 * 8) <= 6.0
 
 
 def test_report_lines_are_stable_and_complete():
