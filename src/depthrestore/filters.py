@@ -495,14 +495,12 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
     what the directional kernel buys. Either arm makes the same two
     passes, dense and over the edge region; only their flavors differ.
 
-    The output frame is the dense pass's num: HOLE is written where the
-    trilateral output is not kept, then the edge pass's values at their
-    pixels. Under the labels contract every pixel that is neither kept
-    nor an edge pixel is a hole, so this is the input's 0 there. depth's
-    samples go to _denoise in a one-slot list and depth is dropped, so
-    a map the caller handed over as a call's value (restore does) is
-    freed once _denoise has padded it; a caller that keeps its map
-    keeps it unchanged.
+    The output frame is the dense pass's num, with HOLE where its output
+    is not kept and the edge pass's values at their pixels; under the
+    labels contract the other pixels are the input's holes. depth is
+    dropped and its samples handed on to _denoise, so a map the caller
+    handed over as a call's value (restore does) dies once padded; a map
+    the caller keeps is never written.
 
     cfg is validated, every frame must have the depth's size, and labels
     must be region labels whose hole labels mark exactly the depth's
@@ -520,14 +518,12 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
         nonedge = {"iso_sigma": params.sigma_s, "depth_sigma": params.sigma_r_depth}
 
     def passes():
-        """The dense pass, then the edge pass, whose flavor is built only
-        when _denoise asks for it, after the dense pass."""
+        """The dense pass, then the edge pass, whose cos and sin are
+        taken only once _denoise asks for it, after the dense pass."""
         yield None, kept, nonedge
-        yield edge_px, None, (nonedge if cfg.isotropic_only
-                              else steering(edges.theta.flat[edge_px]))
+        yield edge_px, None, nonedge if cfg.isotropic_only else steering(edges.theta.flat[edge_px])
 
-    # A one-slot list: popping it hands the samples to _denoise, and no
-    # local of filter_non_hole keeps them.
+    # A one-slot list: popping it hands the samples to _denoise.
     samples = [depth.samples]
     del depth
     out, gathered = _denoise(samples.pop(), guide_planes(guide, params.window_radius), params,
@@ -558,15 +554,14 @@ def _denoise(d, planes, params, threads, passes):
     A pass's averages are written into its num, and its den dies before
     the suspect test.
     """
-    shape = d.shape
-    h = shape[0]
+    h, w = d.shape
     r = params.window_radius
     # DepthMap holds [0, 65535], so the cast is exact where d is integer;
     # every valid depth is below m, and the sentinel s = 2 * m fits in
     # uint16 up to depth 32766.
     m = int(d.max()) + 1
     s = 2 * m
-    src = np.full((h + 2 * r, shape[1] + 2 * r), s, np.uint16 if s <= 65535 else np.uint32)
+    src = np.full((h + 2 * r, w + 2 * r), s, np.uint16 if s <= 65535 else np.uint32)
     inner = interior(src, r)
     inner[...] = d
     integer = np.array_equal(inner, d)
@@ -574,12 +569,12 @@ def _denoise(d, planes, params, threads, passes):
         inner[d == HOLE] = s
     else:
         src, s = pad(d, r), HOLE
-    del d, inner  # frees the samples when the caller handed them over
+    del d, inner  # on float depth, inner alone keeps the unsigned frame alive
     tol = 4 * (2 * r + 1) ** 2 * EPS
     results = []
     run = partial(window_sums, src, s, planes, params)
     for targets, kept, flavor in passes:
-        acc = WindowSums(shape if targets is None else targets.shape, track=not integer)
+        acc = WindowSums((h, w) if targets is None else targets.shape, track=not integer)
         run_banded(h, threads, partial(run, acc, targets=targets, **flavor))
         q = acc.finish()
         del acc  # free den before the suspect test

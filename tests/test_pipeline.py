@@ -474,6 +474,17 @@ def test_restore_peak_stays_under_5_6_frames():
     assert traced_peak(lambda: restore(depth, guide)) / (640 * 480 * 8) <= 5.6
 
 
+def traced_cli_restore_frames(tmp_path, clean, guide, threads):
+    """The traced peak of one CLI restore of clean, degraded at seed 1,
+    traced whole as the bench traces it, in float64 frames of its size
+    with cold weight tables."""
+    paths = [str(tmp_path / name) for name in ("depth.pgm", "guide.ppm", "out.pgm")]
+    save_depth_pgm(degrade(clean, DegradeSpec(20, 0.05, 2, seed=1)), paths[0])
+    save_color_ppm(guide, paths[1])
+    peak = traced_peak(lambda: cli.main(["restore", *paths, "--threads", str(threads)]))
+    return peak / (clean.samples.size * 8)
+
+
 def test_cli_restore_hands_each_map_on_at_its_last_read(tmp_path):
     """One CLI restore of the degraded 640x480 checkerboard at 2 threads,
     traced whole as the bench traces it, peaks at most 8.5 float64
@@ -482,16 +493,11 @@ def test_cli_restore_hands_each_map_on_at_its_last_read(tmp_path):
     restore handed the denoised map to fill_holes, which drops it after
     padding it (CPython 3.11 moves call arguments into the callee's
     frame); the engine's block temporaries died at their last reader too.
-    It read 11.98 before, and 8.59 once the fill kept no angle table for
-    its whole edge phase and the denoise no gathered angles beside their
-    cos and sin, and 8.21-8.23 once the denoise handed its input on and
+    It read 11.98 before, 8.59 once the fill kept no angle table for its
+    whole edge phase and the denoise no gathered angles beside their cos
+    and sin, and 8.21-8.23 once the denoise handed its input on and
     wrote its output into the dense pass's num."""
-    clean, guide = checkerboard(640, 480, 40)
-    paths = [str(tmp_path / name) for name in ("depth.pgm", "guide.ppm", "out.pgm")]
-    save_depth_pgm(degrade(clean, DegradeSpec(20, 0.05, 2, seed=1)), paths[0])
-    save_color_ppm(guide, paths[1])
-    peak = traced_peak(lambda: cli.main(["restore", *paths, "--threads", "2"]))
-    assert peak / (640 * 480 * 8) <= 8.5
+    assert traced_cli_restore_frames(tmp_path, *checkerboard(640, 480, 40), threads=2) <= 8.5
 
 
 def test_cli_restore_of_the_occluder_hands_each_map_on(tmp_path):
@@ -501,12 +507,7 @@ def test_cli_restore_of_the_occluder_hands_each_map_on(tmp_path):
     6.74-6.75 once cmd_restore, restore and fill_holes handed their maps
     on at their last reads, and 5.69-5.70 once filter_non_hole,
     sobel_gradients and detect_edges did too."""
-    clean, guide = make_scene("occluder", 640, 480)
-    paths = [str(tmp_path / name) for name in ("depth.pgm", "guide.ppm", "out.pgm")]
-    save_depth_pgm(degrade(clean, DegradeSpec(20, 0.05, 2, seed=1)), paths[0])
-    save_color_ppm(guide, paths[1])
-    peak = traced_peak(lambda: cli.main(["restore", *paths, "--threads", "1"]))
-    assert peak / (640 * 480 * 8) <= 6.0
+    assert traced_cli_restore_frames(tmp_path, *make_scene("occluder", 640, 480), threads=1) <= 6.0
 
 
 def test_report_lines_are_stable_and_complete():
