@@ -474,6 +474,31 @@ def test_restore_peak_stays_under_5_6_frames():
     assert traced_peak(lambda: restore(depth, guide)) / (640 * 480 * 8) <= 5.6
 
 
+def test_float_denoise_peak_stays_under_6_85_frames(monkeypatch):
+    """filter_non_hole on the degraded 640x480 occluder's hole-zeroed
+    work map, with 0.25 mm added to every non-hole sample so that the
+    denoise runs tracked on the float pad, peaks at most 6.85 float64
+    frames above the memory live at the call, with cold weight tables.
+    It read 6.71 once the unsigned frame died as soon as the depth
+    proved fractional; keeping it alive beside the float pad reads 6.97."""
+    clean, guide = make_scene("occluder", 640, 480)
+    depth = degrade(clean, DegradeSpec(20, 0.05, 2, seed=1))
+    seen = []
+
+    def keep_args(*args):
+        seen.append(args)
+        return filter_non_hole(*args)
+
+    monkeypatch.setattr(pipeline, "filter_non_hole", keep_args)
+    restore(depth, guide)
+    work, guide, labels, edges, cfg = seen[0]
+    d = work.samples
+    work = DepthMap(np.where(d != HOLE, d + 0.25, HOLE))
+    del d
+    peak = traced_peak(lambda: filter_non_hole(work, guide, labels, edges, cfg))
+    assert peak / (640 * 480 * 8) <= 6.85
+
+
 def traced_cli_restore_frames(tmp_path, clean, guide, threads):
     """The traced peak of one CLI restore of clean, degraded at seed 1,
     traced whole as the bench traces it, in float64 frames of its size
