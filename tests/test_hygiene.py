@@ -33,3 +33,42 @@ def test_every_module_reads_every_name_it_imports():
     unused = {p.name: unused_imports(p.read_text())
               for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def private_names(source):
+    """The module-level functions, classes and constants of source whose
+    names start with one underscore, sorted."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return sorted(n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def read_names(source):
+    """Every name source reads, as a variable or as an attribute."""
+    tree = ast.parse(source)
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_private_names_finds_module_level_definitions_only():
+    source = ("_A = 1\n_b: int = 2\n__all__ = []\nPUBLIC = _A\n"
+              "def _f():\n    _local = 3\n    return _local\n"
+              "class _C:\n    def _m(self):\n        return _b\n")
+    assert private_names(source) == ["_A", "_C", "_b", "_f"]
+    assert {"_A", "_b", "_local"} <= read_names(source)
+    assert not {"_f", "_C", "_m"} & read_names(source)
+
+
+def test_every_private_name_is_read():
+    """Every module-level function, class or constant whose name starts
+    with _ is read somewhere in the package: a private helper nothing
+    calls is dead code."""
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    defined = {name for s in sources for name in private_names(s)}
+    read = set().union(*map(read_names, sources))
+    assert sorted(defined - read) == []
