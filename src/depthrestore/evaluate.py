@@ -156,10 +156,13 @@ class Rng:
     u64s(n), uniforms(n) and normals(n) return what n calls of
     next_u64(), uniform() and gauss() would, and leave the generator
     where those calls would; the scalar methods are their n = 1 case.
+    seed must be an int in [0, 2**64) and n an int >= 0, else
+    ContractViolation: a negative n would rewind the stream.
     """
 
     def __init__(self, seed: int):
-        x = seed & _M64
+        require_int("seed", seed, ge=0, lt=1 << 64)
+        x = int(seed)
         state = []
         for _ in range(4):
             x = (x + 0x9E3779B97F4A7C15) & _M64
@@ -186,6 +189,7 @@ class Rng:
         return self._buf[self._pos:self._pos + n]
 
     def u64s(self, n: int) -> np.ndarray:
+        require_int("n", n, ge=0)
         out = self._peek(n)
         self._pos += n
         return out
@@ -194,6 +198,7 @@ class Rng:
         return _to_unit(self.u64s(n))
 
     def normals(self, n: int) -> np.ndarray:
+        require_int("n", n, ge=0)
         out = np.empty(n)
         k = 0
         if n and self._spare is not None:

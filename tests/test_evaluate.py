@@ -42,6 +42,25 @@ def test_gauss_stream_matches_independent_transcription():
             assert ours.gauss() == ref.gauss()
 
 
+def test_rng_rejects_bad_seeds_and_counts():
+    """A seed outside [0, 2**64) or not an int, and a count that is
+    negative or not an int, raise ContractViolation instead of wrapping
+    the seed, rewinding the stream or escaping as a raw Python or numpy
+    error; a count of 0 leaves the stream where it was."""
+    for seed in (-1, 1 << 64, 1.5, True, "1", None):
+        with pytest.raises(ContractViolation):
+            Rng(seed)
+    want = Rng(1).u64s(5)
+    rng = Rng(1)
+    assert np.array_equal(rng.u64s(3), want[:3])
+    for method in ("u64s", "uniforms", "normals"):
+        for n in (-1, -2, 1.5, True):
+            with pytest.raises(ContractViolation):
+                getattr(rng, method)(n)
+    assert rng.u64s(0).size == 0
+    assert np.array_equal(rng.u64s(2), want[3:])
+
+
 def ref_u64s(seed, n):
     ref = RefXoshiro(seed)
     return np.array([ref.next_u64() for _ in range(n)], dtype=np.uint64)
