@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, require_int, require_mask, require_real, require_same_shape
-from .image_model import DEPTH_MAXVAL, GrayImage
+from .image_model import DEPTH_MAXVAL, GrayImage, pad, padded_flat
 from .preprocess import chebyshev_dilate
 
 NONHOLE_NONEDGE = 0
@@ -186,9 +186,9 @@ def nearest_edge_theta(edges: EdgeMap, r_edge: int, targets: np.ndarray) -> np.n
     targets = np.asarray(targets, dtype=np.intp)
     w = edges.edge.shape[1]
     wp = w + 2 * r_edge
-    edge = np.pad(edges.edge, r_edge).reshape(-1)
+    edge = pad(edges.edge, r_edge).reshape(-1)
     out = edges.theta.flat[targets]
-    at = targets + (targets // w) * (2 * r_edge) + r_edge * (wp + 1)  # padded flat index
+    at = padded_flat(targets, w, r_edge)
     left = np.flatnonzero(~edge.take(at))  # positions in targets still without an edge
     at = at[left]
     offsets = sorted((max(abs(dy), abs(dx)), dy, dx)

@@ -71,9 +71,9 @@ the previous offset's too.
 The depth frame is the one record of which sources are usable: a call
 gets the value a hole holds there (HOLE on float depth) and gates with
 wgt *= dq != hole, which keeps a weight's bits or makes it +0.0 (every
-weight is finite and at least +0.0). On integer depth _denoise hands
-the engine one unsigned frame in which every hole and the whole pad
-ring hold the hole value S = 2 * M, M = max depth + 1. With a depth
+weight is finite and at least +0.0). On integer depth filter_non_hole
+hands the engine one unsigned frame in which every hole and the whole
+pad ring hold the hole value S = 2 * M, M = max depth + 1. With a depth
 term the table gates instead: every valid depth is below M, so a valid
 center and a hole source differ by at least M, and depth_range_table
 is exactly 0.0 from S // 2 = M on. A hole source then weighs +0.0
@@ -97,9 +97,9 @@ Two accumulation details are deliberate and load-bearing:
   was grown from. The fill passes and the *_pixel wrappers always
   track.
 
-filter_non_hole defers the clamp on integer depth (_denoise): its
-passes run untracked, keeping num and den only, and only the suspects,
-the kept pixels whose quotient a clamp could move, run again tracked.
+filter_non_hole defers the clamp on integer depth: its passes run
+untracked, keeping num and den only, and only the suspects, the kept
+pixels whose quotient a clamp could move, run again tracked.
 The bound: a valid center weighs exactly 1.0 (every kernel is 1 at
 zero argument), so den >= 1 and num >= 1. num and den are sums of at
 most n = (2r+1)**2 non-negative terms, in any order, so each carries a
@@ -129,8 +129,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (
-    ContractViolation, require_int, require_labels, require_mask, require_real, require_same_shape)
-from .image_model import HOLE, ColorImage, DepthMap
+    ContractViolation, require_int, require_labels, require_real, require_same_shape)
+from .image_model import HOLE, ColorImage, DepthMap, interior, pad, padded_flat
 from .edge_analysis import EdgeMap, NONHOLE_EDGE, NONHOLE_NONEDGE
 from .kernels import (
     KernelParams,
@@ -160,8 +160,9 @@ class FilterOutcome:
     value is the normalized weighted average (0.0 when nothing
     contributed); weight_sum the unnormalized denominator; contributors
     the number of neighbors with nonzero weight. weight_sum == 0 and
-    contributors == 0 happen together and mean the window held no
-    usable depth.
+    contributors == 0 happen together and mean that no non-hole pixel
+    of the window weighed above zero, which only a hole center
+    (pdjbf_pixel) can meet: a non-hole center weighs 1.0.
     """
 
     value: float
@@ -170,39 +171,31 @@ class FilterOutcome:
 
 
 def _filter_at(op, p, depth: DepthMap, guide: ColorImage, params: KernelParams,
-               valid=None, **flavor) -> FilterOutcome:
+               fills=False, **flavor) -> FilterOutcome:
     """Run window_sums on p as a 1x1 frame padded by r: the (2r+1)**2
     crop of the padded frames around p, which reads the sources of a
     whole-image run and so gives its bits. flavor holds window_sums'
     flavor keywords; the directional wrappers pass steering(theta), one
-    scalar angle. valid of None means every non-hole pixel is a source
-    and p must be one; else valid marks the sources, which must not
-    include a hole or p, and the engine reads HOLE at every other pixel.
+    scalar angle. The sources are the non-hole pixels of depth, and p
+    must be a hole exactly when the wrapper fills (pdjbf_pixel).
     Checks params, the frame sizes and p first; pads the whole frame."""
     params.validate()
-    require_same_shape(depth=depth, guide=guide, **({} if valid is None else {"valid": valid}))
+    require_same_shape(depth=depth, guide=guide)
     try:
         y, x = p
     except (TypeError, ValueError):
         raise ContractViolation(f"p must be a (row, col) pair, got {p!r}") from None
     require_int("row", y, ge=0, lt=depth.samples.shape[0])
     require_int("col", x, ge=0, lt=depth.samples.shape[1])
-    samples = depth.samples
-    if valid is None:
-        if samples[y, x] == HOLE:
-            raise ContractViolation(f"{op} requires a non-hole center, pixel ({y}, {x}) is a hole")
-    else:
-        if (valid & (samples == HOLE)).any():
-            raise ContractViolation(f"{op}: valid marks a hole as a source")
-        if valid[y, x]:
-            raise ContractViolation(f"{op} fills holes, pixel ({y}, {x}) is valid")
-        samples = np.where(valid, samples, HOLE)
+    if (depth.samples[y, x] == HOLE) != fills:
+        raise ContractViolation(f"{op} requires {'a hole' if fills else 'a non-hole'} "
+                                f"center, pixel ({y}, {x}) is not one")
     r = params.window_radius
     win = (Ellipsis, slice(y, y + 2 * r + 1), slice(x, x + 2 * r + 1))
     acc = WindowSums((1, 1))
     acc.cnt = np.zeros((1, 1), np.int32)
-    window_sums(pad(samples, r)[win], HOLE, guide_planes(guide, r)[win], params, acc, 0, 1,
-                **flavor)
+    window_sums(pad(depth.samples, r)[win], HOLE, guide_planes(guide, r)[win], params, acc,
+                0, 1, **flavor)
     return FilterOutcome(float(acc.finish()[0, 0]), float(acc.den[0, 0]),
                          int(acc.cnt[0, 0]))
 
@@ -235,20 +228,19 @@ def djbf_pixel(p, depth: DepthMap, guide: ColorImage, theta: float,
     return _filter_at("djbf_pixel", p, depth, guide, params, **steering(theta))
 
 
-def pdjbf_pixel(p, depth: DepthMap, valid: np.ndarray, guide: ColorImage,
-                theta: float, params: KernelParams) -> FilterOutcome:
-    """Directional filter for a hole pixel, summing over valid pixels only.
+def pdjbf_pixel(p, depth: DepthMap, guide: ColorImage, theta: float,
+                params: KernelParams) -> FilterOutcome:
+    """Directional filter for a hole pixel p, summing over the non-hole
+    pixels of depth only.
 
     There is no depth range term: the center has no depth to compare
-    against. `valid` marks pixels currently holding trustworthy depth
-    (filtered originals plus holes filled on earlier passes), never a
-    hole. A window with no valid pixel returns weight_sum 0 and
-    contributors 0; the caller retries the pixel on a later pass rather
-    than treating this as an error.
+    against. p must be a hole; a caller who wants fewer sources sets
+    them to HOLE in the depth first. A window with no source returns
+    weight_sum 0 and contributors 0; the caller retries the pixel on a
+    later pass rather than treating this as an error.
     """
     require_real("theta", theta, gt=-math.inf, lt=math.inf)
-    require_mask(valid=valid)
-    return _filter_at("pdjbf_pixel", p, depth, guide, params, valid, **steering(theta))
+    return _filter_at("pdjbf_pixel", p, depth, guide, params, fills=True, **steering(theta))
 
 
 class WindowSums:
@@ -395,8 +387,7 @@ def _blocks(r, row0, row1, frames, targets):
         for j0 in range(i0, i1, BLOCK_PX):
             j1 = min(j0 + BLOCK_PX, i1)
             t = targets[j0:j1]
-            tp = t + (t // w) * (2 * r) + r * (wp + 1)  # (y + r) * wp + x + r
-            yield slice(j0, j1), partial(_flat_at, flat, tp, wp)
+            yield slice(j0, j1), partial(_flat_at, flat, padded_flat(t, w, r), wp)
 
 
 def _rows_at(frames, r, w, b0, b1, dy, dx):
@@ -414,21 +405,6 @@ def _flat_at(flat, tp, wp, dy, dx):
 def _scalar(a):
     """True for a missing angle or a 0-d one (one angle for the call)."""
     return a is None or np.ndim(a) == 0
-
-
-def pad(a, r):
-    """a with r zeros on every side of its last two axes, as a new
-    C-contiguous array of a's dtype: the frame layout window_sums reads,
-    in which a float depth's pad is HOLE, a source that weighs +0.0."""
-    h, w = a.shape[-2:]
-    out = np.zeros(a.shape[:-2] + (h + 2 * r, w + 2 * r), a.dtype)
-    out[..., r:r + h, r:r + w] = a
-    return out
-
-
-def interior(a, r):
-    """The image inside a frame padded by r, as a view."""
-    return a[..., r:a.shape[-2] - r, r:a.shape[-1] - r]
 
 
 def guide_planes(guide: ColorImage, r: int) -> np.ndarray:
@@ -493,14 +469,20 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
     With cfg.isotropic_only both regions get the plain isotropic JBF
     (no depth term) instead; this is the ablation arm for measuring
     what the directional kernel buys. Either arm makes the same two
-    passes, dense and over the edge region; only their flavors differ.
+    passes (_run_pass), dense and over the edge region; only their
+    flavors differ.
+
+    The depth is padded once for both passes: integer depth into the
+    sentinel frame (module doc), on which each pass runs untracked and
+    re-runs its suspects tracked; other depth into a float copy whose
+    holes and pad ring read HOLE, on which the passes run tracked.
 
     The output frame is the dense pass's num, with HOLE where its output
     is not kept and the edge pass's values at their pixels; under the
     labels contract the other pixels are the input's holes. depth is
-    dropped and its samples handed on to _denoise, so a map the caller
-    handed over as a call's value (restore does) dies once padded; a map
-    the caller keeps is never written.
+    dropped once its samples are read and they once padded, so a map the
+    caller handed over as a call's value (restore does) dies there; a
+    map the caller keeps is never written.
 
     cfg is validated, every frame must have the depth's size, and labels
     must be region labels whose hole labels mark exactly the depth's
@@ -510,52 +492,17 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
     require_same_shape(depth=depth, guide=guide, labels=labels, theta=edges.theta)
     require_labels(labels, depth)
     params = cfg.kernel
+    r = params.window_radius
     kept = labels == NONHOLE_NONEDGE
     edge_px = np.flatnonzero(labels == NONHOLE_EDGE)
     if cfg.isotropic_only:
         nonedge = {"iso_sigma": params.sigma_s}
     else:
         nonedge = {"iso_sigma": params.sigma_s, "depth_sigma": params.sigma_r_depth}
-
-    def passes():
-        """The dense pass, then the edge pass, whose cos and sin are
-        taken only once _denoise asks for it, after the dense pass."""
-        yield None, kept, nonedge
-        yield edge_px, None, nonedge if cfg.isotropic_only else steering(edges.theta.flat[edge_px])
-
-    # A one-slot list: popping it hands the samples to _denoise.
-    samples = [depth.samples]
+    d = depth.samples
     del depth
-    out, gathered = _denoise(samples.pop(), guide_planes(guide, params.window_radius), params,
-                             cfg.threads, passes())
-    out[~kept] = HOLE
-    out.flat[edge_px] = gathered
-    return DepthMap(out)
-
-
-def _denoise(d, planes, params, threads, passes):
-    """Run filter_non_hole's passes over depth d, one after another, each
-    in row bands, and return each pass's clamped weighted averages.
-
-    planes is the padded guide. A pass is (targets, kept, flavor): the
-    window_sums target set (None for every pixel), the (h, w) mask of
-    outputs the caller keeps (None for every target) and the flavor
-    keywords; no kept output is centred on a hole. passes may be any
-    iterable, and each pass is taken from it only once the one before
-    has finished. On integer depth a pass runs untracked on an unsigned
-    frame whose holes and pad ring hold the sentinel S (module doc), and
-    then only the suspects among its kept outputs run again: the pass's
-    own call, tracked, on the suspects as targets. Other depth runs
-    tracked on a float copy whose holes and pad ring read HOLE. Each call
-    gets that one frame and its hole value, S or HOLE, and no validity
-    frame. Integrality is decided here, once per frame, and the frame is
-    padded once for all the runs; d is dropped then, which frees it when
-    the caller handed it over as a call's value (filter_non_hole does).
-    A pass's averages are written into its num, and its den dies before
-    the suspect test.
-    """
+    planes = guide_planes(guide, r)
     h, w = d.shape
-    r = params.window_radius
     # DepthMap holds [0, 65535], so the cast is exact where d is integer;
     # every valid depth is below m, and the sentinel s = 2 * m fits in
     # uint16 up to depth 32766.
@@ -570,29 +517,45 @@ def _denoise(d, planes, params, threads, passes):
     else:
         src, s = pad(d, r), HOLE
     del d, inner  # on float depth, inner alone keeps the unsigned frame alive
-    tol = 4 * (2 * r + 1) ** 2 * EPS
-    results = []
-    run = partial(window_sums, src, s, planes, params)
-    for targets, kept, flavor in passes:
-        acc = WindowSums((h, w) if targets is None else targets.shape, track=not integer)
-        run_banded(h, threads, partial(run, acc, targets=targets, **flavor))
-        q = acc.finish()
-        del acc  # free den before the suspect test
-        results.append(q)
-        if not integer:
-            continue
-        q = q.reshape(-1)
-        suspect = _near_integer(q, tol)
-        if kept is not None:
-            suspect &= kept.reshape(-1)
-        at = np.flatnonzero(suspect)
-        if at.size:
-            fix = WindowSums(at.shape)
-            # A per-output angle follows its outputs into the re-run.
-            flavor = {k: v if _scalar(v) else v.reshape(-1)[at] for k, v in flavor.items()}
-            run(fix, 0, h, targets=at if targets is None else targets[at], **flavor)
-            q[at] = fix.finish()
-    return results
+    run = partial(_run_pass, partial(window_sums, src, s, planes, params), (h, w), cfg.threads,
+                  4 * (2 * r + 1) ** 2 * EPS if integer else None)
+    out = run(None, kept, nonedge)
+    out[~kept] = HOLE
+    out.flat[edge_px] = run(edge_px, None,
+                            nonedge if cfg.isotropic_only else steering(edges.theta.flat[edge_px]))
+    return DepthMap(out)
+
+
+def _run_pass(run, shape, threads, tol, targets, kept, flavor):
+    """One filter_non_hole pass over an h x w = shape frame: run, which is
+    window_sums on the padded frames, in row bands over targets (None
+    for every pixel) with the flavor keywords. Returns the pass's
+    clamped weighted averages, written into its num; its den dies
+    before the suspect test. tol of None runs the pass tracked. Else it
+    runs untracked, and the suspects among its kept outputs (kept is an
+    (h, w) mask, or None for every target), those within tol of an
+    integer (module doc), run again through the pass's own call,
+    tracked, with the suspects as targets.
+    """
+    h = shape[0]
+    acc = WindowSums(shape if targets is None else targets.shape, track=tol is None)
+    run_banded(h, threads, partial(run, acc, targets=targets, **flavor))
+    q = acc.finish()
+    del acc  # free den before the suspect test
+    if tol is None:
+        return q
+    flat = q.reshape(-1)
+    suspect = _near_integer(flat, tol)
+    if kept is not None:
+        suspect &= kept.reshape(-1)
+    at = np.flatnonzero(suspect)
+    if at.size:
+        fix = WindowSums(at.shape)
+        # A per-output angle follows its outputs into the re-run.
+        flavor = {k: v if _scalar(v) else v.reshape(-1)[at] for k, v in flavor.items()}
+        run(fix, 0, h, targets=at if targets is None else targets[at], **flavor)
+        flat[at] = fix.finish()
+    return q
 
 
 def _near_integer(q, tol):

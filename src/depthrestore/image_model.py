@@ -1,4 +1,4 @@
-"""Raster types and binary Netpbm I/O.
+"""Raster types, the padded frame layout, and binary Netpbm I/O.
 
 Depth maps travel as 16-bit binary PGM (P5, maxval 65535, big-endian
 samples), color guides as binary PPM (P6, maxval 255). The writers emit
@@ -13,6 +13,10 @@ into place, so a save that fails leaves the target as it was.
 Depth values are held as float64 internally. A sample of 0 marks a
 hole (no sensor return); arithmetic keeps full precision and rounding
 to integers happens only when a map is written back to disk.
+
+A frame padded by r (pad) has r zeros on every side; padded_flat maps
+flat pixel indices into it. The window engine and the nearest-edge
+search both read frames in this layout.
 """
 
 from __future__ import annotations
@@ -116,6 +120,28 @@ def quantize(samples: np.ndarray) -> np.ndarray:
     so no clamping is needed beyond the round.
     """
     return np.floor(samples + 0.5).astype(np.uint16)
+
+
+def pad(a, r):
+    """a with r zeros on every side of its last two axes, as a new
+    C-contiguous array of a's dtype: the frame layout
+    filters.window_sums reads, in which a float depth's pad is HOLE, a
+    source that weighs +0.0, and a bool mask's pad is False."""
+    h, w = a.shape[-2:]
+    out = np.zeros(a.shape[:-2] + (h + 2 * r, w + 2 * r), a.dtype)
+    out[..., r:r + h, r:r + w] = a
+    return out
+
+
+def interior(a, r):
+    """The image inside a frame padded by r, as a view."""
+    return a[..., r:a.shape[-2] - r, r:a.shape[-1] - r]
+
+
+def padded_flat(t, w, r):
+    """The flat indices t = y * w + x of a w-wide frame, as flat indices
+    of that frame padded by r: (y + r) * (w + 2r) + x + r."""
+    return t + (t // w) * (2 * r) + r * (w + 2 * r + 1)
 
 
 def _read_header(buf: bytes, magic: bytes, path: str):

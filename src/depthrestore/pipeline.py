@@ -199,7 +199,7 @@ def restore(depth: DepthMap, guide: ColorImage,
     depth frame reach filter_non_hole, and only edges, labels and the
     denoised map reach fill_holes. Neither map is kept in a local: each
     is handed on as a call's value, so the callee frees it after its
-    last read (filter_non_hole once its denoise has padded the work map,
+    last read (filter_non_hole once it has padded the work map,
     fill_holes once it has padded the denoised map). That relies on
     CPython 3.11 moving call arguments into the callee's frame,
     hence the package's requires-python.

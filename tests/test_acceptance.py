@@ -173,7 +173,7 @@ def test_criterion_3_convex_combination_bound():
                 else:
                     out = djbf_pixel((y, x), depth, guide, th, params)
             else:
-                out = pdjbf_pixel((y, x), depth, valid, guide, th, params)
+                out = pdjbf_pixel((y, x), depth, guide, th, params)
                 if out.contributors == 0:
                     continue
             block = d[max(0, y - r):y + r + 1, max(0, x - r):x + r + 1]

@@ -124,8 +124,7 @@ def test_pdjbf_matches_brute_force_on_holes():
         for x in range(7):
             if valid[y, x]:
                 continue
-            got = pdjbf_pixel((y, x), depth, valid, guide,
-                              float(theta[y, x]), PARAMS)
+            got = pdjbf_pixel((y, x), depth, guide, float(theta[y, x]), PARAMS)
             want, wsum, n = brute_filter(
                 "pdjbf", y, x, depth.samples, valid, guide.samples,
                 float(theta[y, x]), radius=2, sigma_rc=20.0,
@@ -150,39 +149,38 @@ def test_hole_centers_are_rejected():
     with pytest.raises(ContractViolation):
         djbf_pixel((2, 2), depth, guide, 0.0, PARAMS)
     with pytest.raises(ContractViolation):
-        pdjbf_pixel((1, 1), depth, a != 0, guide, 0.0, PARAMS)
+        pdjbf_pixel((1, 1), depth, guide, 0.0, PARAMS)
 
 
-def call_pixel_filter(name, p, depth, guide, params, valid, theta):
-    """Run the named per-pixel filter; valid and theta go only to the
-    filters that take them."""
+def call_pixel_filter(name, p, depth, guide, params, theta):
+    """Run the named per-pixel filter; theta goes only to the filters
+    that take it."""
     return {"jbf_pixel": lambda: jbf_pixel(p, depth, guide, params),
             "tjbf_pixel": lambda: tjbf_pixel(p, depth, guide, params),
             "djbf_pixel": lambda: djbf_pixel(p, depth, guide, theta, params),
-            "pdjbf_pixel": lambda: pdjbf_pixel(p, depth, valid, guide, theta, params)}[name]()
+            "pdjbf_pixel": lambda: pdjbf_pixel(p, depth, guide, theta, params)}[name]()
 
 
 @pytest.mark.parametrize("name", ["jbf_pixel", "tjbf_pixel", "djbf_pixel", "pdjbf_pixel"])
 def test_per_pixel_filters_fail_closed(name):
-    """A guide or valid mask of another size, a valid mask that marks a
-    hole (which would count as a 0 mm source), invalid params, a pixel
-    that is off the frame or not an int pair, and an angle that is not
-    a finite real each raise ContractViolation, instead of returning a
-    value or escaping as a numpy error."""
+    """A guide of another size, invalid params, a pixel that is off the
+    frame or not an int pair, a non-hole center for pdjbf_pixel, which
+    fills holes, and an angle that is not a finite real each raise
+    ContractViolation, instead of returning a value or escaping as a
+    numpy error."""
     rng = np.random.default_rng(54)
     depth, guide, _ = random_instance(rng, shape=(8, 8), hole_fraction=0.0)
-    ok = {"p": (3, 2), "depth": depth, "guide": guide, "params": PARAMS,
-          "valid": np.zeros((8, 8), bool), "theta": 0.3}
+    holed = depth.samples.copy()
+    holed[3, 2] = HOLE
+    ok = {"p": (3, 2), "depth": DepthMap(holed) if name == "pdjbf_pixel" else depth,
+          "guide": guide, "params": PARAMS, "theta": 0.3}
     call_pixel_filter(name, **ok)
     bad = [{"guide": random_instance(rng, shape=s)[1]} for s in ((6, 6), (8, 11))]
     bad.append({"params": KernelParams(sigma_s=-1.0)})
     bad += [{"p": p} for p in ((-1, 3), (3.5, 2), (8, 0), (0, 8), (True, 0),
                                5, None, (1, 2, 3), (1,))]
     if name == "pdjbf_pixel":
-        bad.append({"valid": np.zeros((5, 5), bool)})
-        holed = depth.samples.copy()
-        holed[0, 0] = HOLE
-        bad.append({"depth": DepthMap(holed), "valid": holed == HOLE})
+        bad.append({"depth": depth})
     if name in ("djbf_pixel", "pdjbf_pixel"):
         bad += [{"theta": t} for t in (math.nan, math.inf, None, "0.3")]
     for change in bad:
@@ -212,7 +210,7 @@ def test_single_valid_neighbor_passes_through():
     a[0, 2] = 2222.0
     depth = DepthMap(a)
     guide = ColorImage(np.full((3, 3, 3), 90, dtype=np.uint8))
-    got = pdjbf_pixel((1, 1), depth, a != 0, guide, 0.4, PARAMS)
+    got = pdjbf_pixel((1, 1), depth, guide, 0.4, PARAMS)
     assert got.value == 2222.0
     assert got.contributors == 1
 
@@ -266,8 +264,7 @@ def test_output_stays_inside_contributor_range():
                 if valid[y, x]:
                     out = tjbf_pixel((y, x), depth, guide, PARAMS)
                 else:
-                    out = pdjbf_pixel((y, x), depth, valid, guide,
-                                      float(theta[y, x]), PARAMS)
+                    out = pdjbf_pixel((y, x), depth, guide, float(theta[y, x]), PARAMS)
                     if out.contributors == 0:
                         continue
                 block = depth.samples[max(0, y - 2):y + 3, max(0, x - 2):x + 3]
@@ -315,7 +312,7 @@ def test_engine_reproduces_scalar_filters_bit_for_bit():
         assert got.weight_sum == acc.den[y, x]
         assert got.contributors == acc.cnt[y, x]
     for y, x in zip(*np.nonzero(~valid)):
-        got = pdjbf_pixel((y, x), depth, valid, guide, float(theta[y, x]), PARAMS)
+        got = pdjbf_pixel((y, x), depth, guide, float(theta[y, x]), PARAMS)
         assert got.value == vals[y, x]
         assert got.weight_sum == acc.den[y, x]
         assert got.contributors == acc.cnt[y, x]

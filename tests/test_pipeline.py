@@ -27,7 +27,6 @@ from depthrestore import (
     filter_non_hole,
     mae,
     make_scene,
-    pdjbf_pixel,
     psnr,
     quantize,
     restore,
@@ -262,8 +261,6 @@ MASK_CALLS = {
     "expand_holes.holes": lambda f, m: expand_holes(m, f["holes"], 1),
     "expand_holes.edges": lambda f, m: expand_holes(f["holes"], m, 1),
     "classify_regions.holes": lambda f, m: classify_regions(m, f["edges"], 1),
-    "pdjbf_pixel.valid": lambda f, m: pdjbf_pixel((3, 3), f["depth"], m, f["guide"], 0.3,
-                                                  KernelParams()),
     **{f"{fn.__name__}.mask": lambda f, m, fn=fn: fn(f["depth"], f["truth"], mask=m)
        for fn in (psnr, mae, bad_pixel_rate, compare)},
 }
@@ -373,8 +370,9 @@ STAGE_PEAK_FRAMES = {"to_grayscale": 2.25, "sobel_gradients": 4.25, "detect_edge
 
 # The same peaks on the degraded 640x480 checkerboard of 40 px tiles at
 # 2 threads, where edges are everywhere and the one fill pass has 79539
-# hole_edge targets: 5.75 and 5.93 once the denoise wrote its output
-# into the dense pass's num and took the edge pass's cos and sin after
+# hole_edge targets: 5.62 and 5.93 once the dense pass's suspect mask
+# died with the pass, before the edge pass; 5.75 and 5.93 once the
+# denoise wrote its output into the dense pass's num and took the edge pass's cos and sin after
 # the dense pass; 5.92-5.96 and 5.93-5.94 once the engine read
 # hole-ness from the depth frame and the fill kept no validity frame;
 # 5.96 and 6.12 once the fill took its angles at each pass's targets and
