@@ -108,7 +108,7 @@ def _parse_value(key: str, value: str, where: str):
 
 
 def assemble_pipeline_config(args) -> PipelineConfig:
-    """Merge defaults, config file, and flags into a validated config."""
+    """Merge defaults, config file, and flags into one config."""
     values = dict(_DEFAULTS)
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
@@ -116,13 +116,11 @@ def assemble_pipeline_config(args) -> PipelineConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    cfg = PipelineConfig(
+    return PipelineConfig(
         kernel=KernelParams(**{k: values[k] for k in _KERNEL_DEFAULTS}),
         se=StructuringElement(radius=values["closing_radius"]),
         **{k: values[k] for k in _CONFIG_DEFAULTS},
     )
-    cfg.validate()
-    return cfg
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
@@ -152,7 +150,6 @@ def cmd_restore(args) -> int:
 
 def cmd_degrade(args) -> int:
     spec = DegradeSpec(**{f.name: getattr(args, f.name) for f in fields(DegradeSpec)})
-    spec.validate()
     if (args.clean is None) == (args.scene is None):
         raise ContractViolation("give exactly one input: a clean PGM path or --scene")
     if args.scene is not None:

@@ -180,10 +180,17 @@ def nearest_edge_theta(edges: EdgeMap, r_edge: int, targets: np.ndarray) -> np.n
     of a target is its answer. Each offset gathers the edge flags of
     the targets still without one from the edge map padded by r_edge,
     where every exterior flag is False, and the walk stops when none is
-    left: the cost follows the targets, not the frame.
+    left: the cost follows the targets, not the frame. targets must be
+    a 1-D integer array of indices in [0, h*w): numpy would read -1 as
+    the last pixel, 1.5 as pixel 1 and a bool array as indices 1 and 0.
     """
     require_int("r_edge", r_edge, ge=0)
-    targets = np.asarray(targets, dtype=np.intp)
+    targets = np.asarray(targets)
+    if targets.ndim != 1 or targets.dtype.kind not in "iu" or (
+            targets.size and not (targets.min() >= 0 and targets.max() < edges.edge.size)):
+        raise ContractViolation(f"targets must be 1-D integer indices in [0, {edges.edge.size}), "
+                                f"got {targets!r}")
+    targets = targets.astype(np.intp, copy=False)
     w = edges.edge.shape[1]
     wp = w + 2 * r_edge
     edge = pad(edges.edge, r_edge).reshape(-1)

@@ -5,8 +5,8 @@ reading or writing rasters, and contract violations (bad arguments,
 mismatched shapes, out-of-range parameters). The CLI maps the former
 to exit code 1 and the latter to exit code 2.
 
-Every scalar parameter, in the config dataclasses' validate methods
-and in the public functions that take one, is checked by one of two
+Every scalar parameter, in the config dataclasses' __post_init__ and
+in the public functions that take one, is checked by one of two
 helpers, which state its whole contract in one call:
 
 - require_int: any numbers.Integral (so numpy ints too) but not a

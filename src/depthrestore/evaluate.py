@@ -255,7 +255,7 @@ class DegradeSpec:
     edge_hole_radius: int = 0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         require_real("noise_sigma", self.noise_sigma, ge=0, lt=math.inf)
         require_real("speckle_hole_fraction", self.speckle_hole_fraction, ge=0, lt=1)
         require_int("edge_hole_radius", self.edge_hole_radius, ge=0)
@@ -335,7 +335,6 @@ def degrade(clean: DepthMap, spec: DegradeSpec) -> DepthMap:
        becomes a hole, mimicking the occlusion shadows a structured
        light sensor casts at object boundaries.
     """
-    spec.validate()
     rng = Rng(spec.seed)
     d = clean.samples.copy()
     if spec.noise_sigma > 0:

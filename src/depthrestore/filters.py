@@ -178,8 +178,7 @@ def _filter_at(op, p, depth: DepthMap, guide: ColorImage, params: KernelParams,
     flavor keywords; the directional wrappers pass steering(theta), one
     scalar angle. The sources are the non-hole pixels of depth, and p
     must be a hole exactly when the wrapper fills (pdjbf_pixel).
-    Checks params, the frame sizes and p first; pads the whole frame."""
-    params.validate()
+    Checks the frame sizes and p first; pads the whole frame."""
     require_same_shape(depth=depth, guide=guide)
     try:
         y, x = p
@@ -316,7 +315,7 @@ def window_sums(depth: np.ndarray, hole, planes, params: KernelParams,
     track = acc.cmin is not None
     dtable = None
     if depth_sigma is not None and depth.dtype.kind == "u":
-        dtable = depth_range_table(depth_sigma, hole + 1, hole // 2)
+        dtable = depth_range_table(depth_sigma, hole)
     for out, at in _blocks(r, row0, row1, (planes, depth), targets):
         cpl, cd = at(0, 0)
         cc, cs = (a if _scalar(a) else a[out] for a in (cos_t, sin_t))
@@ -484,11 +483,10 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
     caller handed over as a call's value (restore does) dies there; a
     map the caller keeps is never written.
 
-    cfg is validated, every frame must have the depth's size, and labels
-    must be region labels whose hole labels mark exactly the depth's
-    holes (errors.require_labels), so no kept output is centred on a hole.
+    Every frame must have the depth's size, and labels must be region
+    labels whose hole labels mark exactly the depth's holes
+    (errors.require_labels), so no kept output is centred on a hole.
     """
-    cfg.validate()
     require_same_shape(depth=depth, guide=guide, labels=labels, theta=edges.theta)
     require_labels(labels, depth)
     params = cfg.kernel

@@ -55,7 +55,7 @@ class KernelParams:
     sigma_y: float = 1.5
     window_radius: int = 5
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("sigma_s", "sigma_r_color", "sigma_r_depth", "sigma_x", "sigma_y"):
             require_real(name, getattr(self, name), gt=0)
         require_int("window_radius", self.window_radius, ge=1)
@@ -112,20 +112,19 @@ def color_range_table(sigma_r):
 
 
 @lru_cache(maxsize=4)
-def depth_range_table(sigma_r, n, m):
+def depth_range_table(sigma_r, s):
     """depth_range_weight(k, 0, sigma_r) for every integer depth
-    difference k in 0..m-1, then exactly 0.0 for k in m..n-1, the tail
-    that stands in for the hole gate. (-k) / sigma_r is exactly
+    difference k in 0..s//2 - 1, then exactly 0.0 for k in s//2..s, the
+    tail that stands in for the hole gate. (-k) / sigma_r is exactly
     -(k / sigma_r), so a lookup by |dp - dq| gives the kernel's bits for
     either sign; a sigma_r of 1e9 or more gives the kernel's exact 1.0
-    before the tail. Read-only and cached per (sigma_r, n, m). Only the
+    before the tail. Read-only and cached per (sigma_r, s). Only the
     engine's calls with a depth term on unsigned depth build one, for a
-    frame whose holes and pad hold the sentinel S (filters module doc):
-    S + 1 entries, at most 131073, with the tail from m = S // 2 on, so
-    a hole source weighs +0.0.
+    frame whose holes and pad hold the sentinel s (filters module doc):
+    s + 1 entries, at most 131073, so a hole source weighs +0.0.
     """
-    table = np.zeros(n)
-    table[:m] = depth_range_weight(np.arange(m, dtype=np.float64), 0.0, sigma_r)
+    table = np.zeros(s + 1)
+    table[:s // 2] = depth_range_weight(np.arange(s // 2, dtype=np.float64), 0.0, sigma_r)
     table.flags.writeable = False
     return table
 

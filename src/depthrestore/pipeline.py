@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (
     ContractViolation, require_int, require_labels, require_real, require_same_shape)
-from .image_model import HOLE, ColorImage, DepthMap, to_grayscale
+from .image_model import HOLE, ColorImage, DepthMap, interior, pad, to_grayscale
 from .preprocess import (
     StructuringElement, chebyshev_dilate, close_depth, expand_holes, hole_mask)
 from .edge_analysis import (
@@ -43,8 +43,7 @@ from .edge_analysis import (
     nearest_edge_theta,
     sobel_gradients,
 )
-from .filters import (
-    WindowSums, filter_non_hole, guide_planes, interior, pad, run_banded, window_sums)
+from .filters import WindowSums, filter_non_hole, guide_planes, run_banded, window_sums
 from .kernels import KernelParams, steering
 
 DEFAULT_EDGE_THRESHOLD = 100.0
@@ -53,7 +52,7 @@ DEFAULT_EDGE_THRESHOLD = 100.0
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything the restoration pipeline can be tuned with: restore,
-    filter_non_hole and fill_holes each take one and validate it.
+    filter_non_hole and fill_holes each take one.
 
     r_edge of None means "use the kernel window radius", so the edge
     region is exactly the set of pixels whose filter window straddles
@@ -61,9 +60,10 @@ class PipelineConfig:
     thread per available CPU; 0 picks that CPU count (run_banded). Any
     thread count produces bit-identical output. isotropic_only switches
     every filter to the plain isotropic JBF (the ablation arm).
-    validate() checks each count and radius with errors.require_int and
-    edge_threshold and the kernel widths with errors.require_real, and
-    wants isotropic_only as a bool.
+    A config checks itself when built, by replace() too: kernel must be
+    a KernelParams and se a StructuringElement, each count and radius
+    must pass errors.require_int, edge_threshold errors.require_real,
+    and isotropic_only must be a bool, or ContractViolation is raised.
     """
 
     kernel: KernelParams = field(default_factory=KernelParams)
@@ -78,9 +78,10 @@ class PipelineConfig:
     def effective_r_edge(self) -> int:
         return self.kernel.window_radius if self.r_edge is None else self.r_edge
 
-    def validate(self) -> None:
-        self.kernel.validate()
-        self.se.validate()
+    def __post_init__(self):
+        for name, kind in (("kernel", KernelParams), ("se", StructuringElement)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise ContractViolation(f"{name} must be a {kind.__name__}, got {value!r}")
         require_real("edge_threshold", self.edge_threshold, gt=0)
         if self.r_edge is not None:
             require_int("r_edge", self.r_edge, ge=0)
@@ -130,12 +131,11 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
     once their cos and sin (steering) exist. filtered is dropped once it
     is padded, which frees it when the caller passed it as a call's
     value without keeping it (restore does).
-    cfg is validated, every frame must have the depth's size, and labels
-    must be region labels whose hole labels mark exactly filtered's
-    holes (errors.require_labels): a hole labelled valid would be
-    neither a source nor a target.
+    Every frame must have the depth's size, and labels must be region
+    labels whose hole labels mark exactly filtered's holes
+    (errors.require_labels): a hole labelled valid would be neither a
+    source nor a target.
     """
-    cfg.validate()
     require_same_shape(depth=filtered, guide=guide, labels=labels, theta=edges.theta)
     require_labels(labels, filtered)
     h = labels.shape[0]
@@ -204,7 +204,6 @@ def restore(depth: DepthMap, guide: ColorImage,
     CPython 3.11 moving call arguments into the callee's frame,
     hence the package's requires-python.
     """
-    cfg.validate()
     require_same_shape(depth=depth, guide=guide)
     edges = detect_edges(sobel_gradients(to_grayscale(guide)), cfg.edge_threshold)
     closed = close_depth(depth, cfg.se)

@@ -30,7 +30,7 @@ class StructuringElement:
 
     radius: int = 2
 
-    def validate(self) -> None:
+    def __post_init__(self):
         require_int("structuring radius", self.radius, ge=1)
 
 
@@ -67,7 +67,6 @@ def close_depth(d: DepthMap, se: StructuringElement = StructuringElement()) -> D
     window, then min); a hole too large for the element closes to 0 and
     stays a hole. Non-hole pixels pass through untouched.
     """
-    se.validate()
     a = d.samples
     closed = windowed_min(windowed_max(a, se.radius), se.radius)
     return DepthMap(np.where(a != HOLE, a, closed))

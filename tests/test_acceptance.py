@@ -45,8 +45,8 @@ from depthrestore import (
 from depthrestore.cli import main
 from depthrestore.edge_analysis import EdgeMap
 from depthrestore.evaluate import discontinuity_mask
-from depthrestore.filters import WindowSums, guide_planes, pad, window_sums
-from depthrestore.image_model import HOLE
+from depthrestore.filters import WindowSums, guide_planes, window_sums
+from depthrestore.image_model import HOLE, pad
 from depthrestore.preprocess import chebyshev_dilate
 
 from oracles import brute_filter

@@ -271,6 +271,18 @@ def test_nearest_edge_theta_radius_zero_is_identity():
             nearest_edge_theta(EdgeMap(edge, theta), bad, targets)
 
 
+@pytest.mark.parametrize("targets", [[-1], [1.5], [True, False], [20], [[1, 2]]],
+                         ids=["negative", "fraction", "bools", "past-end", "2-D"])
+def test_nearest_edge_theta_rejects_targets_off_the_frame(targets):
+    """On a 4x5 frame numpy would read -1 as the last pixel, 1.5 as
+    pixel 1 and [True, False] as pixels 1 and 0, and 20 would escape as
+    an IndexError: each raises ContractViolation naming targets."""
+    edges = EdgeMap(np.zeros((4, 5), bool), np.arange(20.0).reshape(4, 5))
+    with pytest.raises(ContractViolation, match="targets"):
+        nearest_edge_theta(edges, 1, targets)
+    assert nearest_edge_theta(edges, 1, [0, 19]).tolist() == [0.0, 19.0]
+
+
 @settings(max_examples=150, deadline=None)
 @given(h=st.integers(1, 12), w=st.integers(1, 12), r_edge=st.integers(0, 5),
        density=st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]),

@@ -302,27 +302,27 @@ def test_discontinuity_ignores_steps_into_holes():
 
 def test_degrade_spec_validation():
     with pytest.raises(ContractViolation):
-        DegradeSpec(noise_sigma=-1.0).validate()
+        DegradeSpec(noise_sigma=-1.0)
     with pytest.raises(ContractViolation):
-        DegradeSpec(speckle_hole_fraction=1.0).validate()
+        DegradeSpec(speckle_hole_fraction=1.0)
     with pytest.raises(ContractViolation):
-        DegradeSpec(edge_hole_radius=-1).validate()
+        DegradeSpec(edge_hole_radius=-1)
     with pytest.raises(ContractViolation):
-        DegradeSpec(seed=-1).validate()
+        DegradeSpec(seed=-1)
     # Not numbers of the field's kind: none runs as 1 or escapes as a TypeError.
     for name in ("noise_sigma", "speckle_hole_fraction", "edge_hole_radius", "seed"):
         for bad in (True, 1.5, "3", None):
             if (name, bad) != ("noise_sigma", 1.5):
                 with pytest.raises(ContractViolation):
-                    DegradeSpec(**{name: bad}).validate()
-    DegradeSpec().validate()
-    DegradeSpec(edge_hole_radius=np.int64(2), seed=2**64 - 1).validate()
+                    DegradeSpec(**{name: bad})
+    DegradeSpec()
+    DegradeSpec(edge_hole_radius=np.int64(2), seed=2**64 - 1)
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
 def test_degrade_spec_rejects_non_finite_sigma(sigma):
     with pytest.raises(ContractViolation):
-        DegradeSpec(noise_sigma=sigma).validate()
+        DegradeSpec(noise_sigma=sigma)
 
 
 def test_psnr_closed_forms():

@@ -35,9 +35,9 @@ def test_every_module_reads_every_name_it_imports():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
-def private_names(source):
-    """The module-level functions, classes and constants of source whose
-    names start with one underscore, sorted."""
+def defined_names(source):
+    """The names of source's module-level functions, classes and
+    constants: what it defines, not what it imports."""
     names = set()
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -45,7 +45,13 @@ def private_names(source):
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return sorted(n for n in names if n.startswith("_") and not n.startswith("__"))
+    return names
+
+
+def private_names(source):
+    """The module-level functions, classes and constants of source whose
+    names start with one underscore, sorted."""
+    return sorted(n for n in defined_names(source) if n.startswith("_") and not n.startswith("__"))
 
 
 def read_names(source):
@@ -72,3 +78,30 @@ def test_every_private_name_is_read():
     defined = {name for s in sources for name in private_names(s)}
     read = set().union(*map(read_names, sources))
     assert sorted(defined - read) == []
+
+
+def borrowed_imports(sources):
+    """The (module, name) pairs of every `from .mod import name` in
+    sources (a dict of module name to source) where mod does not define
+    name itself but imports it from elsewhere, sorted."""
+    borrowed = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                borrowed.update((module, a.name) for a in node.names
+                                if a.name not in defined_names(sources[node.module]))
+    return sorted(borrowed)
+
+
+def test_borrowed_imports_finds_names_imported_through_another_module():
+    sources = {"a": "from .c import pad\nX = 1\ndef f():\n    pass\n",
+               "b": "from .a import X, f, pad\n", "c": "def pad():\n    pass\n"}
+    assert borrowed_imports(sources) == [("b", "pad")]
+
+
+def test_every_name_is_imported_from_the_module_that_defines_it():
+    """No module of the package (its __init__, which re-exports, aside)
+    imports a name through a module that only imports it in turn: the
+    name has one home, and moving it touches its importers only."""
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert [(m, n) for m, n in borrowed_imports(sources) if m != "__init__"] == []

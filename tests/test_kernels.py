@@ -188,7 +188,7 @@ def test_depth_range_table_is_the_kernel_bit_for_bit(s):
     pair (k, 0) and of (0, k), exactly, for every difference of two
     uint16 depths, and every entry of the tail is exactly 0.0; at the
     1e9 cap every entry before the tail is the kernel's exact 1.0."""
-    table = depth_range_table(s, 2 * 65536 + 1, 65536)
+    table = depth_range_table(s, 2 * 65536)
     assert table.shape == (2 * 65536 + 1,) and table.dtype == np.float64
     k = np.arange(65536, dtype=np.float64)
     zero = np.zeros_like(k)
@@ -202,8 +202,8 @@ def test_depth_range_table_is_the_kernel_bit_for_bit(s):
 
 
 def test_depth_range_table_is_cached_read_only_and_sized():
-    table = depth_range_table(30.0, 4097, 2048)
-    assert depth_range_table(30.0, 4097, 2048) is table
+    table = depth_range_table(30.0, 4096)
+    assert depth_range_table(30.0, 4096) is table
     assert table.shape == (4097,)
     assert (table[2048:] == 0.0).all()
     assert not table.flags.writeable
@@ -212,18 +212,18 @@ def test_depth_range_table_is_cached_read_only_and_sized():
 
 
 def test_params_validation():
-    KernelParams().validate()
+    KernelParams()
     with pytest.raises(ContractViolation):
-        KernelParams(sigma_s=0.0).validate()
+        KernelParams(sigma_s=0.0)
     with pytest.raises(ContractViolation):
-        KernelParams(sigma_r_color=-1.0).validate()
+        KernelParams(sigma_r_color=-1.0)
     with pytest.raises(ContractViolation):
-        KernelParams(window_radius=0).validate()
+        KernelParams(window_radius=0)
     with pytest.raises(ContractViolation):
-        KernelParams(sigma_x=1.0, sigma_y=2.0).validate()
+        KernelParams(sigma_x=1.0, sigma_y=2.0)
     for bad in (True, 3.0, 2.5, "3", None):
         with pytest.raises(ContractViolation):
-            KernelParams(window_radius=bad).validate()
+            KernelParams(window_radius=bad)
 
 
 @pytest.mark.parametrize("name", ["sigma_s", "sigma_r_color", "sigma_r_depth",
@@ -233,10 +233,10 @@ def test_sigmas_must_be_real_numbers(name):
     as 1.0 or escaping as a TypeError; ints and numpy floats are fine."""
     for bad in (True, False, "25", None, 2 + 0j):
         with pytest.raises(ContractViolation):
-            KernelParams(**{name: bad}).validate()
+            KernelParams(**{name: bad})
     good = {"sigma_x": 9, "sigma_y": 1} if name in ("sigma_x", "sigma_y") else {name: 7}
-    KernelParams(**good).validate()
-    KernelParams(**{name: np.float64(getattr(KernelParams(), name))}).validate()
+    KernelParams(**good)
+    KernelParams(**{name: np.float64(getattr(KernelParams(), name))})
 
 
 def test_default_params_are_the_published_ones():

@@ -3,7 +3,11 @@
 import concurrent.futures
 import hashlib
 import os
+import subprocess
+import sys
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,14 +208,25 @@ def test_restore_rejects_mismatched_shapes():
 
 
 def test_restore_validates_config_before_touching_data():
-    d = DepthMap(np.full((16, 16), 100.0))
+    """A bad kernel width fails when its config is built, so neither
+    restore nor a stage function ever receives it."""
     for sigma_s in (-1.0, 0):
-        bad = PipelineConfig(kernel=KernelParams(sigma_s=sigma_s))
-        with pytest.raises(ContractViolation):
-            restore(d, flat_guide((16, 16)), bad)
-        with pytest.raises(ContractViolation):
-            filter_non_hole(d, flat_guide((16, 16)), np.zeros((16, 16), np.uint8),
-                            no_edges((16, 16)), bad)
+        with pytest.raises(ContractViolation, match="sigma_s"):
+            PipelineConfig(kernel=KernelParams(sigma_s=sigma_s))
+
+
+def test_configs_check_themselves_when_built():
+    """replace() builds a config too, so it is checked; and a nested
+    config that is not of its type fails instead of escaping as an
+    AttributeError."""
+    for cfg, bad in ((PipelineConfig(), {"threads": -1}), (KernelParams(), {"sigma_x": 1.0}),
+                     (StructuringElement(), {"radius": 0}), (DegradeSpec(), {"seed": -1})):
+        with pytest.raises(ContractViolation, match=next(iter(bad))):
+            replace(cfg, **bad)
+    for bad in ({"kernel": None}, {"se": "x"}, {"kernel": StructuringElement()},
+                {"se": KernelParams()}):
+        with pytest.raises(ContractViolation, match=next(iter(bad))):
+            PipelineConfig(**bad)
 
 
 def frames(h, w):
@@ -546,18 +561,14 @@ def test_report_lines_are_stable_and_complete():
 
 
 def test_config_validation_errors():
-    """Each bad config fails validate(), and each stage function, which
-    a library caller may run on its own, validates it too."""
-    f = frames(8, 8)
-    for bad in (PipelineConfig(edge_threshold=0.0), PipelineConfig(hole_expand_radius=-1),
-                PipelineConfig(max_fill_passes=0), PipelineConfig(threads=-2),
-                PipelineConfig(r_edge=-1)):
-        with pytest.raises(ContractViolation):
-            bad.validate()
-        for stage in (filter_non_hole, fill_holes):
-            with pytest.raises(ContractViolation):
-                stage(f["depth"], f["guide"], f["labels"], f["edges"], bad)
-    PipelineConfig().validate()
+    """Each bad setting fails when its config is built, naming the
+    field, so no stage function, which a library caller may run on its
+    own, can be handed one."""
+    for bad in ({"edge_threshold": 0.0}, {"hole_expand_radius": -1}, {"max_fill_passes": 0},
+                {"threads": -2}, {"r_edge": -1}):
+        with pytest.raises(ContractViolation, match=next(iter(bad))):
+            PipelineConfig(**bad)
+    PipelineConfig()
 
 
 def test_edge_threshold_must_be_a_real_number():
@@ -565,21 +576,18 @@ def test_edge_threshold_must_be_a_real_number():
     running as 1.0 or escaping as a TypeError."""
     for bad in (True, False, "100", None):
         with pytest.raises(ContractViolation):
-            PipelineConfig(edge_threshold=bad).validate()
-    PipelineConfig(edge_threshold=50).validate()
-    PipelineConfig(edge_threshold=np.float64(50.0)).validate()
+            PipelineConfig(edge_threshold=bad)
+    PipelineConfig(edge_threshold=50)
+    PipelineConfig(edge_threshold=np.float64(50.0))
 
 
 def test_threads_must_be_a_plain_int():
-    """In the config and in filter_non_hole, which validates its config."""
+    """Checked when the config is built; the counts it takes run."""
     f = frames(8, 8)
     for bad in (True, False, 2.0, 1.5, "2", None, -3):
         with pytest.raises(ContractViolation):
-            PipelineConfig(threads=bad).validate()
-        with pytest.raises(ContractViolation):
-            filter_non_hole(f["depth"], f["guide"], f["labels"], f["edges"],
-                            PipelineConfig(threads=bad))
-    PipelineConfig(threads=3).validate()
+            PipelineConfig(threads=bad)
+    PipelineConfig(threads=3)
     for ok in (0, 1, np.int64(2)):
         filter_non_hole(f["depth"], f["guide"], f["labels"], f["edges"],
                         PipelineConfig(threads=ok))
@@ -589,26 +597,19 @@ def test_int_fields_reject_bools_and_floats():
     """A bool or a float in a count or radius fails validation instead
     of running as 0/1 or escaping as a TypeError later."""
     for bad in (True, False, 2.0, 2.5, "2"):
-        for cfg in (PipelineConfig(kernel=KernelParams(window_radius=bad)),
-                    PipelineConfig(se=StructuringElement(radius=bad)),
-                    PipelineConfig(r_edge=bad),
-                    PipelineConfig(hole_expand_radius=bad),
-                    PipelineConfig(max_fill_passes=bad)):
+        for build, name in ((KernelParams, "window_radius"), (StructuringElement, "radius"),
+                            (PipelineConfig, "r_edge"), (PipelineConfig, "hole_expand_radius"),
+                            (PipelineConfig, "max_fill_passes")):
             with pytest.raises(ContractViolation):
-                cfg.validate()
-    PipelineConfig(r_edge=None, hole_expand_radius=0).validate()
+                build(**{name: bad})
+    PipelineConfig(r_edge=None, hole_expand_radius=0)
 
 
 def test_isotropic_only_must_be_a_bool():
-    f = frames(8, 8)
     for bad in ("false", "true", "yes", 0, 1, None):
         with pytest.raises(ContractViolation):
-            restore(f["depth"], f["guide"], PipelineConfig(isotropic_only=bad))
-        for stage in (filter_non_hole, fill_holes):
-            with pytest.raises(ContractViolation):
-                stage(f["depth"], f["guide"], f["labels"], f["edges"],
-                      PipelineConfig(isotropic_only=bad))
-    PipelineConfig(isotropic_only=True).validate()
+            PipelineConfig(isotropic_only=bad)
+    PipelineConfig(isotropic_only=True)
 
 
 class InlinePool:
@@ -787,3 +788,30 @@ def test_anchor_weak_color_step_reaches_color_range_kernel():
     assert report.region_counts["hole_edge"] == 720
     assert report.holes_unfilled == 0
     assert digest == WEAK_STEP_SHA256
+
+
+# Runs pytest on this file's byte anchors with numpy's dispatch to every
+# target above its baseline switched off, after checking that it is.
+BASELINE_CHILD = """\
+import sys, pytest
+import numpy._core._multiarray_umath as m
+on = [t for t in m.__cpu_dispatch__ if m.__cpu_features__.get(t)]
+sys.exit(f"numpy still dispatches to {on}" if on else pytest.main(sys.argv[1:]))
+"""
+
+
+def test_anchor_bytes_hold_under_numpy_baseline_dispatch():
+    """The five byte anchors pass again in a child process that runs
+    numpy's baseline kernels only. np.exp and np.arctan round some
+    arguments differently there, so the float output moves by up to
+    about 1e-12 mm, but no PGM byte does."""
+    m = pytest.importorskip("numpy._core._multiarray_umath")
+    targets = [t for t in m.__cpu_dispatch__ if m.__cpu_features__.get(t)]
+    if not targets:
+        pytest.skip("numpy dispatches to no target above its baseline on this CPU")
+    child = subprocess.run(
+        [sys.executable, "-c", BASELINE_CHILD, "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "test_anchor_ and not dispatch"],
+        cwd=Path(__file__).resolve().parent.parent, capture_output=True, text=True,
+        env=os.environ | {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}, timeout=300)
+    assert child.returncode == 0 and "5 passed" in child.stdout, child.stdout + child.stderr

@@ -108,8 +108,8 @@ def test_corner_hole_fills_from_clamped_window():
 
 def test_structuring_element_validation():
     with pytest.raises(ContractViolation):
-        StructuringElement(0).validate()
-    StructuringElement(1).validate()
+        StructuringElement(0)
+    StructuringElement(1)
 
 
 def test_hole_mask_is_exact_zero_test():
