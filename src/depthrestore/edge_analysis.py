@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, require_int, require_mask, require_real, require_same_shape
+from .errors import (
+    ContractViolation, require_int, require_mask, require_real, require_same_shape, require_type)
 from .image_model import DEPTH_MAXVAL, GrayImage, pad, padded_flat
 from .preprocess import chebyshev_dilate
 
@@ -49,14 +50,27 @@ class GradientField:
 
 @dataclass(frozen=True)
 class EdgeMap:
-    """Edge flags plus per-pixel contour orientation in (-pi/2, pi/2]."""
+    """Edge flags plus per-pixel contour orientation in (-pi/2, pi/2].
+
+    edge must be a bool array and theta a finite integer or float array
+    of its size, or ContractViolation is raised: a NaN angle would turn
+    every weight of its window into NaN. The check takes theta's min and
+    max, so it builds no frame."""
 
     edge: np.ndarray
     theta: np.ndarray
 
     def __post_init__(self):
         require_mask(edge=self.edge)
-        require_same_shape(edge=self.edge, theta=self.theta)
+        theta = self.theta
+        kind = getattr(theta, "dtype", np.dtype(object)).kind
+        if kind not in "iuf":
+            raise ContractViolation(f"theta must be an integer or float array, got "
+                                    f"{getattr(theta, 'dtype', type(theta).__name__)}")
+        # Negated so that NaN, which min and max propagate, fails too.
+        if theta.size and not (theta.min() > -np.inf and theta.max() < np.inf):
+            raise ContractViolation(f"theta must be finite: min {theta.min()}, max {theta.max()}")
+        require_same_shape(edge=self.edge, theta=theta)
 
 
 def sobel_gradients(g: GrayImage) -> GradientField:
@@ -184,6 +198,7 @@ def nearest_edge_theta(edges: EdgeMap, r_edge: int, targets: np.ndarray) -> np.n
     a 1-D integer array of indices in [0, h*w): numpy would read -1 as
     the last pixel, 1.5 as pixel 1 and a bool array as indices 1 and 0.
     """
+    require_type("edges", edges, EdgeMap)
     require_int("r_edge", r_edge, ge=0)
     targets = np.asarray(targets)
     if targets.ndim != 1 or targets.dtype.kind not in "iu" or (

@@ -15,6 +15,12 @@ helpers, which state its whole contract in one call:
   a bool, with bounds gt=, ge= and lt=. NaN fails every bound, and
   lt=math.inf asks for a finite value.
 
+A stage entry (pipeline.restore, filter_non_hole, fill_holes, the
+per-pixel filters' _filter_at, nearest_edge_theta) checks each of its
+typed arguments with require_type, one call per argument, so that a
+None or a dict in place of a config fails here and not as an
+AttributeError deep inside.
+
 A public function that takes two or more frames checks that they
 agree in height and width with a third, require_same_shape; one that
 takes a mask checks that it is a bool array with require_mask, and one
@@ -22,10 +28,10 @@ that takes region labels checks them against its depth with
 require_labels: the hole labels must mark exactly the depth's holes,
 so "hole" means one thing in every stage.
 
-A string, None, a bool, a value out of bounds, a frame of another
-size, a mask that is not bool, labels outside 0-3 or labels that
-disagree with the depth about a hole raise ContractViolation, naming
-the parameter.
+A string, None, a bool, an argument of the wrong type, a value out of
+bounds, a frame of another size, a mask that is not bool, labels
+outside 0-3 or labels that disagree with the depth about a hole raise
+ContractViolation, naming the parameter.
 """
 
 from numbers import Integral, Real
@@ -77,6 +83,12 @@ def require_real(name: str, value, *, gt=None, ge=None, lt=None) -> None:
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ContractViolation(f"{name} must be a real number, got {value!r}")
     _require_bounds(name, value, gt, ge, lt)
+
+
+def require_type(name: str, value, kind: type) -> None:
+    """Raise ContractViolation unless value is an instance of kind."""
+    if not isinstance(value, kind):
+        raise ContractViolation(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def require_same_shape(**frames) -> None:

@@ -62,11 +62,23 @@ tile-at-a-time schedule Halide applies to stencils. It cannot change a
 bit: each output pixel's sums run over its own window in the same
 offset order whatever block holds it, which is also why row banding
 cannot. Each block temporary dies at its last reader: one side of an
-offset is weighed in its own function, so its gathers, distances and
-tracking masks die when it returns, and only its weights and source
-depths wait for the pair sum; the pair's die once num has read them.
-So a block holds one side's temporaries at a time, not both sides' and
-the previous offset's too.
+offset is weighed in its own function, which frees its source colors
+once they are squared, the squares once they are summed, the squared
+distance once the color table has read it and the depth difference
+once the depth table has; its tracking masks die when it returns, and
+only its weights and source depths wait for the pair sum; the pair's
+die once num has read them. So a block holds one side's temporaries at
+a time, not both sides' and the previous offset's too.
+
+The engine finishes each block itself. A block's num is its slice of
+the caller's output; its den, and its contributor range when tracked,
+are block-sized and local. After the block's last offset the engine
+divides where den > 0, clamps when tracked, and writes 0.0 where
+nothing contributed, so the caller's output is the only frame-sized
+array a call writes. A caller that reads the weight sums or the
+contributor counts (the per-pixel wrappers' FilterOutcome) hands the
+engine a den or cnt of its own to write them into; no other caller
+keeps a frame of them.
 
 The depth frame is the one record of which sources are usable: a call
 gets the value a hole holds there (HOLE on float depth) and gates with
@@ -89,7 +101,7 @@ Two accumulation details are deliberate and load-bearing:
   outputs instead of drifting by rounding.
 
 * The raw quotient num/den can overshoot the contributor range by an
-  ulp, so a tracked WindowSums keeps the min and max contributing
+  ulp, so a tracked call keeps each block's min and max contributing
   depth (a non-contributor enters fmin/fmax as NaN, which they skip)
   and clamps the quotient. That makes the convex-combination guarantee
   exact rather than approximate, and it compounds through the fill
@@ -98,7 +110,7 @@ Two accumulation details are deliberate and load-bearing:
   track.
 
 filter_non_hole defers the clamp on integer depth: its passes run
-untracked, keeping num and den only, and only the suspects, the kept
+untracked, keeping no contributor range, and only the suspects, the kept
 pixels whose quotient a clamp could move, run again tracked.
 The bound: a valid center weighs exactly 1.0 (every kernel is 1 at
 zero argument), so den >= 1 and num >= 1. num and den are sums of at
@@ -129,7 +141,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (
-    ContractViolation, require_int, require_labels, require_real, require_same_shape)
+    ContractViolation, require_int, require_labels, require_real, require_same_shape,
+    require_type)
 from .image_model import HOLE, ColorImage, DepthMap, interior, pad, padded_flat
 from .edge_analysis import EdgeMap, NONHOLE_EDGE, NONHOLE_NONEDGE
 from .kernels import (
@@ -171,14 +184,22 @@ class FilterOutcome:
 
 
 def _filter_at(op, p, depth: DepthMap, guide: ColorImage, params: KernelParams,
-               fills=False, **flavor) -> FilterOutcome:
+               theta=None, depth_term=False, fills=False) -> FilterOutcome:
     """Run window_sums on p as a 1x1 frame padded by r: the (2r+1)**2
     crop of the padded frames around p, which reads the sources of a
-    whole-image run and so gives its bits. flavor holds window_sums'
-    flavor keywords; the directional wrappers pass steering(theta), one
-    scalar angle. The sources are the non-hole pixels of depth, and p
-    must be a hole exactly when the wrapper fills (pdjbf_pixel).
-    Checks the frame sizes and p first; pads the whole frame."""
+    whole-image run and so gives its bits. The spatial term is the
+    isotropic one for a theta of None, else the directional one steered
+    by theta, one angle the wrapper has checked; depth_term adds the
+    depth range term. The sources are the non-hole pixels of depth, and
+    p must be a hole exactly when the wrapper fills (pdjbf_pixel).
+    Checks the argument types, the frame sizes and p first; pads the
+    whole frame."""
+    require_type("depth", depth, DepthMap)
+    require_type("guide", guide, ColorImage)
+    require_type("params", params, KernelParams)
+    flavor = {"iso_sigma": params.sigma_s} if theta is None else steering(theta)
+    if depth_term:
+        flavor["depth_sigma"] = params.sigma_r_depth
     require_same_shape(depth=depth, guide=guide)
     try:
         y, x = p
@@ -191,17 +212,15 @@ def _filter_at(op, p, depth: DepthMap, guide: ColorImage, params: KernelParams,
                                 f"center, pixel ({y}, {x}) is not one")
     r = params.window_radius
     win = (Ellipsis, slice(y, y + 2 * r + 1), slice(x, x + 2 * r + 1))
-    acc = WindowSums((1, 1))
-    acc.cnt = np.zeros((1, 1), np.int32)
-    window_sums(pad(depth.samples, r)[win], HOLE, guide_planes(guide, r)[win], params, acc,
-                0, 1, **flavor)
-    return FilterOutcome(float(acc.finish()[0, 0]), float(acc.den[0, 0]),
-                         int(acc.cnt[0, 0]))
+    val, den, cnt = np.empty((1, 1)), np.empty((1, 1)), np.empty((1, 1), np.int32)
+    window_sums(pad(depth.samples, r)[win], HOLE, guide_planes(guide, r)[win], params, val,
+                0, 1, den=den, cnt=cnt, **flavor)
+    return FilterOutcome(float(val[0, 0]), float(den[0, 0]), int(cnt[0, 0]))
 
 
 def jbf_pixel(p, depth: DepthMap, guide: ColorImage, params: KernelParams) -> FilterOutcome:
     """Joint bilateral filter at p = (row, col): spatial x color range."""
-    return _filter_at("jbf_pixel", p, depth, guide, params, iso_sigma=params.sigma_s)
+    return _filter_at("jbf_pixel", p, depth, guide, params)
 
 
 def tjbf_pixel(p, depth: DepthMap, guide: ColorImage, params: KernelParams) -> FilterOutcome:
@@ -211,8 +230,7 @@ def tjbf_pixel(p, depth: DepthMap, guide: ColorImage, params: KernelParams) -> F
     neighbors across a depth discontinuity lose influence even when the
     guide colors agree.
     """
-    return _filter_at("tjbf_pixel", p, depth, guide, params, iso_sigma=params.sigma_s,
-                      depth_sigma=params.sigma_r_depth)
+    return _filter_at("tjbf_pixel", p, depth, guide, params, depth_term=True)
 
 
 def djbf_pixel(p, depth: DepthMap, guide: ColorImage, theta: float,
@@ -224,7 +242,7 @@ def djbf_pixel(p, depth: DepthMap, guide: ColorImage, theta: float,
     it.
     """
     require_real("theta", theta, gt=-math.inf, lt=math.inf)
-    return _filter_at("djbf_pixel", p, depth, guide, params, **steering(theta))
+    return _filter_at("djbf_pixel", p, depth, guide, params, theta=theta)
 
 
 def pdjbf_pixel(p, depth: DepthMap, guide: ColorImage, theta: float,
@@ -239,51 +257,16 @@ def pdjbf_pixel(p, depth: DepthMap, guide: ColorImage, theta: float,
     later pass rather than treating this as an error.
     """
     require_real("theta", theta, gt=-math.inf, lt=math.inf)
-    return _filter_at("pdjbf_pixel", p, depth, guide, params, fills=True, **steering(theta))
-
-
-class WindowSums:
-    """Accumulator grids for one engine run: num and den, and, when
-    tracked, the contributor range cmin, cmax. An untracked run
-    (track=False) keeps num and den only; cmin and cmax are None, and
-    the engine skips their passes per offset. cnt, the contributor
-    count, is None too: only the per-pixel wrappers read it, so only
-    _filter_at gives its accumulator one (an int32 grid of zeros), and
-    the engine adds into cnt only where it exists."""
-
-    def __init__(self, shape, track=True):
-        self.num = np.zeros(shape)
-        self.den = np.zeros(shape)
-        self.cnt = self.cmin = self.cmax = None
-        self.finished = False
-        if track:
-            self.cmin = np.full(shape, np.inf)
-            self.cmax = np.full(shape, -np.inf)
-
-    def finish(self) -> np.ndarray:
-        """Weighted averages, clamped to the contributor range when
-        tracked; 0.0 where nothing contributed. They are written into
-        num and num is returned, so no new frame is built. This consumes
-        the sums: num holds the averages from then on, and a second call
-        raises ContractViolation."""
-        if self.finished:
-            raise ContractViolation("WindowSums.finish called twice")
-        self.finished = True
-        some = self.den > 0
-        vals = np.divide(self.num, self.den, out=self.num, where=some)
-        if self.cmin is not None:
-            np.maximum(self.cmin, vals, out=vals)
-            np.minimum(self.cmax, vals, out=vals)
-        vals[~some] = 0.0
-        return vals
+    return _filter_at("pdjbf_pixel", p, depth, guide, params, theta=theta, fills=True)
 
 
 def window_sums(depth: np.ndarray, hole, planes, params: KernelParams,
-                acc: WindowSums, row0: int, row1: int, *, iso_sigma=None,
-                cos_t=None, sin_t=None, depth_sigma=None, targets=None) -> None:
-    """Accumulate filter sums for output rows [row0, row1) of an h x w
-    frame, whose depth and uint8 guide planes come padded by
-    r = params.window_radius (pad, guide_planes). hole is the value an
+                out: np.ndarray, row0: int, row1: int, *, track=True, den=None, cnt=None,
+                iso_sigma=None, cos_t=None, sin_t=None, depth_sigma=None,
+                targets=None) -> None:
+    """Write the weighted averages of output rows [row0, row1) of an
+    h x w frame into out, whose depth and uint8 guide planes come padded
+    by r = params.window_radius (pad, guide_planes). hole is the value an
     unusable source holds in depth: HOLE on a float frame, the sentinel
     S on an unsigned one (module doc). Every other depth is a usable
     source. The pad's depth must be hole; its color may be any value.
@@ -299,56 +282,74 @@ def window_sums(depth: np.ndarray, hole, planes, params: KernelParams,
       depth_sigma set         additional depth range term
     An unsigned depth reads the depth term from depth_range_table, a float
     one evaluates depth_range_weight; both give the same bits on
-    integer values. An untracked acc gets num and den only; a tracked
-    one also gets cmin and cmax, and cnt where it has one (WindowSums).
+    integer values.
+
+    An average is num / den where den > 0, clamped into the range of its
+    contributing depths when track is set, and 0.0 where nothing
+    contributed. num, den and the range are local to a block, except
+    that num is the block's slice of out. A caller that reads the weight
+    sums or the contributor counts passes den (float64) or cnt (an
+    integer array), shaped like out, and the engine writes them too.
 
     targets of None evaluates every pixel of the band into (h, w)
-    grids; else only the band's pixels among the sorted flat indices
-    targets (y * w + x), into one acc entry per target. acc is written
-    in place, only for the band, so concurrent calls on disjoint bands
-    are safe. Sources are read from the whole frame; neither banding
-    nor the target set changes a single output bit, and neither does the
-    split into blocks of BLOCK_PX.
+    arrays; else only the band's pixels among the sorted flat indices
+    targets (y * w + x), into one entry per target. out, den and cnt are
+    written in place, only for the band, so concurrent calls on disjoint
+    bands are safe. Sources are read from the whole frame; neither
+    banding nor the target set changes a single output bit, and neither
+    does the split into blocks of BLOCK_PX.
     """
     r = params.window_radius
     table = color_range_table(params.sigma_r_color)
-    track = acc.cmin is not None
     dtable = None
     if depth_sigma is not None and depth.dtype.kind == "u":
         dtable = depth_range_table(depth_sigma, hole)
-    for out, at in _blocks(r, row0, row1, (planes, depth), targets):
+    for blk, at in _blocks(r, row0, row1, (planes, depth), targets):
+        for a in (out, den, cnt):
+            if a is not None:
+                a[blk] = 0
+        num = out[blk]
+        wsum = np.zeros(num.shape) if den is None else den[blk]
+        if track:
+            cmin = np.full(num.shape, np.inf)
+            cmax = np.full(num.shape, -np.inf)
         cpl, cd = at(0, 0)
-        cc, cs = (a if _scalar(a) else a[out] for a in (cos_t, sin_t))
+        cc, cs = (a if _scalar(a) else a[blk] for a in (cos_t, sin_t))
 
         def weigh(dy, dx):
             """The weights and source depths of one side at offset (dy, dx),
-            tracked into acc; every other temporary of the side dies here."""
+            counted and tracked; every other temporary of the side dies at
+            its last reader."""
             spl, dq = at(dy, dx)
             # 255**2 wraps in int16 but reads back exactly as uint16.
             sq = np.subtract(cpl, spl, dtype=np.int16)
+            del spl
             sq *= sq
             sq = sq.view(np.uint16)
             dist2 = np.add(sq[0], sq[1], dtype=np.int32)
             dist2 += sq[2]
+            del sq
             wgt = table.take(dist2)
+            del dist2
             if iso_sigma is not None:
                 wgt *= spatial_weight(dx, dy, iso_sigma)
             else:
                 wgt *= rotated_weight(dx, dy, cc, cs, params.sigma_x, params.sigma_y)
             if dtable is not None:
                 diff = np.subtract(cd, dq, dtype=np.int32)
-                wgt *= dtable.take(np.abs(diff, out=diff))
+                wd = dtable.take(np.abs(diff, out=diff))
+                del diff
+                wgt *= wd
             else:
                 if depth_sigma is not None:
                     wgt *= depth_range_weight(cd, dq, depth_sigma)
                 wgt *= dq != hole
+            if cnt is not None:
+                cnt[blk] += wgt > 0
             if track:
-                contrib = wgt > 0
-                if acc.cnt is not None:
-                    acc.cnt[out] += contrib
-                tracked = np.where(contrib, dq, np.nan)
-                np.fmin(acc.cmin[out], tracked, out=acc.cmin[out])
-                np.fmax(acc.cmax[out], tracked, out=acc.cmax[out])
+                tracked = np.where(wgt > 0, dq, np.nan)
+                np.fmin(cmin, tracked, out=cmin)
+                np.fmax(cmax, tracked, out=cmax)
             return wgt, dq
 
         for dy in range(-r, r + 1):
@@ -356,22 +357,28 @@ def window_sums(depth: np.ndarray, hole, planes, params: KernelParams,
                 wgt, dq = weigh(dy, -adx)
                 if adx:
                     w2, d2 = weigh(dy, adx)
-                    acc.den[out] += wgt + w2
+                    wsum += wgt + w2
                     wgt *= dq
                     w2 *= d2
                     wgt += w2
                     del w2, d2
                 else:
-                    acc.den[out] += wgt
+                    wsum += wgt
                     wgt *= dq
-                acc.num[out] += wgt
+                num += wgt
                 del wgt, dq
+        some = wsum > 0
+        np.divide(num, wsum, out=num, where=some)
+        if track:
+            np.maximum(cmin, num, out=num)
+            np.minimum(cmax, num, out=num)
+        num[~some] = 0.0
 
 
 def _blocks(r, row0, row1, frames, targets):
     """Split rows [row0, row1) into blocks of at most BLOCK_PX output
     pixels: whole rows for slice addressing, consecutive targets for
-    gather addressing. Yields each block's acc slice and at(dy, dx),
+    gather addressing. Yields each block's output slice and at(dy, dx),
     which returns the frames at offset (dy, dx) of the block's outputs."""
     w = frames[1].shape[1] - 2 * r
     if targets is None:
@@ -476,8 +483,8 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
     re-runs its suspects tracked; other depth into a float copy whose
     holes and pad ring read HOLE, on which the passes run tracked.
 
-    The output frame is the dense pass's num, with HOLE where its output
-    is not kept and the edge pass's values at their pixels; under the
+    The output frame is the dense pass's averages, with HOLE where they
+    are not kept and the edge pass's values at their pixels; under the
     labels contract the other pixels are the input's holes. depth is
     dropped once its samples are read and they once padded, so a map the
     caller handed over as a call's value (restore does) dies there; a
@@ -487,6 +494,12 @@ def filter_non_hole(depth: DepthMap, guide: ColorImage, labels: np.ndarray,
     labels whose hole labels mark exactly the depth's holes
     (errors.require_labels), so no kept output is centred on a hole.
     """
+    from .pipeline import PipelineConfig  # pipeline imports this module
+
+    require_type("depth", depth, DepthMap)
+    require_type("guide", guide, ColorImage)
+    require_type("edges", edges, EdgeMap)
+    require_type("cfg", cfg, PipelineConfig)
     require_same_shape(depth=depth, guide=guide, labels=labels, theta=edges.theta)
     require_labels(labels, depth)
     params = cfg.kernel
@@ -528,18 +541,16 @@ def _run_pass(run, shape, threads, tol, targets, kept, flavor):
     """One filter_non_hole pass over an h x w = shape frame: run, which is
     window_sums on the padded frames, in row bands over targets (None
     for every pixel) with the flavor keywords. Returns the pass's
-    clamped weighted averages, written into its num; its den dies
-    before the suspect test. tol of None runs the pass tracked. Else it
-    runs untracked, and the suspects among its kept outputs (kept is an
-    (h, w) mask, or None for every target), those within tol of an
-    integer (module doc), run again through the pass's own call,
-    tracked, with the suspects as targets.
+    clamped weighted averages, the one frame-sized array the engine
+    writes (its den and range are block-sized). tol of None runs the
+    pass tracked. Else it runs untracked, and the suspects among its
+    kept outputs (kept is an (h, w) mask, or None for every target),
+    those within tol of an integer (module doc), run again through the
+    pass's own call, tracked, with the suspects as targets.
     """
     h = shape[0]
-    acc = WindowSums(shape if targets is None else targets.shape, track=tol is None)
-    run_banded(h, threads, partial(run, acc, targets=targets, **flavor))
-    q = acc.finish()
-    del acc  # free den before the suspect test
+    q = np.empty(shape if targets is None else targets.shape)
+    run_banded(h, threads, partial(run, q, targets=targets, track=tol is None, **flavor))
     if tol is None:
         return q
     flat = q.reshape(-1)
@@ -548,11 +559,11 @@ def _run_pass(run, shape, threads, tol, targets, kept, flavor):
         suspect &= kept.reshape(-1)
     at = np.flatnonzero(suspect)
     if at.size:
-        fix = WindowSums(at.shape)
+        fix = np.empty(at.shape)
         # A per-output angle follows its outputs into the re-run.
         flavor = {k: v if _scalar(v) else v.reshape(-1)[at] for k, v in flavor.items()}
         run(fix, 0, h, targets=at if targets is None else targets[at], **flavor)
-        flat[at] = fix.finish()
+        flat[at] = fix
     return q
 
 

@@ -158,8 +158,13 @@ def dgf_weight(dx, dy, theta, sigma_x, sigma_y):
 def steering(theta):
     """The cos_t and sin_t keywords of rotated_weight (and of the
     filter engine) for the angle theta, a scalar or an array: the one
-    place the package takes an angle's cosine and sine."""
-    return {"cos_t": np.cos(theta), "sin_t": np.sin(theta)}
+    place the package takes an angle's cosine and sine. A 0-d angle
+    gives Python floats, the exact values of numpy's, on which
+    rotated_weight's scalar arithmetic runs about twice as fast."""
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    if np.ndim(theta) == 0:
+        cos_t, sin_t = float(cos_t), float(sin_t)
+    return {"cos_t": cos_t, "sin_t": sin_t}
 
 
 def rotated_weight(dx, dy, cos_t, sin_t, sigma_x, sigma_y):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
-    ContractViolation, require_int, require_labels, require_real, require_same_shape)
+    require_int, require_labels, require_real, require_same_shape, require_type)
 from .image_model import HOLE, ColorImage, DepthMap, interior, pad, to_grayscale
 from .preprocess import (
     StructuringElement, chebyshev_dilate, close_depth, expand_holes, hole_mask)
@@ -43,7 +43,7 @@ from .edge_analysis import (
     nearest_edge_theta,
     sobel_gradients,
 )
-from .filters import WindowSums, filter_non_hole, guide_planes, run_banded, window_sums
+from .filters import filter_non_hole, guide_planes, run_banded, window_sums
 from .kernels import KernelParams, steering
 
 DEFAULT_EDGE_THRESHOLD = 100.0
@@ -79,17 +79,15 @@ class PipelineConfig:
         return self.kernel.window_radius if self.r_edge is None else self.r_edge
 
     def __post_init__(self):
-        for name, kind in (("kernel", KernelParams), ("se", StructuringElement)):
-            if not isinstance(value := getattr(self, name), kind):
-                raise ContractViolation(f"{name} must be a {kind.__name__}, got {value!r}")
+        require_type("kernel", self.kernel, KernelParams)
+        require_type("se", self.se, StructuringElement)
         require_real("edge_threshold", self.edge_threshold, gt=0)
         if self.r_edge is not None:
             require_int("r_edge", self.r_edge, ge=0)
         require_int("hole_expand_radius", self.hole_expand_radius, ge=0)
         require_int("max_fill_passes", self.max_fill_passes, ge=1)
         require_int("threads", self.threads, ge=0)
-        if not isinstance(self.isotropic_only, bool):
-            raise ContractViolation(f"isotropic_only must be a bool, got {self.isotropic_only!r}")
+        require_type("isotropic_only", self.isotropic_only, bool)
 
 
 @dataclass(frozen=True)
@@ -136,6 +134,10 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
     (errors.require_labels): a hole labelled valid would be neither a
     source nor a target.
     """
+    require_type("filtered", filtered, DepthMap)
+    require_type("guide", guide, ColorImage)
+    require_type("edges", edges, EdgeMap)
+    require_type("cfg", cfg, PipelineConfig)
     require_same_shape(depth=filtered, guide=guide, labels=labels, theta=edges.theta)
     require_labels(labels, filtered)
     h = labels.shape[0]
@@ -159,16 +161,18 @@ def fill_holes(filtered: DepthMap, guide: ColorImage, labels: np.ndarray,
             passes += 1
             # Only a pixel with a non-hole pixel in its window can fill.
             targets = np.flatnonzero(remaining & chebyshev_dilate(interior(work, r) != HOLE, r))
-            acc = WindowSums(targets.shape)
+            avg = np.empty(targets.shape)
             angles = steering(
                 nearest_edge_theta(edges, cfg.effective_r_edge(), targets) if steer else 0.0)
             run_banded(h, cfg.threads, lambda r0, r1: window_sums(
-                work, HOLE, planes, p_params, acc, r0, r1, targets=targets, **angles))
-            got = acc.den > 0
+                work, HOLE, planes, p_params, avg, r0, r1, targets=targets, **angles))
+            # Every source is above HOLE and an average is clamped into its
+            # contributors' range, so only a target without one reads HOLE.
+            got = avg != HOLE
             if not got.any():
                 break
             fillable = targets[got]
-            interior(work, r).flat[fillable] = acc.finish()[got]
+            interior(work, r).flat[fillable] = avg[got]
             remaining.flat[fillable] = False
             filled += fillable.size
 
@@ -204,6 +208,9 @@ def restore(depth: DepthMap, guide: ColorImage,
     CPython 3.11 moving call arguments into the callee's frame,
     hence the package's requires-python.
     """
+    require_type("depth", depth, DepthMap)
+    require_type("guide", guide, ColorImage)
+    require_type("cfg", cfg, PipelineConfig)
     require_same_shape(depth=depth, guide=guide)
     edges = detect_edges(sobel_gradients(to_grayscale(guide)), cfg.edge_threshold)
     closed = close_depth(depth, cfg.se)

@@ -146,6 +146,17 @@ def ref_window_sums(depth, validf, colors, params, *, iso_sigma=None, cos_t=None
     return {"num": num, "den": den, "cnt": cnt, "cmin": cmin, "cmax": cmax}
 
 
+def ref_finish(sums, track=True):
+    """The averages of ref_window_sums' sums by the engine's rule: num /
+    den where den > 0, clamped into [cmin, cmax] when track is set, and
+    0.0 where nothing contributed."""
+    some = sums["den"] > 0
+    avg = np.divide(sums["num"], sums["den"], out=np.zeros_like(sums["num"]), where=some)
+    if track:
+        avg = np.minimum(sums["cmax"], np.maximum(sums["cmin"], avg))
+    return np.where(some, avg, 0.0)
+
+
 def ref_nearest_edge_theta(edge, theta, r_edge):
     """Per-pixel theta of the nearest edge pixel within r_edge, over the
     whole frame: edge_analysis.nearest_edge_theta as it stood before it

@@ -45,7 +45,7 @@ from depthrestore import (
 from depthrestore.cli import main
 from depthrestore.edge_analysis import EdgeMap
 from depthrestore.evaluate import discontinuity_mask
-from depthrestore.filters import WindowSums, guide_planes, window_sums
+from depthrestore.filters import guide_planes, window_sums
 from depthrestore.image_model import HOLE, pad
 from depthrestore.preprocess import chebyshev_dilate
 
@@ -94,9 +94,8 @@ def engine_maps(depth, guide, theta, params):
         ("tjbf", {"iso_sigma": params.sigma_s, "depth_sigma": params.sigma_r_depth}),
         ("dgf", {"cos_t": np.cos(theta), "sin_t": np.sin(theta)}),
     ):
-        acc = WindowSums(d.shape)
-        window_sums(padded, HOLE, planes, params, acc, 0, d.shape[0], **kwargs)
-        out[key] = acc.finish()
+        out[key] = np.empty(d.shape)
+        window_sums(padded, HOLE, planes, params, out[key], 0, d.shape[0], **kwargs)
     return out
 
 

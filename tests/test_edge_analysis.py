@@ -330,3 +330,24 @@ def test_edge_map_frames_must_match_in_size():
     with pytest.raises(ContractViolation) as e:
         EdgeMap(np.zeros((8, 11), bool), np.zeros((8, 8)))
     assert "11x8" in str(e.value) and "8x8" in str(e.value)
+
+
+@pytest.mark.parametrize("theta", [np.full((8, 8), np.nan), np.full((8, 8), np.inf),
+                                   np.full((8, 8), -np.inf), np.full((8, 8), "0.3"),
+                                   np.zeros((8, 8), bool), np.zeros((8, 8), complex),
+                                   [[0.0] * 8] * 8],
+                         ids=["nan", "inf", "-inf", "str", "bool", "complex", "list"])
+def test_edge_map_angles_must_be_finite_reals(theta):
+    """An edge map whose theta is not an integer or float array, or holds
+    NaN or an infinity at one pixel, fails at construction, instead of
+    building without error (a string array) or turning a whole edge
+    region into HOLE (a NaN angle weighs every source NaN, and NaN > 0
+    is false)."""
+    EdgeMap(np.zeros((8, 8), bool), np.zeros((8, 8), np.int32))
+    if isinstance(theta, np.ndarray) and theta.dtype.kind == "f":
+        ok = np.zeros((8, 8))
+        ok[5, 2] = theta[0, 0]
+        theta = ok
+    with pytest.raises(ContractViolation, match="^theta must be"):
+        EdgeMap(np.zeros((8, 8), bool), theta)
+

@@ -26,7 +26,6 @@ from depthrestore import (
 from depthrestore import filters
 from depthrestore.edge_analysis import EdgeMap, NONHOLE_EDGE, NONHOLE_NONEDGE
 from depthrestore.filters import (
-    WindowSums,
     filter_non_hole,
     guide_planes,
     row_bands,
@@ -34,7 +33,7 @@ from depthrestore.filters import (
 )
 from depthrestore.image_model import HOLE, interior, pad
 
-from oracles import brute_filter, ref_window_sums
+from oracles import brute_filter, ref_finish, ref_window_sums
 
 PARAMS = KernelParams(sigma_s=2.0, sigma_r_color=20.0, sigma_r_depth=30.0,
                       sigma_x=4.0, sigma_y=1.5, window_radius=2)
@@ -48,14 +47,19 @@ def random_instance(rng, shape=(7, 7), hole_fraction=0.15):
     return DepthMap(d), guide, theta
 
 
-def counted(shape, track=True):
-    """A WindowSums that, when tracked, also counts contributors, as the
-    per-pixel wrappers' accumulator does: the engine adds into cnt only
-    where the accumulator has one."""
-    acc = WindowSums(shape, track)
-    if track:
-        acc.cnt = np.zeros(shape, np.int32)
-    return acc
+def run_engine(d, mark, planes, params, shape, bands, *, sums=True, **kwargs):
+    """window_sums over the row bands into fresh arrays of the given
+    shape, by name: avg, the finished averages, and with sums also den
+    and cnt, the weight sums and contributor counts, which the engine
+    writes only for a caller that asks for them, as the per-pixel
+    wrappers do. kwargs go to window_sums (track, targets, the flavor)."""
+    got = {"avg": np.empty(shape)}
+    if sums:
+        got |= {"den": np.empty(shape), "cnt": np.empty(shape, np.int32)}
+    for r0, r1 in bands:
+        window_sums(d, mark, planes, params, got["avg"], r0, r1, den=got.get("den"),
+                    cnt=got.get("cnt"), **kwargs)
+    return got
 
 
 def rel_err(a, b):
@@ -273,7 +277,6 @@ def engine_values(depth, guide, params, *, theta=None, iso=False, depth_term=Fal
     d = depth.samples
     h, w = d.shape
     r = params.window_radius
-    acc = counted((h, w))
     kwargs = {}
     if iso:
         kwargs["iso_sigma"] = params.sigma_s
@@ -282,8 +285,8 @@ def engine_values(depth, guide, params, *, theta=None, iso=False, depth_term=Fal
         kwargs["sin_t"] = np.sin(theta)
     if depth_term:
         kwargs["depth_sigma"] = params.sigma_r_depth
-    window_sums(pad(d, r), HOLE, guide_planes(guide, r), params, acc, 0, h, **kwargs)
-    return acc
+    return run_engine(pad(d, r), HOLE, guide_planes(guide, r), params, (h, w), [(0, h)],
+                      **kwargs)
 
 
 def test_engine_reproduces_scalar_filters_bit_for_bit():
@@ -293,42 +296,40 @@ def test_engine_reproduces_scalar_filters_bit_for_bit():
     depth, guide, theta = random_instance(rng, shape=(16, 16), hole_fraction=0.2)
     valid = depth.samples != HOLE
 
-    acc = engine_values(depth, guide, PARAMS, iso=True, depth_term=True)
-    vals = acc.finish()
+    want = engine_values(depth, guide, PARAMS, iso=True, depth_term=True)
     for y, x in zip(*np.nonzero(valid)):
         got = tjbf_pixel((y, x), depth, guide, PARAMS)
-        assert got.value == vals[y, x]
-        assert got.weight_sum == acc.den[y, x]
-        assert got.contributors == acc.cnt[y, x]
+        assert got.value == want["avg"][y, x]
+        assert got.weight_sum == want["den"][y, x]
+        assert got.contributors == want["cnt"][y, x]
 
-    acc = engine_values(depth, guide, PARAMS, theta=theta)
-    vals = acc.finish()
+    want = engine_values(depth, guide, PARAMS, theta=theta)
     for y, x in zip(*np.nonzero(valid)):
         got = djbf_pixel((y, x), depth, guide, float(theta[y, x]), PARAMS)
-        assert got.value == vals[y, x]
-        assert got.weight_sum == acc.den[y, x]
-        assert got.contributors == acc.cnt[y, x]
+        assert got.value == want["avg"][y, x]
+        assert got.weight_sum == want["den"][y, x]
+        assert got.contributors == want["cnt"][y, x]
     for y, x in zip(*np.nonzero(~valid)):
         got = pdjbf_pixel((y, x), depth, guide, float(theta[y, x]), PARAMS)
-        assert got.value == vals[y, x]
-        assert got.weight_sum == acc.den[y, x]
-        assert got.contributors == acc.cnt[y, x]
+        assert got.value == want["avg"][y, x]
+        assert got.weight_sum == want["den"][y, x]
+        assert got.contributors == want["cnt"][y, x]
 
 
 def test_only_a_given_cnt_counts_contributors():
-    """A tracked WindowSums has no cnt, and a run into it leaves num,
-    den, cmin and cmax exactly as a run that also counts: the fill
-    reads support as den > 0 and never pays for a count."""
+    """A run that asks for no weight sums or counts writes none, and
+    exactly the averages of a run that asks for both, tracked and
+    untracked: the fill reads support from its averages and never pays
+    for a frame-sized den or a count."""
     rng = np.random.default_rng(52)
     depth, guide, theta = random_instance(rng, shape=(9, 11), hole_fraction=0.3)
     r = PARAMS.window_radius
-    inputs = (pad(depth.samples, r), HOLE, guide_planes(guide, r))
-    plain, count = WindowSums((9, 11)), counted((9, 11))
-    for acc in (plain, count):
-        window_sums(*inputs, PARAMS, acc, 0, 9, cos_t=np.cos(theta), sin_t=np.sin(theta))
-    assert plain.cnt is None and count.cnt.any()
-    for name in ("num", "den", "cmin", "cmax"):
-        assert np.array_equal(getattr(plain, name), getattr(count, name)), name
+    inputs = (pad(depth.samples, r), HOLE, guide_planes(guide, r), PARAMS, (9, 11), [(0, 9)])
+    for track in (True, False):
+        plain, count = (run_engine(*inputs, sums=sums, track=track, cos_t=np.cos(theta),
+                                   sin_t=np.sin(theta)) for sums in (False, True))
+        assert set(plain) == {"avg"} and count["cnt"].any()
+        assert np.array_equal(plain["avg"], count["avg"]), track
 
 
 def test_banded_run_is_bit_identical_to_whole_image():
@@ -337,16 +338,12 @@ def test_banded_run_is_bit_identical_to_whole_image():
     r = PARAMS.window_radius
     d = pad(depth.samples, r)
     planes = guide_planes(guide, r)
-    whole = counted(depth.samples.shape)
-    window_sums(d, HOLE, planes, PARAMS, whole, 0, 16,
-                iso_sigma=PARAMS.sigma_s, depth_sigma=PARAMS.sigma_r_depth)
-    split = counted(depth.samples.shape)
-    for r0, r1 in ((0, 1), (1, 6), (6, 13), (13, 16)):
-        window_sums(d, HOLE, planes, PARAMS, split, r0, r1,
-                    iso_sigma=PARAMS.sigma_s, depth_sigma=PARAMS.sigma_r_depth)
-    assert np.array_equal(whole.finish(), split.finish())
-    assert np.array_equal(whole.den, split.den)
-    assert np.array_equal(whole.cnt, split.cnt)
+    flavor = {"iso_sigma": PARAMS.sigma_s, "depth_sigma": PARAMS.sigma_r_depth}
+    whole = run_engine(d, HOLE, planes, PARAMS, (16, 16), [(0, 16)], **flavor)
+    split = run_engine(d, HOLE, planes, PARAMS, (16, 16), [(0, 1), (1, 6), (6, 13), (13, 16)],
+                       **flavor)
+    for name in ("avg", "den", "cnt"):
+        assert np.array_equal(whole[name], split[name]), name
 
 
 def test_filter_non_hole_composes_per_pixel_filters():
@@ -368,21 +365,6 @@ def test_filter_non_hole_composes_per_pixel_filters():
             else:
                 want = depth.samples[y, x]
             assert out.samples[y, x] == want
-
-def test_finish_consumes_the_sums():
-    """finish writes the averages into num; a second call would divide
-    them by den again, so it raises instead."""
-    acc = WindowSums((2, 2))
-    acc.num[:] = 6.0
-    acc.den[:] = 2.0
-    acc.cmin[:] = 0.0
-    acc.cmax[:] = 9.0
-    vals = acc.finish()
-    assert vals is acc.num and np.array_equal(vals, np.full((2, 2), 3.0))
-    with pytest.raises(ContractViolation, match="finish"):
-        acc.finish()
-    assert np.array_equal(acc.num, np.full((2, 2), 3.0))
-
 
 def test_filter_non_hole_thread_count_is_invisible():
     rng = np.random.default_rng(52)
@@ -473,9 +455,9 @@ FLAVORS = ["isotropic", "trilateral", "directional"]
          track=False, integer=True, seed=4)
 def test_gather_addressing_matches_slice_addressing(h, w, flavor, radius, density,
                                                     border, bands, track, integer, seed):
-    """A target-set run gives, at every target, the exact sums of a
-    dense run: num, den, cnt, cmin and cmax (num and den untracked),
-    for each flavor, on float and uint16 depth, on frames down to 1xN
+    """A target-set run gives, at every target, the exact average,
+    weight sum and count of a dense run, tracked and untracked, for
+    each flavor, on float and uint16 depth, on frames down to 1xN
     and Nx1 and narrower than the window, with targets on the borders
     and the targets split over several row bands."""
     rng = np.random.default_rng(seed)
@@ -485,16 +467,11 @@ def test_gather_addressing_matches_slice_addressing(h, w, flavor, radius, densit
         mask[[0, -1], :] = True
         mask[:, [0, -1]] = True
     targets = np.flatnonzero(mask)
-    dense = counted((h, w), track)
-    window_sums(d, mark, planes, params, dense, 0, h, **kwargs)
-    sparse = counted(targets.shape, track)
-    for r0, r1 in row_bands(h, bands):
-        window_sums(d, mark, planes, params, sparse, r0, r1, targets=targets,
-                    **at_targets(kwargs, targets))
-    names = ("num", "den", "cnt", "cmin", "cmax") if track else ("num", "den")
-    for name in names:
-        assert np.array_equal(getattr(dense, name).flat[targets], getattr(sparse, name)), name
-    assert track or sparse.cnt is sparse.cmin is sparse.cmax is None
+    dense = run_engine(d, mark, planes, params, (h, w), [(0, h)], track=track, **kwargs)
+    sparse = run_engine(d, mark, planes, params, targets.shape, row_bands(h, bands),
+                        track=track, targets=targets, **at_targets(kwargs, targets))
+    for name in ("avg", "den", "cnt"):
+        assert np.array_equal(dense[name].flat[targets], sparse[name]), name
 
 
 @settings(max_examples=60, deadline=None)
@@ -510,29 +487,26 @@ def test_gather_addressing_matches_slice_addressing(h, w, flavor, radius, densit
 def test_block_size_never_changes_a_bit(h, w, flavor, radius, sparse, bands, track,
                                         integer, seed):
     """Splitting each call's band into blocks of BLOCK_PX output pixels
-    (rows for a dense run, targets for a target-set run) leaves num,
-    den, cnt, cmin and cmax exactly as one tracked block per band
-    leaves them, including blocks of 1 px, blocks that end mid-row and
-    a short last block; an untracked run leaves num and den so."""
+    (rows for a dense run, targets for a target-set run) leaves the
+    averages, weight sums and counts exactly as one block per band
+    leaves them, tracked and untracked, including blocks of 1 px, blocks
+    that end mid-row and a short last block."""
     rng = np.random.default_rng(seed)
     d, mark, planes, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
     targets = np.flatnonzero(rng.random((h, w)) < 0.5) if sparse else None
     kwargs = at_targets(kwargs, targets)
 
-    def run(block_px, track):
-        acc = counted((h, w) if targets is None else targets.shape, track)
+    def run(block_px):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(filters, "BLOCK_PX", block_px)
-            for r0, r1 in row_bands(h, bands):
-                window_sums(d, mark, planes, params, acc, r0, r1, targets=targets, **kwargs)
-        return acc
+            return run_engine(d, mark, planes, params, (h, w) if targets is None else targets.shape,
+                              row_bands(h, bands), track=track, targets=targets, **kwargs)
 
-    whole = run(h * w, True)
-    names = ("num", "den", "cnt", "cmin", "cmax") if track else ("num", "den")
+    whole = run(h * w)
     for block_px in sorted({1, 2, w - 1, w, w + 1, 7, h * w} - {0}):
-        got = run(block_px, track)
-        for name in names:
-            assert np.array_equal(getattr(whole, name), getattr(got, name)), (block_px, name)
+        got = run(block_px)
+        for name in ("avg", "den", "cnt"):
+            assert np.array_equal(whole[name], got[name]), (block_px, name)
 
 
 def sentinel_free_centres(usable, integer, kwargs):
@@ -563,8 +537,10 @@ def sentinel_free_centres(usable, integer, kwargs):
          sigma_r_color=3.0, sigma_r_depth=0.3, integer=True, seed=10)
 def test_engine_matches_float64_reference_body(h, w, flavor, radius, sparse, bands,
                                                sigma_r_color, sigma_r_depth, integer, seed):
-    """window_sums gives the exact num, den, cnt, cmin and cmax of the
-    frozen float64 weight body in tests/oracles.py, for each flavor,
+    """window_sums gives the exact weight sums and counts of the frozen
+    float64 weight body in tests/oracles.py, and its sums' averages
+    finished by the engine's rule (ref_finish), tracked and untracked,
+    for each flavor,
     dense and on a target set split over row bands, at any color sigma,
     on float depth and on integer depth handed over as uint16 (the
     depth_range_table path), at every output sentinel_free_centres
@@ -589,16 +565,17 @@ def test_engine_matches_float64_reference_body(h, w, flavor, radius, sparse, ban
     want = ref_window_sums(interior(d, radius).astype(np.float64), usable, colors, params,
                            **kwargs)
     targets = np.flatnonzero(rng.random((h, w)) < 0.5) if sparse else None
-    acc = counted((h, w) if targets is None else targets.shape)
     planes = guide_planes(ColorImage(colors), radius)
-    for r0, r1 in row_bands(h, bands):
-        window_sums(d, mark, planes, params, acc, r0, r1, targets=targets,
-                    **at_targets(kwargs, targets))
     keep = sentinel_free_centres(usable, integer, kwargs)
-    for name in ("num", "den", "cnt", "cmin", "cmax"):
-        ref = want[name] if targets is None else want[name].flat[targets]
-        at = keep if targets is None else keep.flat[targets]
-        assert np.array_equal(ref[at], getattr(acc, name)[at]), name
+    at = keep if targets is None else keep.flat[targets]
+    for track in (True, False):
+        got = run_engine(d, mark, planes, params, (h, w) if targets is None else targets.shape,
+                         row_bands(h, bands), track=track, targets=targets,
+                         **at_targets(kwargs, targets))
+        ref = {"avg": ref_finish(want, track), "den": want["den"], "cnt": want["cnt"]}
+        for name in ("avg", "den", "cnt"):
+            exp = ref[name] if targets is None else ref[name].flat[targets]
+            assert np.array_equal(exp[at], got[name][at]), (track, name)
 
 
 @settings(max_examples=80, deadline=None)
@@ -614,11 +591,12 @@ def test_engine_matches_float64_reference_body(h, w, flavor, radius, sparse, ban
 def test_the_exterior_is_inert(h, w, flavor, radius, sparse, track, integer, seed):
     """The mark in the pad makes whatever color it holds add exactly
     nothing, and so does the mark at an interior hole, to every output
-    not centred on it: with random colors in the pad ring, num, den,
-    cnt, cmin and cmax match the zero pad's at every output
-    (sentinel_free_centres), and with random colors under the interior
-    holes too, at every usable centre (num and den untracked), dense and
-    on a target set, for each flavor, on float and uint16 depth."""
+    not centred on it: with random colors in the pad ring, the
+    averages, weight sums and counts match the zero pad's at every
+    output (sentinel_free_centres), and with random colors under the
+    interior holes too, at every usable centre, tracked and untracked,
+    dense and on a target set, for each flavor, on float and uint16
+    depth."""
     rng = np.random.default_rng(seed)
     d, mark, planes, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
     ring = ~pad(np.ones((h, w), bool), radius)
@@ -627,12 +605,10 @@ def test_the_exterior_is_inert(h, w, flavor, radius, sparse, track, integer, see
     kwargs = at_targets(kwargs, targets)
 
     def run(planes):
-        acc = counted((h, w) if targets is None else targets.shape, track)
-        window_sums(d, mark, planes, params, acc, 0, h, targets=targets, **kwargs)
-        return acc
+        return run_engine(d, mark, planes, params, (h, w) if targets is None else targets.shape,
+                          [(0, h)], track=track, targets=targets, **kwargs)
 
     zero = run(planes)
-    names = ("num", "den", "cnt", "cmin", "cmax") if track else ("num", "den")
     noisy_planes = planes.copy()
     for recolor, keep in ((ring, sentinel_free_centres(usable, integer, kwargs)),
                           (d == mark, usable)):
@@ -640,8 +616,37 @@ def test_the_exterior_is_inert(h, w, flavor, radius, sparse, track, integer, see
                                                 dtype=np.uint8)
         noisy = run(noisy_planes)
         at = keep if targets is None else keep.flat[targets]
-        for name in names:
-            assert np.array_equal(getattr(zero, name)[at], getattr(noisy, name)[at]), name
+        for name in ("avg", "den", "cnt"):
+            assert np.array_equal(zero[name][at], noisy[name][at]), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=st.integers(1, 9), w=st.integers(1, 9),
+       flavor=st.sampled_from(["isotropic", "directional"]), radius=st.integers(1, 3),
+       sparse=st.booleans(), scale=st.sampled_from([1.0, 1e-300, 1e-320]),
+       seed=st.integers(0, 2**32 - 1))
+@example(h=9, w=9, flavor="directional", radius=1, sparse=False, scale=1e-320, seed=14)
+@example(h=1, w=7, flavor="isotropic", radius=3, sparse=True, scale=1.0, seed=15)
+def test_a_fill_average_is_hole_exactly_where_nothing_weighed(h, w, flavor, radius, sparse,
+                                                              scale, seed):
+    """With the fill's flavor (tracked, no depth term, float depth whose
+    sources are above HOLE) an average reads HOLE exactly where its
+    weight sum is 0, so fill_holes can tell a filled target by its
+    average alone. It holds down to subnormal depths, where every
+    product weight * depth may underflow to 0 but the clamp lifts the
+    quotient to the least contributor. One output has no usable source
+    in its window."""
+    rng = np.random.default_rng(seed)
+    d, mark, planes, params, kwargs = engine_case(rng, h, w, flavor, radius)
+    d *= scale
+    y, x = int(rng.integers(0, h)), int(rng.integers(0, w))
+    interior(d, radius)[max(0, y - radius):y + radius + 1, max(0, x - radius):x + radius + 1] = mark
+    targets = np.flatnonzero(rng.random((h, w)) < 0.5) if sparse else None
+    got = run_engine(d, mark, planes, params, (h, w) if targets is None else targets.shape,
+                     [(0, h)], targets=targets, **at_targets(kwargs, targets))
+    assert np.array_equal(got["avg"] != HOLE, got["den"] > 0)
+    if targets is None:
+        assert got["den"][y, x] == 0
 
 
 def clamp_prone_case(rng, h, w, kind, base):
@@ -672,7 +677,7 @@ def clamp_prone_case(rng, h, w, kind, base):
 def tracked_filter_non_hole(depth, guide, labels, edges, params, isotropic_only):
     """filter_non_hole composed from tracked window_sums runs on the
     float depth, every quotient clamped; also returns how many kept
-    outputs the clamp moved."""
+    outputs the clamp moved, against untracked runs."""
     d = depth.samples
     h = d.shape[0]
     r = params.window_radius
@@ -680,11 +685,11 @@ def tracked_filter_non_hole(depth, guide, labels, edges, params, isotropic_only)
     planes = guide_planes(guide, r)
 
     def run(targets, **flavor):
-        acc = WindowSums(d.shape if targets is None else targets.shape)
-        window_sums(padded, HOLE, planes, params, acc, 0, h, targets=targets,
-                    **at_targets(flavor, targets))
-        raw = np.divide(acc.num, acc.den, out=np.zeros_like(acc.num), where=acc.den > 0)
-        return acc.finish(), raw
+        """The pass's clamped averages and its raw quotients."""
+        return [run_engine(padded, HOLE, planes, params,
+                           d.shape if targets is None else targets.shape, [(0, h)], sums=False,
+                           track=track, targets=targets, **at_targets(flavor, targets))["avg"]
+                for track in (True, False)]
 
     if isotropic_only:
         kept = labels <= NONHOLE_EDGE

@@ -14,7 +14,7 @@ from depthrestore import (
     dgf_weight,
     spatial_weight,
 )
-from depthrestore.kernels import color_range_table, depth_range_table, rotated_weight
+from depthrestore.kernels import color_range_table, depth_range_table, rotated_weight, steering
 
 from oracles import ref_rotated_weight
 
@@ -269,3 +269,27 @@ def test_rotated_weight_array_angles_match_the_frozen_expression(shape, dx, dy, 
     assert got.dtype == np.float64 and got.shape == shape
     assert np.array_equal(got, ref_rotated_weight(dx, dy, cos_t, sin_t, sigma_x, sigma_y))
     assert np.array_equal(cos_t, before[0]) and np.array_equal(sin_t, before[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(theta=st.floats(-np.pi, np.pi), dx=st.integers(-5, 5), dy=st.integers(-5, 5),
+       sigma_x=st.floats(0.3, 12.0), sigma_y=st.floats(0.3, 12.0),
+       form=st.sampled_from(["float", "numpy", "0-d"]))
+@example(theta=0.0, dx=3, dy=-2, sigma_x=5.0, sigma_y=1.5, form="numpy")
+@example(theta=-0.0, dx=-1, dy=4, sigma_x=3.0, sigma_y=3.0, form="float")
+@example(theta=np.pi / 4, dx=5, dy=5, sigma_x=5.0, sigma_y=1.5, form="0-d")
+def test_steering_one_angle_gives_the_array_forms_bits_as_floats(theta, dx, dy, sigma_x,
+                                                                 sigma_y, form):
+    """A 0-d angle (a Python float, a numpy scalar or a 0-d array) steers
+    with Python floats, whose bits are the array form's at that angle,
+    so rotated_weight on them gives the array form's weight bit for bit
+    on the faster scalar arithmetic."""
+    angle = {"float": theta, "numpy": np.float64(theta), "0-d": np.array(theta)}[form]
+    one = steering(angle)
+    many = steering(np.full(17, theta))
+    for name in ("cos_t", "sin_t"):
+        assert type(one[name]) is float
+        assert np.float64(one[name]).tobytes() == many[name][:1].tobytes(), name
+    want = rotated_weight(dx, dy, many["cos_t"], many["sin_t"], sigma_x, sigma_y)
+    got = rotated_weight(dx, dy, one["cos_t"], one["sin_t"], sigma_x, sigma_y)
+    assert np.float64(got).tobytes() == want[:1].tobytes()

@@ -29,8 +29,10 @@ from depthrestore import (
     expand_holes,
     fill_holes,
     filter_non_hole,
+    jbf_pixel,
     mae,
     make_scene,
+    nearest_edge_theta,
     psnr,
     quantize,
     restore,
@@ -271,6 +273,39 @@ def test_every_frame_must_match_in_size(name, frame, size):
     assert "8x8" in str(e.value) and f"{size[1]}x{size[0]}" in str(e.value)
 
 
+TYPED_CALLS = {
+    "restore": (lambda a: restore(a["depth"], a["guide"], a["cfg"]), ("depth", "guide", "cfg")),
+    "filter_non_hole": (lambda a: filter_non_hole(a["depth"], a["guide"], a["labels"],
+                                                  a["edges"], a["cfg"]),
+                        ("depth", "guide", "edges", "cfg")),
+    "fill_holes": (lambda a: fill_holes(a["filtered"], a["guide"], a["labels"], a["edges"],
+                                        a["cfg"]),
+                   ("filtered", "guide", "edges", "cfg")),
+    "jbf_pixel": (lambda a: jbf_pixel((1, 2), a["depth"], a["guide"], a["params"]),
+                  ("depth", "guide", "params")),
+    "nearest_edge_theta": (lambda a: nearest_edge_theta(a["edges"], 1, np.arange(3)), ("edges",)),
+}
+
+
+@pytest.mark.parametrize("wrong", [None, {"threads": 1}, np.zeros((8, 8))],
+                         ids=["none", "dict", "ndarray"])
+@pytest.mark.parametrize("name,arg", [(name, arg) for name, (_, typed) in TYPED_CALLS.items()
+                                      for arg in typed])
+def test_stage_entries_check_their_argument_types(name, arg, wrong):
+    """Each stage entry, and the per-pixel filters through _filter_at,
+    given None, a dict or a bare array for one of its typed arguments,
+    fails as a ContractViolation naming that argument, instead of
+    escaping as an AttributeError from deep inside."""
+    call, _ = TYPED_CALLS[name]
+    f = frames(8, 8)
+    args = {"depth": f["depth"], "filtered": f["depth"], "guide": f["guide"],
+            "labels": f["labels"], "edges": f["edges"], "cfg": small_cfg(),
+            "params": small_cfg().kernel}
+    call(args)
+    with pytest.raises(ContractViolation, match=rf"^{arg} must be a [A-Za-z]+, got"):
+        call(args | {arg: wrong})
+
+
 MASK_CALLS = {
     "EdgeMap.edge": lambda f, m: EdgeMap(m, np.zeros(m.shape)),
     "expand_holes.holes": lambda f, m: expand_holes(m, f["holes"], 1),
@@ -378,14 +413,17 @@ def test_restore_thread_count_never_changes_pixels():
 # float64 frames of the degraded 640x480 occluder with cold weight
 # tables, as measured once every stage built its frames in place: 2.03,
 # 4.03, 1.38, 3.00, 4.23 and 3.30; fill_holes read 2.42 once validity
-# was one bool frame. Before, sobel_gradients read 9.0, to_grayscale
+# was one bool frame, and filter_non_hole 3.04 (4.06 before) once the
+# engine finished each block itself, so that its den is block-sized.
+# Before, sobel_gradients read 9.0, to_grayscale
 # 5.0, detect_edges 3.25 and filter_non_hole 5.7, under a bound of 6.
 STAGE_PEAK_FRAMES = {"to_grayscale": 2.25, "sobel_gradients": 4.25, "detect_edges": 1.5,
-                     "close_depth": 3.25, "filter_non_hole": 4.5, "fill_holes": 2.75}
+                     "close_depth": 3.25, "filter_non_hole": 3.25, "fill_holes": 2.75}
 
 # The same peaks on the degraded 640x480 checkerboard of 40 px tiles at
 # 2 threads, where edges are everywhere and the one fill pass has 79539
-# hole_edge targets: 5.62 and 5.93 once the dense pass's suspect mask
+# hole_edge targets: 5.27 and 5.45 once the engine finished each block
+# itself, with no frame-sized den, cmin or cmax; 5.62 and 5.93 once the dense pass's suspect mask
 # died with the pass, before the edge pass; 5.75 and 5.93 once the
 # denoise wrote its output into the dense pass's num and took the edge pass's cos and sin after
 # the dense pass; 5.92-5.96 and 5.93-5.94 once the engine read
@@ -396,7 +434,7 @@ STAGE_PEAK_FRAMES = {"to_grayscale": 2.25, "sobel_gradients": 4.25, "detect_edge
 # and 7.69 before the engine's block temporaries died at their last
 # reader, 7.93 and 9.10 with float64 validity frames. On one CPU the
 # bands share one worker, and the peaks are lower.
-TILES_PEAK_FRAMES = {"filter_non_hole": 6.0, "fill_holes": 6.0}
+TILES_PEAK_FRAMES = {"filter_non_hole": 5.5, "fill_holes": 5.75}
 
 
 def clear_table_caches():
@@ -472,19 +510,20 @@ def test_threaded_checkerboard_peaks_stay_under_their_frame_bounds(monkeypatch):
     assert all(peaks[name] <= bound for name, bound in TILES_PEAK_FRAMES.items()), peaks
 
 
-def test_restore_peak_stays_under_5_6_frames():
+def test_restore_peak_stays_under_4_6_frames():
     """On the same degraded 640x480 occluder the traced peak of the
-    whole restore, above the memory live when it starts, is at most 5.6
+    whole restore, above the memory live when it starts, is at most 4.6
     float64 frames with cold weight tables: 6.48 once each intermediate
     died at its last use and the stages built their frames in place,
     where it read 13.2 before (14.1 with the full-grid nearest-edge
     angles), 6.37 once the engine's block temporaries died at their
     last reader, 6.35 once the engine read hole-ness from the depth
-    frame, and 5.31 once the denoise and the front end handed their
-    frames on. Keeping the closed map alive to the end reads 7.6."""
+    frame, 5.31 once the denoise and the front end handed their frames
+    on, and 4.29 once the engine finished each block itself. Keeping the
+    closed map alive to the end reads 7.6."""
     clean, guide = make_scene("occluder", 640, 480)
     depth = degrade(clean, DegradeSpec(20, 0.05, 2, seed=1))
-    assert traced_peak(lambda: restore(depth, guide)) / (640 * 480 * 8) <= 5.6
+    assert traced_peak(lambda: restore(depth, guide)) / (640 * 480 * 8) <= 4.6
 
 
 def test_float_denoise_peak_stays_under_6_85_frames(monkeypatch):
@@ -512,12 +551,20 @@ def test_float_denoise_peak_stays_under_6_85_frames(monkeypatch):
     assert peak / (640 * 480 * 8) <= 6.85
 
 
-def traced_cli_restore_frames(tmp_path, clean, guide, threads):
-    """The traced peak of one CLI restore of clean, degraded at seed 1,
+def traced_cli_restore_frames(tmp_path, clean, guide, threads, hole=0):
+    """The traced peak of one CLI restore of clean, degraded at seed 1
+    and, for a nonzero hole, with a central square hole of that side
+    punched after the degradation (the bench's ramp-hole-qvga input),
     traced whole as the bench traces it, in float64 frames of its size
     with cold weight tables."""
     paths = [str(tmp_path / name) for name in ("depth.pgm", "guide.ppm", "out.pgm")]
-    save_depth_pgm(degrade(clean, DegradeSpec(20, 0.05, 2, seed=1)), paths[0])
+    depth = degrade(clean, DegradeSpec(20, 0.05, 2, seed=1))
+    if hole:
+        d = depth.samples.copy()
+        y, x = ((n - hole) // 2 for n in d.shape)
+        d[y:y + hole, x:x + hole] = HOLE
+        depth = DepthMap(d)
+    save_depth_pgm(depth, paths[0])
     save_color_ppm(guide, paths[1])
     peak = traced_peak(lambda: cli.main(["restore", *paths, "--threads", str(threads)]))
     return peak / (clean.samples.size * 8)
@@ -525,7 +572,7 @@ def traced_cli_restore_frames(tmp_path, clean, guide, threads):
 
 def test_cli_restore_hands_each_map_on_at_its_last_read(tmp_path):
     """One CLI restore of the degraded 640x480 checkerboard at 2 threads,
-    traced whole as the bench traces it, peaks at most 8.5 float64
+    traced whole as the bench traces it, peaks at most 8.0 float64
     frames with cold weight tables. It read 8.93 once cmd_restore handed
     the loaded depth to restore, which drops it after the closing, and
     restore handed the denoised map to fill_holes, which drops it after
@@ -533,19 +580,34 @@ def test_cli_restore_hands_each_map_on_at_its_last_read(tmp_path):
     frame); the engine's block temporaries died at their last reader too.
     It read 11.98 before, 8.59 once the fill kept no angle table for its
     whole edge phase and the denoise no gathered angles beside their cos
-    and sin, and 8.21-8.23 once the denoise handed its input on and
-    wrote its output into the dense pass's num."""
-    assert traced_cli_restore_frames(tmp_path, *checkerboard(640, 480, 40), threads=2) <= 8.5
+    and sin, 8.21-8.23 once the denoise handed its input on and wrote
+    its output into the dense pass's num, and 7.72-7.75 once the engine
+    finished each block itself."""
+    assert traced_cli_restore_frames(tmp_path, *checkerboard(640, 480, 40), threads=2) <= 8.0
 
 
 def test_cli_restore_of_the_occluder_hands_each_map_on(tmp_path):
     """One CLI restore of the degraded 640x480 occluder at 1 thread,
     traced whole with cold weight tables as the bench's occluder-vga
-    workload traces it, peaks at most 6.0 float64 frames. It read
+    workload traces it, peaks at most 5.75 float64 frames. It read
     6.74-6.75 once cmd_restore, restore and fill_holes handed their maps
-    on at their last reads, and 5.69-5.70 once filter_non_hole,
-    sobel_gradients and detect_edges did too."""
-    assert traced_cli_restore_frames(tmp_path, *make_scene("occluder", 640, 480), threads=1) <= 6.0
+    on at their last reads, 5.69-5.70 once filter_non_hole,
+    sobel_gradients and detect_edges did too, and 5.52 once the engine
+    finished each block itself; the peak is then in the closing."""
+    assert traced_cli_restore_frames(tmp_path, *make_scene("occluder", 640, 480),
+                                     threads=1) <= 5.75
+
+
+def test_cli_restore_of_the_holed_ramp_finishes_each_block(tmp_path):
+    """One CLI restore of the degraded 320x240 ramp with a central 80x80
+    hole at 1 thread, the bench's ramp-hole-qvga input, traced whole with
+    cold weight tables, peaks at most 8.75 float64 frames. It read 9.55
+    while the window engine kept frame-sized num and den and its block
+    temporaries lived until the side's weights were done, and 8.44 once
+    it finished each block itself and freed each temporary at its last
+    reader."""
+    clean, guide = make_scene("ramp", 320, 240)
+    assert traced_cli_restore_frames(tmp_path, clean, guide, threads=1, hole=80) <= 8.75
 
 
 def test_report_lines_are_stable_and_complete():
