@@ -52,10 +52,12 @@ def run_engine(d, mark, planes, params, shape, bands, *, sums=True, **kwargs):
     shape, by name: avg, the finished averages, and with sums also den
     and cnt, the weight sums and contributor counts, which the engine
     writes only for a caller that asks for them, as the per-pixel
-    wrappers do. kwargs go to window_sums (track, targets, the flavor)."""
-    got = {"avg": np.empty(shape)}
+    wrappers do. kwargs go to window_sums (track, targets, the flavor).
+    The arrays start as NaN and -1, so an entry the engine leaves
+    unwritten fails every comparison."""
+    got = {"avg": np.full(shape, np.nan)}
     if sums:
-        got |= {"den": np.empty(shape), "cnt": np.empty(shape, np.int32)}
+        got |= {"den": np.full(shape, np.nan), "cnt": np.full(shape, -1, np.int32)}
     for r0, r1 in bands:
         window_sums(d, mark, planes, params, got["avg"], r0, r1, den=got.get("den"),
                     cnt=got.get("cnt"), **kwargs)
