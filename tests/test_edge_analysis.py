@@ -350,4 +350,3 @@ def test_edge_map_angles_must_be_finite_reals(theta):
         theta = ok
     with pytest.raises(ContractViolation, match="^theta must be"):
         EdgeMap(np.zeros((8, 8), bool), theta)
-

@@ -415,25 +415,26 @@ def test_restore_thread_count_never_changes_pixels():
 # 4.03, 1.38, 3.00, 4.23 and 3.30; fill_holes read 2.42 once validity
 # was one bool frame, and filter_non_hole 3.04 (4.06 before) once the
 # engine finished each block itself, so that its den is block-sized.
-# Before, sobel_gradients read 9.0, to_grayscale
-# 5.0, detect_edges 3.25 and filter_non_hole 5.7, under a bound of 6.
+# Before, sobel_gradients read 9.0, to_grayscale 5.0, detect_edges 3.25
+# and filter_non_hole 5.7, under a bound of 6.
 STAGE_PEAK_FRAMES = {"to_grayscale": 2.25, "sobel_gradients": 4.25, "detect_edges": 1.5,
                      "close_depth": 3.25, "filter_non_hole": 3.25, "fill_holes": 2.75}
 
 # The same peaks on the degraded 640x480 checkerboard of 40 px tiles at
 # 2 threads, where edges are everywhere and the one fill pass has 79539
 # hole_edge targets: 5.27 and 5.45 once the engine finished each block
-# itself, with no frame-sized den, cmin or cmax; 5.62 and 5.93 once the dense pass's suspect mask
-# died with the pass, before the edge pass; 5.75 and 5.93 once the
-# denoise wrote its output into the dense pass's num and took the edge pass's cos and sin after
-# the dense pass; 5.92-5.96 and 5.93-5.94 once the engine read
-# hole-ness from the depth frame and the fill kept no validity frame;
-# 5.96 and 6.12 once the fill took its angles at each pass's targets and
-# the denoise's gathered angles died at their cos and sin; 6.14-6.19 and
-# 6.64 when the fill kept one angle table for the whole edge phase, 6.42
-# and 7.69 before the engine's block temporaries died at their last
-# reader, 7.93 and 9.10 with float64 validity frames. On one CPU the
-# bands share one worker, and the peaks are lower.
+# itself, with no frame-sized den, cmin or cmax; 5.62 and 5.93 once the
+# dense pass's suspect mask died with the pass, before the edge pass;
+# 5.75 and 5.93 once the denoise wrote its output into the dense pass's
+# num and took the edge pass's cos and sin after the dense pass;
+# 5.92-5.96 and 5.93-5.94 once the engine read hole-ness from the depth
+# frame and the fill kept no validity frame; 5.96 and 6.12 once the fill
+# took its angles at each pass's targets and the denoise's gathered
+# angles died at their cos and sin; 6.14-6.19 and 6.64 when the fill
+# kept one angle table for the whole edge phase, 6.42 and 7.69 before
+# the engine's block temporaries died at their last reader, 7.93 and
+# 9.10 with float64 validity frames. On one CPU the bands share one
+# worker, and the peaks are lower.
 TILES_PEAK_FRAMES = {"filter_non_hole": 5.5, "fill_holes": 5.75}
 
 
@@ -581,7 +582,7 @@ def test_cli_restore_hands_each_map_on_at_its_last_read(tmp_path):
     It read 11.98 before, 8.59 once the fill kept no angle table for its
     whole edge phase and the denoise no gathered angles beside their cos
     and sin, 8.21-8.23 once the denoise handed its input on and wrote
-    its output into the dense pass's num, and 7.72-7.75 once the engine
+    its output into the dense pass's num, and 7.75 once the engine
     finished each block itself."""
     assert traced_cli_restore_frames(tmp_path, *checkerboard(640, 480, 40), threads=2) <= 8.0
 
@@ -601,9 +602,9 @@ def test_cli_restore_of_the_occluder_hands_each_map_on(tmp_path):
 def test_cli_restore_of_the_holed_ramp_finishes_each_block(tmp_path):
     """One CLI restore of the degraded 320x240 ramp with a central 80x80
     hole at 1 thread, the bench's ramp-hole-qvga input, traced whole with
-    cold weight tables, peaks at most 8.75 float64 frames. It read 9.55
+    cold weight tables, peaks at most 8.75 float64 frames. It read 9.57
     while the window engine kept frame-sized num and den and its block
-    temporaries lived until the side's weights were done, and 8.44 once
+    temporaries lived until the side's weights were done, and 8.49 once
     it finished each block itself and freed each temporary at its last
     reader."""
     clean, guide = make_scene("ramp", 320, 240)
