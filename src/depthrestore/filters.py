@@ -6,8 +6,8 @@ spatial (or directional) Gaussian, a color range Gaussian on the guide
 image, and optionally a depth range Gaussian. Hole neighbors always
 get weight zero; a sentinel is not a measurement.
 
-`window_sums` is the one engine: it iterates window offsets and, per
-offset, weighs and accumulates a whole set of output pixels at once.
+`window_sums` is the one engine: it iterates window rows and, per
+row, weighs and accumulates a whole set of output pixels at once.
 Each of its four weight terms comes from kernels.py (spatial_weight
 or rotated_weight, color_range_table, depth_range_table or
 depth_range_weight), so every formula is written once, and the *_pixel
@@ -40,35 +40,46 @@ sentinel, below), the constant_exterior boundary of Halide
 (Ragan-Kelley et al., PLDI 2013). The pad reads as holes, so an
 exterior source weighs exactly +0.0, and adding +0.0 to sums that are
 never below +0.0 leaves their bits: no offset needs to know where the
-image ends. One body weighs and accumulates, on arrays from one of two
+image ends. One body weighs and accumulates, on arrays whose leading
+axis is the sides (offsets) of one window row, from one of two
 addressings:
 
-* Slice addressing, for every pixel of a row band: an offset is one
-  fixed-shape view of each padded frame. The dense denoise pass uses
-  it; views are free, and gathers there measured 2x slower.
+* Slice addressing, for every pixel of a row band: a side is one
+  fixed-shape view of each padded frame, and the body weighs one side
+  per array op. The dense denoise pass uses it; views are free, gathers
+  there measured 2x slower, and a row of 2r + 1 sides as one strided
+  view measured slower still.
 
 * Gather addressing, for a sorted set of flat target indices: the
-  denoise pass on nonhole_edge pixels, and each fill pass on the
-  holes with a valid pixel in reach (the narrow band of Telea's 2004
-  fast-marching inpainting). A block maps its targets to padded flat
-  indices once and gathers each offset's sources at one fixed shift.
+  denoise pass on nonhole_edge pixels, its suspect re-runs, and each
+  fill pass on the holes with a valid pixel in reach (the narrow band
+  of Telea's 2004 fast-marching inpainting). A block maps its targets
+  to padded flat indices once, and per window row one index add makes
+  the (2r + 1, targets) source indices of all the row's sides and two
+  takes gather their colors and depths; the body then weighs the whole
+  row per array op. A call's cost below a few thousand targets is its
+  number of numpy calls, not its pixel count, and a row per op makes
+  about a fifth as many as a side per op at r = 5.
 
-Either way a call walks its band in blocks of at most BLOCK_PX output
-pixels (whole rows for slices, consecutive targets for gathers) and
-runs every offset on one block before the next, so the per-offset
-temporaries stay cache-sized instead of spanning the band: at VGA a
-band-wide temporary is 2.4 MB, a block's is 256 KiB. This is the
-tile-at-a-time schedule Halide applies to stencils. It cannot change a
-bit: each output pixel's sums run over its own window in the same
-offset order whatever block holds it, which is also why row banding
-cannot. Each block temporary dies at its last reader: one side of an
-offset is weighed in its own function, which frees its source colors
-once they are squared, the squares once they are summed, the squared
+Either way a call walks its band in blocks and runs every window row
+on one block before the next, so the temporaries stay cache-sized
+instead of spanning the band: at VGA a band-wide temporary is 2.4 MB,
+a block's at most BLOCK_PX entries, 256 KiB. A slice block is whole
+rows of at most BLOCK_PX outputs, a gather block BLOCK_PX // (2r + 1)
+consecutive targets, so that a row's 2r + 1 sides fit the same
+BLOCK_PX entries. This is the tile-at-a-time schedule Halide applies
+to stencils. It cannot change a bit: each output pixel's sums run over
+its own window in the same offset order whatever block holds it, which
+is also why row banding cannot. Each block temporary dies at its last
+reader: the sides of one op (one side of a slice, a gathered row) are
+weighed in their own function, which frees their source colors once
+they are squared, the squares once they are summed, the squared
 distance once the color table has read it and the depth difference
-once the depth table has; its tracking masks die when it returns, and
-only its weights and source depths wait for the pair sum; the pair's
-die once num has read them. So a block holds one side's temporaries at
-a time, not both sides' and the previous offset's too.
+once the depth table has; their tracking masks die when it returns,
+and only their weights and source depths wait for the pair sums,
+which die once num has read them. So a slice block holds one side's
+temporaries at a time, not both sides' and the previous offset's too,
+and a gather block one row's.
 
 The engine finishes each block itself. A block's num is its slice of
 the caller's output; its den, and its contributor range when tracked,
@@ -98,15 +109,20 @@ Two accumulation details are deliberate and load-bearing:
   the running sums (dx = 0 joins alone). A horizontal mirror of all
   inputs swaps the two addends, and float addition of two terms is
   exactly commutative, so mirrored inputs produce exactly mirrored
-  outputs instead of drifting by rounding.
+  outputs instead of drifting by rounding. A gathered row takes all r
+  pair sums in one op, w[r-1::-1] + w[r+1:] along its sides, and adds
+  them into the running sums one explicit add at a time, the centre
+  first, then a = 1..r: np.add.reduce over 8 or more terms sums them
+  pairwise, which would reorder the additions.
 
 * The raw quotient num/den can overshoot the contributor range by an
   ulp, so a tracked call keeps each block's min and max contributing
-  depth (a non-contributor enters fmin/fmax as NaN, which they skip)
-  and clamps the quotient. That makes the convex-combination guarantee
-  exact rather than approximate, and it compounds through the fill
-  stage: every filled value stays inside the range of the depths it
-  was grown from. The fill passes and the *_pixel wrappers always
+  depth (a non-contributor enters fmin/fmax as NaN, which they skip;
+  a gathered row is reduced along its sides first, which is exact in
+  any order) and clamps the quotient. That makes the
+  convex-combination guarantee exact rather than approximate, and it
+  compounds through the fill stage: every filled value stays inside
+  the range of the depths it was grown from. The fill passes and the *_pixel wrappers always
   track.
 
 filter_non_hole defers the clamp on integer depth: its passes run
@@ -158,8 +174,10 @@ from .kernels import (
 if TYPE_CHECKING:  # pipeline imports this module
     from .pipeline import PipelineConfig
 
-# Output pixels per block of one window_sums call: 256 KiB per float64
-# temporary, so a block's weight planes stay in L2 across its offsets.
+# Entries per temporary of one window_sums block, 256 KiB in float64,
+# so a block's weight planes stay in L2 across its window rows: whole
+# rows of at most BLOCK_PX outputs for slice addressing, BLOCK_PX // (2r + 1)
+# targets for gather addressing, which weighs a row's 2r + 1 sides at once.
 BLOCK_PX = 32768
 
 # Machine epsilon of float64, for the deferred clamp's suspect bound.
@@ -293,17 +311,26 @@ def window_sums(depth: np.ndarray, hole, planes, params: KernelParams,
 
     targets of None evaluates every pixel of the band into (h, w)
     arrays; else only the band's pixels among the sorted flat indices
-    targets (y * w + x), into one entry per target. out, den and cnt are
-    written in place, only for the band, so concurrent calls on disjoint
-    bands are safe. Sources are read from the whole frame; neither
-    banding nor the target set changes a single output bit, and neither
-    does the split into blocks of BLOCK_PX.
+    targets (y * w + x), into one entry per target, weighing a whole
+    window row per array op. out, den and cnt are written in place, only
+    for the band, so concurrent calls on disjoint bands are safe. Sources
+    are read from the whole frame; neither banding nor the target set
+    changes a single output bit, and neither does the split into blocks
+    (BLOCK_PX).
     """
     r = params.window_radius
     table = color_range_table(params.sigma_r_color)
     dtable = None
     if depth_sigma is not None and depth.dtype.kind == "u":
         dtable = depth_range_table(depth_sigma, hole)
+    span = range(-r, r + 1)
+    grid = None  # the scalar kernel's own value at each offset, [dy + r, dx + r]
+    if iso_sigma is not None:
+        grid = np.array([[spatial_weight(dx, dy, iso_sigma) for dx in span] for dy in span])
+    elif _scalar(cos_t):
+        grid = np.array([[rotated_weight(dx, dy, cos_t, sin_t, params.sigma_x, params.sigma_y)
+                          for dx in span] for dy in span])
+    dxf = np.arange(-r, r + 1.0)
     for blk, at in _blocks(r, row0, row1, (planes, depth), targets):
         for a in (out, den, cnt):
             if a is not None:
@@ -313,14 +340,16 @@ def window_sums(depth: np.ndarray, hole, planes, params: KernelParams,
         if track:
             cmin = np.full(num.shape, np.inf)
             cmax = np.full(num.shape, -np.inf)
-        cpl, cd = at(0, 0)
+        cpl, cd = at(0, slice(r, r + 1))
         cc, cs = (a if _scalar(a) else a[blk] for a in (cos_t, sin_t))
+        side = (-1,) + (1,) * num.ndim  # a column along the leading axis of sides
 
-        def weigh(dy, dx):
-            """The weights and source depths of one side at offset (dy, dx),
-            counted and tracked; every other temporary of the side dies at
-            its last reader."""
-            spl, dq = at(dy, dx)
+        def weigh(dy, cols):
+            """The weights and source depths of the sides at window row dy
+            and columns cols (a slice of dx = -r..r), with a leading axis of
+            sides, counted and tracked; every other temporary of the sides
+            dies at its last reader."""
+            spl, dq = at(dy, cols)
             # 255**2 wraps in int16 but reads back exactly as uint16.
             sq = np.subtract(cpl, spl, dtype=np.int16)
             del spl
@@ -331,10 +360,11 @@ def window_sums(depth: np.ndarray, hole, planes, params: KernelParams,
             del sq
             wgt = table.take(dist2)
             del dist2
-            if iso_sigma is not None:
-                wgt *= spatial_weight(dx, dy, iso_sigma)
+            if grid is not None:
+                wgt *= grid[dy + r, cols].reshape(side)
             else:
-                wgt *= rotated_weight(dx, dy, cc, cs, params.sigma_x, params.sigma_y)
+                wgt *= rotated_weight(dxf[cols].reshape(side), dy, cc, cs, params.sigma_x,
+                                      params.sigma_y)
             if dtable is not None:
                 diff = np.subtract(cd, dq, dtype=np.int32)
                 wd = dtable.take(np.abs(diff, out=diff))
@@ -345,28 +375,37 @@ def window_sums(depth: np.ndarray, hole, planes, params: KernelParams,
                     wgt *= depth_range_weight(cd, dq, depth_sigma)
                 wgt *= dq != hole
             if cnt is not None:
-                cnt[blk] += wgt > 0
+                cnt[blk] += np.count_nonzero(wgt, axis=0)
             if track:
                 tracked = np.where(wgt > 0, dq, np.nan)
-                np.fmin(cmin, tracked, out=cmin)
-                np.fmax(cmax, tracked, out=cmax)
+                np.fmin(cmin, np.fmin.reduce(tracked, axis=0), out=cmin)
+                np.fmax(cmax, np.fmax.reduce(tracked, axis=0), out=cmax)
             return wgt, dq
 
-        for dy in range(-r, r + 1):
-            for adx in range(r + 1):
-                wgt, dq = weigh(dy, -adx)
-                if adx:
-                    w2, d2 = weigh(dy, adx)
-                    wsum += wgt + w2
-                    wgt *= dq
+        def row(dy):
+            """Window row dy as (w1, d1, w2, d2) stacks of sides: the centre
+            alone (w2 and d2 None), then the pairs at -a and +a, a = 1..r.
+            A gather weighs the whole row at once, a slice one side at a
+            time."""
+            if targets is not None:
+                wgt, dq = weigh(dy, slice(None))
+                yield wgt[r:r + 1], dq[r:r + 1], None, None
+                yield wgt[r - 1::-1], dq[r - 1::-1], wgt[r + 1:], dq[r + 1:]
+                return
+            yield *weigh(dy, slice(r, r + 1)), None, None
+            for a in range(1, r + 1):
+                yield *weigh(dy, slice(r - a, r - a + 1)), *weigh(dy, slice(r + a, r + a + 1))
+
+        for dy in span:
+            for w1, d1, w2, d2 in row(dy):
+                _add_each(wsum, w1 if w2 is None else w1 + w2)
+                w1 *= d1
+                if w2 is not None:
                     w2 *= d2
-                    wgt += w2
-                    del w2, d2
-                else:
-                    wsum += wgt
-                    wgt *= dq
-                num += wgt
-                del wgt, dq
+                    w1 += w2
+                del w2, d2
+                _add_each(num, w1)
+                del w1, d1
         some = wsum > 0
         np.divide(num, wsum, out=num, where=some)
         if track:
@@ -375,11 +414,21 @@ def window_sums(depth: np.ndarray, hole, planes, params: KernelParams,
         num[~some] = 0.0
 
 
+def _add_each(acc, terms):
+    """acc += terms[0], then terms[1], ...: one explicit add per side, in
+    order, where np.add.reduce over 8 or more terms would sum pairwise."""
+    for t in terms:
+        acc += t
+
+
 def _blocks(r, row0, row1, frames, targets):
-    """Split rows [row0, row1) into blocks of at most BLOCK_PX output
-    pixels: whole rows for slice addressing, consecutive targets for
-    gather addressing. Yields each block's output slice and at(dy, dx),
-    which returns the frames at offset (dy, dx) of the block's outputs."""
+    """Split rows [row0, row1) into blocks: whole rows of at most BLOCK_PX
+    output pixels for slice addressing, runs of BLOCK_PX // (2r + 1)
+    consecutive targets for gather addressing, so that a window row of
+    2r + 1 sides spans at most BLOCK_PX entries. Yields each block's
+    output slice and at(dy, cols), which returns the frames at window row
+    dy and columns cols (a slice of dx = -r..r) of the block's outputs,
+    with a leading axis of sides after the planes' channel axis."""
     w = frames[1].shape[1] - 2 * r
     if targets is None:
         step = max(1, BLOCK_PX // w)
@@ -388,23 +437,28 @@ def _blocks(r, row0, row1, frames, targets):
             yield slice(b0, b1), partial(_rows_at, frames, r, w, b0, b1)
     else:
         wp = w + 2 * r
+        dx = np.arange(-r, r + 1)[:, None]
         flat = [a.reshape(a.shape[:-2] + (-1,)) for a in frames]
         i0, i1 = np.searchsorted(targets, (row0 * w, row1 * w))
-        for j0 in range(i0, i1, BLOCK_PX):
-            j1 = min(j0 + BLOCK_PX, i1)
+        step = max(1, BLOCK_PX // (2 * r + 1))
+        for j0 in range(i0, i1, step):
+            j1 = min(j0 + step, i1)
             t = targets[j0:j1]
-            yield slice(j0, j1), partial(_flat_at, flat, padded_flat(t, w, r), wp)
+            yield slice(j0, j1), partial(_flat_at, flat, padded_flat(t, w, r), wp, dx)
 
 
-def _rows_at(frames, r, w, b0, b1, dy, dx):
-    """Slice addressing: the frames at offset (dy, dx) of rows [b0, b1), as views."""
-    index = (Ellipsis, slice(r + b0 + dy, r + b1 + dy), slice(r + dx, r + dx + w))
+def _rows_at(frames, r, w, b0, b1, dy, cols):
+    """Slice addressing: the frames at offset (dy, cols.start - r) of rows
+    [b0, b1), one side, as views."""
+    index = (Ellipsis, None, slice(r + b0 + dy, r + b1 + dy), slice(cols.start, cols.start + w))
     return [a[index] for a in frames]
 
 
-def _flat_at(flat, tp, wp, dy, dx):
-    """Gather addressing: the flat frames at offset (dy, dx) of padded flat indices tp."""
-    at = tp + (dy * wp + dx)
+def _flat_at(flat, tp, wp, dx, dy, cols):
+    """Gather addressing: the flat frames at window row dy and columns cols
+    of padded flat indices tp, gathered by one (sides, targets) index
+    array; dx is the column of the window's offsets -r..r."""
+    at = tp + (dy * wp + dx[cols])
     return [a.take(at, axis=-1) for a in flat]
 
 

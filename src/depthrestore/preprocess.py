@@ -34,18 +34,24 @@ class StructuringElement:
         require_int("structuring radius", self.radius, ge=1)
 
 
-def _window_extreme(a: np.ndarray, radius: int, op) -> np.ndarray:
+def _window_extreme(a: np.ndarray, radius: int, op, spent=False) -> np.ndarray:
     """Windowed max or min over a (2r+1) square, clamped at borders.
 
     Separable: shifted copies of the source are folded into the output
     along columns, then along rows. Shifts that fall outside the image
     are simply not applied, which is exactly the clamped-window rule.
+    With spent set, a is no longer needed once the columns are folded,
+    and the row fold takes it as its copy of them instead of a new frame.
     """
     out = a.copy()
     for d in range(1, radius + 1):
         op(out[:, d:], a[:, :-d], out=out[:, d:])
         op(out[:, :-d], a[:, d:], out=out[:, :-d])
-    cols = out.copy()
+    if spent:
+        a[...] = out
+        cols = a
+    else:
+        cols = out.copy()
     for d in range(1, radius + 1):
         op(out[d:, :], cols[:-d, :], out=out[d:, :])
         op(out[:-d, :], cols[d:, :], out=out[:-d, :])
@@ -68,7 +74,8 @@ def close_depth(d: DepthMap, se: StructuringElement = StructuringElement()) -> D
     stays a hole. Non-hole pixels pass through untouched.
     """
     a = d.samples
-    closed = windowed_min(windowed_max(a, se.radius), se.radius)
+    # Nothing else reads the max pass's output: the min pass may reuse it.
+    closed = _window_extreme(windowed_max(a, se.radius), se.radius, np.minimum, spent=True)
     return DepthMap(np.where(a != HOLE, a, closed))
 
 

@@ -32,6 +32,7 @@ from depthrestore.filters import (
     window_sums,
 )
 from depthrestore.image_model import HOLE, interior, pad
+from depthrestore.kernels import steering
 
 from oracles import brute_filter, ref_finish, ref_window_sums
 
@@ -455,13 +456,21 @@ FLAVORS = ["isotropic", "trilateral", "directional"]
          track=True, integer=False, seed=3)
 @example(h=8, w=9, flavor="trilateral", radius=3, density=0.5, border=True, bands=3,
          track=False, integer=True, seed=4)
+@example(h=9, w=9, flavor="directional", radius=5, density=0.5, border=True, bands=3,
+         track=True, integer=False, seed=21)
+@example(h=9, w=8, flavor="trilateral", radius=5, density=1.0, border=True, bands=1,
+         track=False, integer=True, seed=22)
+@example(h=7, w=9, flavor="isotropic", radius=5, density=0.5, border=False, bands=8,
+         track=True, integer=True, seed=23)
 def test_gather_addressing_matches_slice_addressing(h, w, flavor, radius, density,
                                                     border, bands, track, integer, seed):
     """A target-set run gives, at every target, the exact average,
     weight sum and count of a dense run, tracked and untracked, for
     each flavor, on float and uint16 depth, on frames down to 1xN
     and Nx1 and narrower than the window, with targets on the borders
-    and the targets split over several row bands."""
+    and the targets split over several row bands, up to the production
+    radius 5, whose window rows of 11 sides are where a numpy reduction
+    would sum pairwise."""
     rng = np.random.default_rng(seed)
     d, mark, planes, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
     mask = rng.random((h, w)) < density
@@ -476,6 +485,30 @@ def test_gather_addressing_matches_slice_addressing(h, w, flavor, radius, densit
         assert np.array_equal(dense[name].flat[targets], sparse[name]), name
 
 
+@settings(max_examples=30, deadline=None)
+@given(h=st.integers(1, 9), w=st.integers(1, 9), radius=st.integers(1, 5),
+       track=st.booleans(), integer=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(h=9, w=9, radius=5, track=True, integer=False, seed=31)
+@example(h=6, w=9, radius=5, track=False, integer=True, seed=32)
+def test_one_angle_gives_the_bits_of_that_angle_at_every_output(h, w, radius, track, integer,
+                                                                seed):
+    """A directional run at one angle, whose spatial weights are the
+    scalar kernel's values, gives the exact averages, weight sums and
+    counts of a run with that angle at every output, dense and on a
+    target set (a whole window row per array op), tracked and
+    untracked, on float and uint16 depth."""
+    rng = np.random.default_rng(seed)
+    d, mark, planes, params, _ = engine_case(rng, h, w, "directional", radius, integer)
+    theta = float(rng.uniform(-np.pi, np.pi))
+    for targets in (None, np.flatnonzero(rng.random((h, w)) < 0.5)):
+        shape = (h, w) if targets is None else targets.shape
+        one, many = (run_engine(d, mark, planes, params, shape, [(0, h)], track=track,
+                                targets=targets, **steering(angle))
+                     for angle in (theta, np.full(shape, theta)))
+        for name in ("avg", "den", "cnt"):
+            assert np.array_equal(one[name], many[name]), name
+
+
 @settings(max_examples=60, deadline=None)
 @given(h=st.integers(1, 9), w=st.integers(1, 9), flavor=st.sampled_from(FLAVORS),
        radius=st.integers(1, 3), sparse=st.booleans(), bands=st.sampled_from([1, 3, 8]),
@@ -486,13 +519,21 @@ def test_gather_addressing_matches_slice_addressing(h, w, flavor, radius, densit
          integer=False, seed=5)
 @example(h=9, w=8, flavor="trilateral", radius=3, sparse=False, bands=3, track=False,
          integer=True, seed=6)
+@example(h=9, w=9, flavor="directional", radius=5, sparse=True, bands=1, track=True,
+         integer=False, seed=24)
+@example(h=9, w=9, flavor="trilateral", radius=5, sparse=True, bands=3, track=True,
+         integer=True, seed=25)
+@example(h=8, w=9, flavor="isotropic", radius=5, sparse=False, bands=3, track=False,
+         integer=False, seed=26)
 def test_block_size_never_changes_a_bit(h, w, flavor, radius, sparse, bands, track,
                                         integer, seed):
-    """Splitting each call's band into blocks of BLOCK_PX output pixels
-    (rows for a dense run, targets for a target-set run) leaves the
-    averages, weight sums and counts exactly as one block per band
-    leaves them, tracked and untracked, including blocks of 1 px, blocks
-    that end mid-row and a short last block."""
+    """Splitting each call's band into blocks of BLOCK_PX entries (whole
+    rows of at most BLOCK_PX outputs for a dense run, runs of
+    BLOCK_PX // (2r + 1) targets for a target-set run, whose window rows
+    are 2r + 1 sides deep) leaves the averages, weight sums and counts
+    exactly as one block per band leaves them, tracked and untracked,
+    including 1-px and 1-target blocks, blocks that end mid-row and a
+    short last block."""
     rng = np.random.default_rng(seed)
     d, mark, planes, params, kwargs = engine_case(rng, h, w, flavor, radius, integer)
     targets = np.flatnonzero(rng.random((h, w)) < 0.5) if sparse else None
@@ -504,8 +545,9 @@ def test_block_size_never_changes_a_bit(h, w, flavor, radius, sparse, bands, tra
             return run_engine(d, mark, planes, params, (h, w) if targets is None else targets.shape,
                               row_bands(h, bands), track=track, targets=targets, **kwargs)
 
-    whole = run(h * w)
-    for block_px in sorted({1, 2, w - 1, w, w + 1, 7, h * w} - {0}):
+    side = 2 * radius + 1
+    whole = run(h * w * side)
+    for block_px in sorted({1, 2, w - 1, w, w + 1, 7, side, 2 * side + 1, h * w} - {0}):
         got = run(block_px)
         for name in ("avg", "den", "cnt"):
             assert np.array_equal(whole[name], got[name]), (block_px, name)
@@ -537,6 +579,14 @@ def sentinel_free_centres(usable, integer, kwargs):
          sigma_r_color=25.0, sigma_r_depth=30.0, integer=True, seed=9)
 @example(h=7, w=8, flavor="trilateral", radius=2, sparse=True, bands=1,
          sigma_r_color=3.0, sigma_r_depth=0.3, integer=True, seed=10)
+@example(h=9, w=9, flavor="directional", radius=5, sparse=True, bands=3,
+         sigma_r_color=25.0, sigma_r_depth=30.0, integer=False, seed=27)
+@example(h=9, w=9, flavor="trilateral", radius=5, sparse=True, bands=1,
+         sigma_r_color=25.0, sigma_r_depth=30.0, integer=True, seed=28)
+@example(h=8, w=9, flavor="isotropic", radius=5, sparse=True, bands=8,
+         sigma_r_color=1e4, sigma_r_depth=1e9, integer=False, seed=29)
+@example(h=9, w=7, flavor="trilateral", radius=5, sparse=False, bands=3,
+         sigma_r_color=25.0, sigma_r_depth=30.0, integer=False, seed=30)
 def test_engine_matches_float64_reference_body(h, w, flavor, radius, sparse, bands,
                                                sigma_r_color, sigma_r_depth, integer, seed):
     """window_sums gives the exact weight sums and counts of the frozen

@@ -415,15 +415,22 @@ def test_restore_thread_count_never_changes_pixels():
 # 4.03, 1.38, 3.00, 4.23 and 3.30; fill_holes read 2.42 once validity
 # was one bool frame, and filter_non_hole 3.04 (4.06 before) once the
 # engine finished each block itself, so that its den is block-sized.
-# Before, sobel_gradients read 9.0, to_grayscale 5.0, detect_edges 3.25
-# and filter_non_hole 5.7, under a bound of 6.
+# close_depth read 2.13 once the min pass took the max pass's output as
+# its row-fold scratch. filter_non_hole read 3.20 and fill_holes 2.44
+# once gathers weighed a whole window row per array op: the edge pass's
+# 6724 targets then fill a block of 11 x 2978 entries where one side
+# had 6724. Before, sobel_gradients read 9.0, to_grayscale 5.0,
+# detect_edges 3.25 and filter_non_hole 5.7, under a bound of 6.
 STAGE_PEAK_FRAMES = {"to_grayscale": 2.25, "sobel_gradients": 4.25, "detect_edges": 1.5,
-                     "close_depth": 3.25, "filter_non_hole": 3.25, "fill_holes": 2.75}
+                     "close_depth": 2.25, "filter_non_hole": 3.25, "fill_holes": 2.75}
 
 # The same peaks on the degraded 640x480 checkerboard of 40 px tiles at
 # 2 threads, where edges are everywhere and the one fill pass has 79539
-# hole_edge targets: 5.27 and 5.45 once the engine finished each block
-# itself, with no frame-sized den, cmin or cmax; 5.62 and 5.93 once the
+# hole_edge targets: 4.71 and 4.20 once gathers weighed a whole window
+# row per array op, over blocks of BLOCK_PX // (2r + 1) targets, so that
+# a worker's wsum, cmin and cmax cover 2978 targets, not 32768; 5.27 and
+# 5.45 once the engine finished each block itself, with no frame-sized
+# den, cmin or cmax; 5.62 and 5.93 once the
 # dense pass's suspect mask died with the pass, before the edge pass;
 # 5.75 and 5.93 once the denoise wrote its output into the dense pass's
 # num and took the edge pass's cos and sin after the dense pass;
@@ -435,7 +442,7 @@ STAGE_PEAK_FRAMES = {"to_grayscale": 2.25, "sobel_gradients": 4.25, "detect_edge
 # the engine's block temporaries died at their last reader, 7.93 and
 # 9.10 with float64 validity frames. On one CPU the bands share one
 # worker, and the peaks are lower.
-TILES_PEAK_FRAMES = {"filter_non_hole": 5.5, "fill_holes": 5.75}
+TILES_PEAK_FRAMES = {"filter_non_hole": 5.0, "fill_holes": 4.5}
 
 
 def clear_table_caches():
@@ -520,8 +527,10 @@ def test_restore_peak_stays_under_4_6_frames():
     angles), 6.37 once the engine's block temporaries died at their
     last reader, 6.35 once the engine read hole-ness from the depth
     frame, 5.31 once the denoise and the front end handed their frames
-    on, and 4.29 once the engine finished each block itself. Keeping the
-    closed map alive to the end reads 7.6."""
+    on, and 4.29 once the engine finished each block itself. It reads
+    4.45 since gathers weigh a whole window row per array op, in the
+    fill and the edge pass. Keeping the closed map alive to the end
+    reads 7.6."""
     clean, guide = make_scene("occluder", 640, 480)
     depth = degrade(clean, DegradeSpec(20, 0.05, 2, seed=1))
     assert traced_peak(lambda: restore(depth, guide)) / (640 * 480 * 8) <= 4.6
@@ -573,7 +582,7 @@ def traced_cli_restore_frames(tmp_path, clean, guide, threads, hole=0):
 
 def test_cli_restore_hands_each_map_on_at_its_last_read(tmp_path):
     """One CLI restore of the degraded 640x480 checkerboard at 2 threads,
-    traced whole as the bench traces it, peaks at most 8.0 float64
+    traced whole as the bench traces it, peaks at most 6.75 float64
     frames with cold weight tables. It read 8.93 once cmd_restore handed
     the loaded depth to restore, which drops it after the closing, and
     restore handed the denoised map to fill_holes, which drops it after
@@ -582,21 +591,24 @@ def test_cli_restore_hands_each_map_on_at_its_last_read(tmp_path):
     It read 11.98 before, 8.59 once the fill kept no angle table for its
     whole edge phase and the denoise no gathered angles beside their cos
     and sin, 8.21-8.23 once the denoise handed its input on and wrote
-    its output into the dense pass's num, and 7.75 once the engine
-    finished each block itself."""
-    assert traced_cli_restore_frames(tmp_path, *checkerboard(640, 480, 40), threads=2) <= 8.0
+    its output into the dense pass's num, 7.75 once the engine
+    finished each block itself, and 6.49 once gathers weighed a whole
+    window row per array op over 2978-target blocks."""
+    assert traced_cli_restore_frames(tmp_path, *checkerboard(640, 480, 40), threads=2) <= 6.75
 
 
 def test_cli_restore_of_the_occluder_hands_each_map_on(tmp_path):
     """One CLI restore of the degraded 640x480 occluder at 1 thread,
     traced whole with cold weight tables as the bench's occluder-vga
-    workload traces it, peaks at most 5.75 float64 frames. It read
+    workload traces it, peaks at most 5.5 float64 frames. It read
     6.74-6.75 once cmd_restore, restore and fill_holes handed their maps
     on at their last reads, 5.69-5.70 once filter_non_hole,
-    sobel_gradients and detect_edges did too, and 5.52 once the engine
-    finished each block itself; the peak is then in the closing."""
+    sobel_gradients and detect_edges did too, 5.52 once the engine
+    finished each block itself, the peak then in the closing, and 5.43
+    once the closing's min pass took the max pass's output as its
+    row-fold scratch."""
     assert traced_cli_restore_frames(tmp_path, *make_scene("occluder", 640, 480),
-                                     threads=1) <= 5.75
+                                     threads=1) <= 5.5
 
 
 def test_cli_restore_of_the_holed_ramp_finishes_each_block(tmp_path):
